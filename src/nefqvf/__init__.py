@@ -9,7 +9,7 @@ from .errors import (
     NefqvfError,
     NumericInstabilityError,
 )
-from .families import Family, Interval, MeanParamMeasure, parse_family
+from .families import Family, Interval, parse_family
 from .ldlr import (
     AdditiveSpikedModel,
     ChannelNorm,
@@ -56,7 +56,6 @@ from .spiked import (
 from .translation import (
     TranslationPolyTable,
     build_translation_table,
-    tau_hat_eval,
     tau_value_bound,
 )
 

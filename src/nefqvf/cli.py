@@ -8,8 +8,8 @@ Subcommands
     spiked simulate | power-curve | entrywise-bound
     mix test
 
-Exit codes: 0 ok, 2 config error, 3 enumeration cap exceeded, 4 numeric
-instability.  Values may come from an INI-style ``--config`` file (section
+Exit codes: 0 ok, 2 config error, 3 exact-norm work bound exceeded, 4
+numeric instability.  Values may come from an INI-style ``--config`` file (section
 named after the subcommand, e.g. ``[ldlr.exact]``); command-line flags
 override file values.  Every report is CSV with one provenance comment
 line (full parameters, seed, git revision) so that identical inputs give
@@ -56,6 +56,7 @@ from .spiked import (
     power_curve,
     sample_wig,
     tpca_test,
+    MAX_EXACT_D,
     MAX_EXACT_N,
 )
 from .translation import DEFAULT_TABLE_DEGREE, build_translation_table, table_rows
@@ -111,7 +112,6 @@ FLAGS: dict[tuple[str, str], list[Flag]] = {
         Flag("family", str, "family tag, e.g. gamma{alpha=2}", required=True),
         Flag("mu0", float, "null mean", required=True),
         Flag("degree", int, "maximum degree", required=True),
-        Flag("float_mode", _bool, "float arithmetic instead of exact", default=False),
         Flag("out", str, "output path"),
     ],
     ("orthopoly", "dump"): [
@@ -168,7 +168,8 @@ FLAGS: dict[tuple[str, str], list[Flag]] = {
         Flag("lam", float, "signal strength lambda", required=True),
         Flag("degree", int, "entrywise degree bound D", required=True),
         Flag("samples", int, "Monte Carlo sample count", required=True),
-        Flag("exact", _bool, f"also run the exact sum (n <= {MAX_EXACT_N})", default=False),
+        Flag("exact", _bool, f"also run the exact sum (n <= {MAX_EXACT_N}, D <= {MAX_EXACT_D})",
+             default=False),
     ] + COMMON,
     ("mix", "test"): [
         Flag("n", int, "matrix size", required=True),
@@ -392,8 +393,7 @@ def _run_families_check(config):
 
 def _run_orthopoly(config, dump: bool):
     fam = parse_family(config.values["family"])
-    exact = not config.values.get("float_mode", False)
-    basis = build_basis(fam, config.values["mu0"], config.values["degree"], exact=exact)
+    basis = build_basis(fam, config.values["mu0"], config.values["degree"])
     if dump:
         rows = basis_rows(basis)
         width = max(len(r) for r in rows)

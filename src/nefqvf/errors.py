@@ -14,7 +14,7 @@ class DegenerateDegreeError(NefqvfError, ValueError):
 
 
 class CapExceededError(NefqvfError):
-    """An exact enumeration would exceed its documented size cap."""
+    """An exact computation would exceed its documented work bound."""
 
 
 class NumericInstabilityError(NefqvfError, FloatingPointError):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
-_KINDS = ("gaussian", "poisson", "gamma", "binomial", "negbinomial", "sech")
+ALL_KINDS = ("gaussian", "poisson", "gamma", "binomial", "negbinomial", "sech")
 
 
 @dataclass(frozen=True)
@@ -345,8 +345,8 @@ def parse_family(tag: str) -> Family:
             key, val = (s.strip() for s in item.split("=", 1))
             params[key] = val
     name = name.strip()
-    if name not in _KINDS:
-        raise ConfigError(f"family: unknown name {name!r} (expected one of {_KINDS})")
+    if name not in ALL_KINDS:
+        raise ConfigError(f"family: unknown name {name!r} (expected one of {ALL_KINDS})")
 
     def _num(key, cast):
         if key not in params:
@@ -370,31 +370,3 @@ def parse_family(tag: str) -> Family:
     if params:
         raise ConfigError(f"family: {name} takes no parameters, got {sorted(params)}")
     return Family.poisson() if name == "poisson" else Family.sech()
-
-
-@dataclass(frozen=True)
-class MeanParamMeasure:
-    """A single member of a family, pinned at mean ``mu``."""
-
-    family: Family
-    mu: float
-
-    def __post_init__(self):
-        if self.mu not in self.family.mean_domain:
-            raise DomainError(
-                f"mean {self.mu} outside {self.family.mean_domain} "
-                f"for {self.family.tag()}"
-            )
-
-    @property
-    def variance(self) -> float:
-        return self.family.variance(self.mu)
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.family.sample(self.mu, rng, count)
-
-    def pdf(self, x: float) -> float:
-        return self.family.pdf(self.mu, x)
-
-
-ALL_KINDS = _KINDS

@@ -11,16 +11,22 @@ kin spiking the component at multi-index k is
 
     sqrt(prod_i a_hat_{k_i}(v2) / prod_i k_i!) * E_x[ prod_i z_{mu_i}(x_i)^{k_i} ],
 
-computable exactly for finitely-supported priors; the degree-D norm is the
-sum of squared components over |k| <= D.  The same sum is controlled by the
-scalar overlap r = <z(x^1), z(x^2)> of two independent prior draws through
+computable exactly for finitely-supported priors.  Squaring the
+expectation as a double sum over prior atoms a, b makes each term factor
+over coordinates, so the degree-D norm is a truncated generating-function
+product
+
+    sum_{a,b} p_a p_b [t^{<=D}] prod_i sum_k (a_hat_k(v2)/k!) (z_ai z_bi t)^k,
+
+at cost O(atoms^2 N D^2).  The same sum is controlled by the scalar
+overlap r = <z(x^1), z(x^2)> of two independent prior draws through
 E[f_trunc(D, v2)(r)] — an equality when v2 = 0, an upper bound when
 v2 > 0, and a lower bound (with E[exp_trunc(r)] as the matching upper
-bound) when v2 < 0.  Both routes are implemented and cross-checked in the
-test suite.
+bound) when v2 < 0.  Both routes are implemented and
+cross-checked in the test suite.
 
-Exact enumeration is restricted to atom priors; sampler-backed priors feed
-only the Monte Carlo overlap estimates.
+Exact norms are restricted to atom priors; sampler-backed priors feed only
+the Monte Carlo overlap estimates.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .families import Family
 from .orthopoly import a_hat, exp_trunc, f_eval, f_trunc, neg_v_order
 from .translation import TranslationPolyTable, build_translation_table
 
-ENUM_CAP = 10**7  # documented cap on exact multi-index enumeration
+ENUM_CAP = 10**7  # documented bound on atoms^2 * N * (D+1)^2 for exact norms
 
 
 # ---------------------------------------------------------------------------
@@ -174,29 +180,32 @@ class LdlrResult:
 
 
 # ---------------------------------------------------------------------------
-# multi-index enumeration
+# truncated generating-function products
 # ---------------------------------------------------------------------------
 
-def count_multi_indices(N: int, D: int) -> int:
-    """Number of k in N^N with |k| <= D."""
-    return math.comb(N + D, D)
+def _check_work(model, D: int) -> None:
+    work = len(model.prior.atoms) ** 2 * model.N * (D + 1) ** 2
+    if work > ENUM_CAP:
+        raise CapExceededError(
+            f"atoms^2 * N * (D+1)^2 = {work} exceeds the work bound {ENUM_CAP}"
+        )
 
 
-def iter_multi_indices(N: int, D: int, max_coord: int | None = None):
-    """Multi-indices with |k| <= D in graded lexicographic order."""
+def _pair_gf_sum(probs: np.ndarray, factors, D: int) -> float:
+    """sum_{a,b} p_a p_b [t^{<=D}] prod_i F_i(a, b; t).
 
-    def compositions(total, parts):
-        if parts == 1:
-            if max_coord is None or total <= max_coord:
-                yield (total,)
-            return
-        hi = total if max_coord is None else min(total, max_coord)
-        for first in range(hi, -1, -1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    for d in range(D + 1):
-        yield from compositions(d, N)
+    ``factors`` yields, per coordinate i, the (A, A, K+1) coefficients of
+    the polynomial F_i in t, with K <= D.
+    """
+    A = len(probs)
+    acc = np.zeros((A, A, D + 1))
+    acc[:, :, 0] = 1.0
+    for f in factors:
+        nxt = acc * f[:, :, :1]
+        for k in range(1, f.shape[2]):
+            nxt[:, :, k:] += acc[:, :, :D + 1 - k] * f[:, :, k:k + 1]
+        acc = nxt
+    return float(probs @ acc.sum(axis=2) @ probs)
 
 
 # ---------------------------------------------------------------------------
@@ -230,26 +239,27 @@ def component(model: KinSpikedModel, k) -> float:
 
 
 def ldlr_exact(model: KinSpikedModel, D: int) -> LdlrResult:
-    """Exact squared norm of the degree-D projection, by component sums."""
+    """Exact squared norm of the degree-D projection, as a truncated
+    generating-function product over coordinates."""
     if not model.prior.is_atomic:
         raise DomainError("ldlr_exact requires an atom-mode prior")
     if D < 0:
         raise DomainError(f"D must be >= 0, got {D}")
-    if count_multi_indices(model.N, D) > ENUM_CAP:
-        raise CapExceededError(
-            f"{count_multi_indices(model.N, D)} multi-indices exceeds cap {ENUM_CAP}"
-        )
+    _check_work(model, D)
     v2 = model.family.v2
-    max_coord = neg_v_order(v2)  # prune degenerate degrees for v2 = -1/m
+    m_stop = neg_v_order(v2)  # degrees past m are degenerate for v2 = -1/m
+    K = D if m_stop is None else min(D, m_stop)
+    # (a_hat_k/k!) w^k as a running product of w (1 + v2 (k-1)) / k, which
+    # neither overflows in k! nor in w^k
+    ratios = np.array([(1.0 + v2 * (k - 1)) / k for k in range(1, K + 1)])
     Z = model.z_matrix()
     probs = np.array([p for _, p in model.prior.atoms])
-    ahat = [float(a_hat(k, v2)) for k in range(D + 1)]
-    total = 0.0
-    for k in iter_multi_indices(model.N, D, max_coord=max_coord):
-        coef = math.prod(ahat[ki] / math.factorial(ki) for ki in k)
-        expect = float(np.dot(probs, np.prod(Z ** np.array(k), axis=1)))
-        total += coef * expect * expect
-    return LdlrResult(value=total, mode="exact", degree=D)
+    ones = np.ones((len(probs), len(probs), 1))
+    factors = (
+        np.concatenate([ones, np.cumprod(np.outer(z, z)[:, :, None] * ratios, axis=2)], axis=2)
+        for z in Z.T
+    )
+    return LdlrResult(value=_pair_gf_sum(probs, factors, D), mode="exact", degree=D)
 
 
 def full_norm_exact(model: KinSpikedModel) -> LdlrResult:
@@ -299,7 +309,10 @@ def overlap_bound_exact(model: KinSpikedModel, D: int | None, v: float | None = 
 
 def ldlr_exact_additive(model: AdditiveSpikedModel, D: int,
                         table: TranslationPolyTable | None = None) -> LdlrResult:
-    """Exact degree-D squared norm for additive spiking of mean-zero sech noise."""
+    """Exact degree-D squared norm for additive spiking of mean-zero sech noise.
+
+    The generating-function product of :func:`ldlr_exact` with coefficients
+    tau_hat_k(x_ai) tau_hat_k(x_bi); every degree up to D contributes."""
     if model.family.kind != "sech":
         raise DomainError("additive exact norms require the sech family")
     if any(mu != 0.0 for mu in model.null_means):
@@ -308,27 +321,15 @@ def ldlr_exact_additive(model: AdditiveSpikedModel, D: int,
         raise DomainError("ldlr_exact_additive requires an atom-mode prior")
     if D < 0:
         raise DomainError(f"D must be >= 0, got {D}")
-    if count_multi_indices(model.N, D) > ENUM_CAP:
-        raise CapExceededError(
-            f"{count_multi_indices(model.N, D)} multi-indices exceeds cap {ENUM_CAP}"
-        )
+    _check_work(model, D)
     if table is None or table.max_degree < D:
         table = build_translation_table(D)
-    atoms = model.prior.atoms
-    probs = [p for _, p in atoms]
-    # tau_vals[a][i][k] = tau_hat_k at coordinate i of atom a
-    tau_vals = [
-        [[float(table.eval(k, x)) for k in range(D + 1)] for x in vec]
-        for vec, _ in atoms
-    ]
-    total = 0.0
-    for k in iter_multi_indices(model.N, D):
-        comp = sum(
-            p * math.prod(tau_vals[a][i][ki] for i, ki in enumerate(k))
-            for a, p in enumerate(probs)
-        )
-        total += comp * comp
-    return LdlrResult(value=total, mode="exact", degree=D)
+    X = np.array([vec for vec, _ in model.prior.atoms])
+    # tau[a, i, k] = tau_hat_k at coordinate i of atom a
+    tau = np.stack([table.eval(k, X) for k in range(D + 1)], axis=2)
+    probs = np.array([p for _, p in model.prior.atoms])
+    factors = (t[:, None, :] * t[None, :, :] for t in tau.transpose(1, 0, 2))
+    return LdlrResult(value=_pair_gf_sum(probs, factors, D), mode="exact", degree=D)
 
 
 # ---------------------------------------------------------------------------

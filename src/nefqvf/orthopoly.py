@@ -2,28 +2,20 @@
 
 For a family with variance coefficients (v0, v1, v2) and a null mean mu0,
 the monic orthogonal polynomials p_0, ..., p_K of the member with mean mu0
-satisfy
+satisfy the three-term recurrence of Morris (1982, Ann. Statist. 10:65-80)
+
+    p_{k+1}(y) = (y - mu0 - k V'(mu0)) p_k(y)
+                 - k (1 + (k-1) v2) V(mu0) p_{k-1}(y),
+
+with p_0 = 1, and have the closed-form squared norms
 
     E[p_k(y) p_l(y)] = delta_{kl} * a_k(v2) * V(mu0)**k,
 
-where ``a_k(v) = k! * prod_{j<k}(1 + v*j)``.  This closed-form norm is used
-as a built-in correctness check: construction is by Gram-Schmidt on the
-monomial basis against exact moments, and any disagreement with the norm
-identity signals numeric trouble.
-
-Moments are generated from cumulants.  Under the mean parametrization the
-cumulants obey kappa_1 = mu and kappa_{j+1}(mu) = V(mu) * d kappa_j / d mu,
-so every cumulant is a polynomial in mu with coefficients built from
-(v0, v1, v2); raw moments then follow from the standard recursion
-
-    m_n = sum_{j=1..n} C(n-1, j-1) kappa_j m_{n-j}.
-
-Because all six families have rational variance coefficients (at the exact
-binary values of their parameters), the whole construction can run in exact
-rational arithmetic; this is the default and is immune to the notorious
-ill-conditioning of moment matrices.  A float mode is available for larger
-degrees and verifies the norm identity to a relative 1e-6, raising
-``NumericInstabilityError`` past that.
+where ``a_k(v) = k! * prod_{j<k}(1 + v*j)``.  All six families have
+rational variance coefficients (at the exact binary values of their
+parameters), so the recurrence runs in exact rational arithmetic.  For the
+binomial family (v2 = -1/m) the norm vanishes past degree m and the basis
+stops there.
 
 The module also hosts the scalar generating function
 
@@ -42,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DegenerateDegreeError, DomainError, NumericInstabilityError
+from .errors import DegenerateDegreeError, DomainError
 from .families import Family
 
 MAX_BASIS_DEGREE = 40  # documented cap for build_basis
@@ -137,65 +129,6 @@ def exp_trunc(D: int) -> TruncSeries:
 
 
 # ---------------------------------------------------------------------------
-# moments from cumulants
-# ---------------------------------------------------------------------------
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [a[0] * 0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_deriv(a: list) -> list:
-    if len(a) <= 1:
-        return [a[0] * 0]
-    return [i * a[i] for i in range(1, len(a))]
-
-
-def _poly_eval(a: list, x):
-    out = a[0] * 0
-    for c in reversed(a):
-        out = out * x + c
-    return out
-
-
-def cumulants_at(family: Family, mu0, order: int) -> list:
-    """kappa_1 .. kappa_order of the member with mean mu0.
-
-    Exact when mu0 is a Fraction (family parameters are rational at their
-    binary values), floats otherwise.
-    """
-    exact = isinstance(mu0, Fraction)
-    if exact:
-        v0, v1, v2 = family.variance_coeffs_exact()
-    else:
-        v0, v1, v2 = family.variance_coeffs()
-    vpoly = [v0, v1, v2]
-    zero = v0 * 0
-    kappa_poly = [zero, zero + 1]  # kappa_1(mu) = mu
-    out = []
-    for _ in range(order):
-        out.append(_poly_eval(kappa_poly, mu0))
-        kappa_poly = _poly_mul(vpoly, _poly_deriv(kappa_poly))
-    return out
-
-
-def moments_at(family: Family, mu0, order: int) -> list:
-    """Raw moments m_0 .. m_order of the member with mean mu0."""
-    kappas = cumulants_at(family, mu0, order)
-    one = kappas[0] * 0 + 1 if order >= 1 else 1
-    moments = [one]
-    for n in range(1, order + 1):
-        m = kappas[0] * 0
-        for j in range(1, n + 1):
-            m += math.comb(n - 1, j - 1) * kappas[j - 1] * moments[n - j]
-        moments.append(m)
-    return moments
-
-
-# ---------------------------------------------------------------------------
 # orthogonal polynomial basis
 # ---------------------------------------------------------------------------
 
@@ -214,7 +147,6 @@ class OrthoPolyBasis:
     max_degree: int
     monic: tuple
     norm_sq: tuple
-    exact: bool
     _monic_np: tuple = field(repr=False, default=())
     _normalized_np: tuple = field(repr=False, default=())
 
@@ -244,14 +176,8 @@ class OrthoPolyBasis:
             )
 
 
-def build_basis(family: Family, mu0: float, K: int,
-                exact: bool = True) -> OrthoPolyBasis:
-    """Gram-Schmidt construction of the orthonormal basis up to degree K.
-
-    ``exact=True`` (default) runs in rational arithmetic and checks the
-    closed-form norms exactly; float mode checks them to relative 1e-6 and
-    raises ``NumericInstabilityError`` on failure (K too large for floats).
-    """
+def build_basis(family: Family, mu0: float, K: int) -> OrthoPolyBasis:
+    """Exact monic basis up to degree K by the Morris recurrence."""
     if not 0 <= K <= MAX_BASIS_DEGREE:
         raise DomainError(f"K must be in 0..{MAX_BASIS_DEGREE}, got {K}")
     if mu0 not in family.mean_domain:
@@ -260,53 +186,25 @@ def build_basis(family: Family, mu0: float, K: int,
     m_stop = neg_v_order(family.v2)
     k_max = min(K, m_stop) if m_stop is not None else K
 
-    if exact:
-        mu = mu0 if isinstance(mu0, Fraction) else Fraction(mu0)
-        v2 = family.variance_coeffs_exact()[2]
-    else:
-        mu = float(mu0)
-        v2 = family.v2
-    moments = moments_at(family, mu, 2 * k_max)
+    mu = Fraction(mu0)
+    _, v1, v2 = family.variance_coeffs_exact()
     vmu = family.variance(mu)
+    dv = v1 + 2 * v2 * mu  # V'(mu0)
 
-    def inner(f, g):
-        s = moments[0] * 0
-        for i, fi in enumerate(f):
-            if fi == 0:
-                continue
-            for j, gj in enumerate(g):
-                if gj == 0:
-                    continue
-                s += fi * gj * moments[i + j]
-        return s
-
-    one = moments[0] * 0 + 1
-    monic: list[list] = []
-    norm_sq: list = []
-    for k in range(k_max + 1):
-        p = [moments[0] * 0] * k + [one]  # y^k
-        for j in range(k):
-            c = inner(p, monic[j]) / norm_sq[j]
-            for i, cji in enumerate(monic[j]):
-                p[i] -= c * cji
-        monic.append(p)
-        norm_sq.append(inner(p, p))
-
-    # verify against the closed-form norm a_k(v2) V(mu0)^k
-    for k in range(k_max + 1):
-        target = a_const(k, v2) * vmu**k
-        if exact:
-            if norm_sq[k] != target:
-                raise NumericInstabilityError(
-                    f"exact norm mismatch at degree {k} for {family.tag()}"
-                )
-        else:
-            if abs(norm_sq[k] - target) > 1e-6 * abs(target):
-                raise NumericInstabilityError(
-                    f"norm of degree-{k} polynomial deviates from closed form "
-                    f"by more than 1e-6 relative; K={K} too large for float "
-                    f"mode on {family.tag()}"
-                )
+    monic = [[Fraction(1)]]
+    prev: list = []
+    for k in range(k_max):
+        p = monic[-1]
+        shift = mu + k * dv
+        nxt = [Fraction(0)] + p  # y * p_k
+        for i, c in enumerate(p):
+            nxt[i] -= shift * c
+        damp = k * (1 + (k - 1) * v2) * vmu
+        for i, c in enumerate(prev):
+            nxt[i] -= damp * c
+        prev = p
+        monic.append(nxt)
+    norm_sq = [a_const(k, v2) * vmu**k for k in range(k_max + 1)]
 
     monic_np = tuple(np.array([float(c) for c in p]) for p in monic)
     normalized_np = tuple(
@@ -318,7 +216,6 @@ def build_basis(family: Family, mu0: float, K: int,
         max_degree=k_max,
         monic=tuple(tuple(p) for p in monic),
         norm_sq=tuple(norm_sq),
-        exact=exact,
         _monic_np=monic_np,
         _normalized_np=normalized_np,
     )

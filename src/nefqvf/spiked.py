@@ -24,8 +24,14 @@ Entrywise-degree-bounded likelihood-ratio mass: with the translation
 polynomials tau_hat of the sech family, the component at a multi-index k
 over edges factorizes into prod_e tau_hat_{k_e}(lambda/sqrt(n)) times a
 sign expectation that is one exactly when every vertex has even incident
-degree.  ``entrywise_ldlr_exact`` sums the squares by dynamic programming
-over vertex-parity states; ``entrywise_ldlr_mc_bound`` estimates the
+degree.  Writing that indicator as E_y prod_e (y_i y_j)^{k_e} over uniform
+signs y, the sum of squares becomes E_y prod_{i<j} (w_e + w_o y_i y_j),
+with w_e / w_o the sums of tau_hat_k^2 over even / odd k <= D.  Only the
+number p of positive signs matters, so ``entrywise_ldlr_exact`` evaluates
+
+    sum_p C(n,p) 2^-n (w_e+w_o)^(C(p,2)+C(n-p,2)) (w_e-w_o)^(p(n-p))
+
+in log space, in O(n).  ``entrywise_ldlr_mc_bound`` estimates the
 chi-square-type functional exp(c <x1,x2>^2 / 2n) that dominates the same
 sum, with the explicit coefficient c reported.
 """
@@ -38,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
-from scipy.stats import binom
 
 from .errors import DomainError, NumericInstabilityError
 from .families import Family
@@ -229,8 +234,24 @@ def mixed_test(inst: WigInstance, lam: float | None = None) -> TestVerdict:
 # entrywise-degree-bounded likelihood-ratio mass
 # ---------------------------------------------------------------------------
 
-MAX_EXACT_N = 8
+MAX_EXACT_N = 10**6  # keeps the O(n) work arrays small
 MAX_EXACT_D = 3
+
+
+def _sign_count_mean(log_values: np.ndarray, signs=1.0) -> float:
+    """E[signs[P] exp(log_values[P])] for P ~ Binomial(n, 1/2), n = len - 1.
+
+    Summed in log space with the pmf normalised to total one, so a constant
+    log_values gives exactly that constant; the result may overflow to inf.
+    """
+    n = len(log_values) - 1
+    lg = np.array([math.lgamma(p + 1) for p in range(n + 1)])
+    log_w = -lg - lg[::-1]  # log C(n, p) up to a constant
+    log_terms = log_w + log_values
+    top, w_top = float(np.max(log_terms)), float(np.max(log_w))
+    ratio = np.sum(signs * np.exp(log_terms - top)) / np.sum(np.exp(log_w - w_top))
+    with np.errstate(over="ignore"):
+        return float(ratio * np.exp(top - w_top))
 
 
 def entrywise_ldlr_exact(n: int, lam: float, D: int,
@@ -238,9 +259,9 @@ def entrywise_ldlr_exact(n: int, lam: float, D: int,
     """Exact sum of squared components over all k with max_e k_e <= D.
 
     The surviving multi-indices are those giving every vertex an even
-    incident degree; the sum factorizes over edges into even/odd transfer
-    weights and is folded by dynamic programming over the 2^n vertex-parity
-    states.  Caps: n <= 8, D <= 3.
+    incident degree; the sum factorizes over edges into even/odd weights
+    and over sign vectors into the positive-sign count (see the module
+    docstring).  Caps: n <= MAX_EXACT_N, D <= 3.
     """
     if not 2 <= n <= MAX_EXACT_N:
         raise DomainError(f"need 2 <= n <= {MAX_EXACT_N}, got {n}")
@@ -253,14 +274,14 @@ def entrywise_ldlr_exact(n: int, lam: float, D: int,
     w_even = sum(tau_sq[k] for k in range(0, D + 1, 2))
     w_odd = sum(tau_sq[k] for k in range(1, D + 1, 2))
 
-    state = np.zeros(1 << n)
-    state[0] = 1.0
-    idx = np.arange(1 << n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            flip = (1 << i) | (1 << j)
-            state = w_even * state + w_odd * state[idx ^ flip]
-    return float(state[0])
+    p = np.arange(n + 1)
+    same = (p * (p - 1) + (n - p) * (n - p - 1)) // 2
+    cross = p * (n - p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # 0 * log 0 only at cross = 0, where the factor is 0^0 = 1
+        cross_log = np.where(cross > 0, cross * np.log(abs(w_even - w_odd)), 0.0)
+    signs = np.where((w_even < w_odd) & (cross % 2 == 1), -1.0, 1.0)
+    return _sign_count_mean(same * math.log(w_even + w_odd) + cross_log, signs)
 
 
 @dataclass(frozen=True)
@@ -288,12 +309,9 @@ def overlap_chi2_mc(c: float, n: int, samples: int,
 
 
 def overlap_chi2_exact(c: float, n: int) -> float:
-    """Exact E exp(c <x1,x2>^2 / 2n) by enumeration of the overlap law."""
-    j = np.arange(n + 1)
-    h = 2.0 * j - n
-    with np.errstate(over="ignore"):
-        vals = np.exp(c * h * h / (2.0 * n))
-    return float(np.sum(binom.pmf(j, n, 0.5) * vals))
+    """Exact E exp(c <x1,x2>^2 / 2n) by summation over the overlap law."""
+    h = 2.0 * np.arange(n + 1) - n
+    return _sign_count_mean(c * h * h / (2.0 * n))
 
 
 def entrywise_coefficient(n: int, lam: float, D: int) -> float:

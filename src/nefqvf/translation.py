@@ -90,10 +90,6 @@ def build_translation_table(K: int = DEFAULT_TABLE_DEGREE) -> TranslationPolyTab
     )
 
 
-def tau_hat_eval(table: TranslationPolyTable, k: int, x):
-    return table.eval(k, x)
-
-
 def tau_value_bound(k: int, x: float) -> float:
     """Upper bound on |tau_hat_k(x)| for k >= 1 and x > 0."""
     if k < 1:

@@ -4,12 +4,23 @@ Expectations under a family member are computed here independently of the
 library's own algebra: exact probability-weighted summation for the discrete
 families (tails truncated below 1e-16 mass), adaptive quadrature for the
 continuous ones (split at the mean so the peak is always resolved).
+
+The generic algorithms the library replaced by closed forms live on here as
+reference implementations: Gram-Schmidt on exact moments (against the Morris
+recurrence), enumeration of multi-indices (against the generating-function
+products of the exact norms), and dynamic programming over vertex-parity
+states (against the O(n) entrywise sum).
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
 
 from nefqvf.families import Family
+from nefqvf.orthopoly import a_hat, neg_v_order
+from nefqvf.translation import build_translation_table
 
 
 def random_shared_instance(rng, n_coords=None, n_atoms=None):
@@ -93,3 +104,174 @@ def expectation_under(family: Family, mu: float, fn):
     left, _ = quad(integrand, lo, mu, **opts)
     right, _ = quad(integrand, mu, hi, **opts)
     return left + right
+
+
+# ---------------------------------------------------------------------------
+# orthogonal polynomials by Gram-Schmidt on exact moments
+# ---------------------------------------------------------------------------
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _poly_deriv(a: list) -> list:
+    if len(a) <= 1:
+        return [a[0] * 0]
+    return [i * a[i] for i in range(1, len(a))]
+
+
+def _poly_eval(a: list, x):
+    out = a[0] * 0
+    for c in reversed(a):
+        out = out * x + c
+    return out
+
+
+def cumulants_at(family: Family, mu0, order: int) -> list:
+    """kappa_1 .. kappa_order of the member with mean mu0.
+
+    Under the mean parametrization kappa_1 = mu and kappa_{j+1}(mu) =
+    V(mu) * d kappa_j / d mu.  Exact when mu0 is a Fraction, floats otherwise.
+    """
+    if isinstance(mu0, Fraction):
+        v0, v1, v2 = family.variance_coeffs_exact()
+    else:
+        v0, v1, v2 = family.variance_coeffs()
+    vpoly = [v0, v1, v2]
+    zero = v0 * 0
+    kappa_poly = [zero, zero + 1]  # kappa_1(mu) = mu
+    out = []
+    for _ in range(order):
+        out.append(_poly_eval(kappa_poly, mu0))
+        kappa_poly = _poly_mul(vpoly, _poly_deriv(kappa_poly))
+    return out
+
+
+def moments_at(family: Family, mu0, order: int) -> list:
+    """Raw moments m_0 .. m_order: m_n = sum_j C(n-1, j-1) kappa_j m_{n-j}."""
+    kappas = cumulants_at(family, mu0, order)
+    one = kappas[0] * 0 + 1 if order >= 1 else 1
+    moments = [one]
+    for n in range(1, order + 1):
+        m = kappas[0] * 0
+        for j in range(1, n + 1):
+            m += math.comb(n - 1, j - 1) * kappas[j - 1] * moments[n - j]
+        moments.append(m)
+    return moments
+
+
+def gram_schmidt_basis(family: Family, mu0, K: int) -> tuple[list, list]:
+    """Exact (monic, norm_sq) up to degree K, binomial bases stopping at m.
+
+    ``norm_sq[k]`` is the inner product of p_k with itself under the exact
+    moments, so it checks the closed-form norms independently of them.
+    """
+    m_stop = neg_v_order(family.v2)
+    k_max = min(K, m_stop) if m_stop is not None else K
+    moments = moments_at(family, Fraction(mu0), 2 * k_max)
+
+    def inner(f, g):
+        return sum(
+            (fi * gj * moments[i + j]
+             for i, fi in enumerate(f) if fi
+             for j, gj in enumerate(g) if gj),
+            Fraction(0),
+        )
+
+    monic: list[list] = []
+    norm_sq: list = []
+    for k in range(k_max + 1):
+        p = [Fraction(0)] * k + [Fraction(1)]  # y^k
+        for j in range(k):
+            c = inner(p, monic[j]) / norm_sq[j]
+            for i, cji in enumerate(monic[j]):
+                p[i] -= c * cji
+        monic.append(p)
+        norm_sq.append(inner(p, p))
+    return monic, norm_sq
+
+
+# ---------------------------------------------------------------------------
+# exact norms by multi-index enumeration
+# ---------------------------------------------------------------------------
+
+def count_multi_indices(N: int, D: int) -> int:
+    """Number of k in N^N with |k| <= D."""
+    return math.comb(N + D, D)
+
+
+def iter_multi_indices(N: int, D: int, max_coord: int | None = None):
+    """Multi-indices with |k| <= D in graded lexicographic order."""
+
+    def compositions(total, parts):
+        if parts == 1:
+            if max_coord is None or total <= max_coord:
+                yield (total,)
+            return
+        hi = total if max_coord is None else min(total, max_coord)
+        for first in range(hi, -1, -1):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    for d in range(D + 1):
+        yield from compositions(d, N)
+
+
+def ldlr_exact_enum(model, D: int) -> float:
+    """Kin degree-D norm as the sum of squared components over |k| <= D."""
+    v2 = model.family.v2
+    Z = model.z_matrix()
+    probs = np.array([p for _, p in model.prior.atoms])
+    ahat = [float(a_hat(k, v2)) for k in range(D + 1)]
+    total = 0.0
+    for k in iter_multi_indices(model.N, D, max_coord=neg_v_order(v2)):
+        coef = math.prod(ahat[ki] / math.factorial(ki) for ki in k)
+        expect = float(np.dot(probs, np.prod(Z ** np.array(k), axis=1)))
+        total += coef * expect * expect
+    return total
+
+
+def ldlr_exact_additive_enum(model, D: int) -> float:
+    """Additive (mean-zero sech) degree-D norm by enumeration of |k| <= D."""
+    table = build_translation_table(D)
+    atoms = model.prior.atoms
+    tau_vals = [
+        [[float(table.eval(k, x)) for k in range(D + 1)] for x in vec]
+        for vec, _ in atoms
+    ]
+    total = 0.0
+    for k in iter_multi_indices(model.N, D):
+        comp = sum(
+            p * math.prod(tau_vals[a][i][ki] for i, ki in enumerate(k))
+            for a, (_, p) in enumerate(atoms)
+        )
+        total += comp * comp
+    return total
+
+
+# ---------------------------------------------------------------------------
+# entrywise-degree norm by dynamic programming over vertex parities
+# ---------------------------------------------------------------------------
+
+def entrywise_parity_dp(n: int, lam: float, D: int) -> float:
+    """Sum over edge multi-indices with max_e k_e <= D and even vertex degrees.
+
+    Folds the even/odd edge weights over the 2^n vertex-parity states.
+    """
+    table = build_translation_table(D)
+    s = lam / math.sqrt(n)
+    tau_sq = [float(table.eval(k, s)) ** 2 for k in range(D + 1)]
+    w_even = sum(tau_sq[k] for k in range(0, D + 1, 2))
+    w_odd = sum(tau_sq[k] for k in range(1, D + 1, 2))
+    state = np.zeros(1 << n)
+    state[0] = 1.0
+    idx = np.arange(1 << n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            flip = (1 << i) | (1 << j)
+            state = w_even * state + w_odd * state[idx ^ flip]
+    return float(state[0])

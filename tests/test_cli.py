@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from nefqvf import ldlr
 from nefqvf.cli import main, parse_model_file
+from nefqvf.ldlr import LdlrResult
 
 BERNOULLI_MODEL = """\
 # one-coordinate fixture
@@ -141,19 +143,25 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys):
+    # work bound atoms^2 * N * (D+1)^2 = 30 * 601^2 exceeds 10^7
     means = " ".join(["1.0"] * 30)
     coords = " ".join(["1.1"] * 30)
     path = tmp_path / "big.model"
     path.write_text(f"family = poisson\nkind = kin\nnull_means = {means}\natom = {coords} : 1.0\n")
-    assert main(["ldlr", "exact", "--model", str(path), "--degree", "12"]) == 3
+    assert main(["ldlr", "exact", "--model", str(path), "--degree", "600"]) == 3
 
 
-def test_numeric_instability_exit_code(capsys):
-    # float-mode basis construction at degree 40 fails its norm check
-    code = main(["orthopoly", "build", "--family", "sech", "--mu0", "0.6",
-                 "--degree", "40", "--float-mode", "true"])
+def test_numeric_instability_exit_code(tmp_path, monkeypatch, capsys):
+    # norms that fall as v2 rises trip the monotonicity guard of channel_compare
+    def decreasing(model, D):
+        return LdlrResult(value=-model.family.v2, mode="exact", degree=D)
+
+    monkeypatch.setattr(ldlr, "ldlr_exact", decreasing)
+    path = tmp_path / "cmp.model"
+    path.write_text(COMPARE_MODEL)
+    code = main(["ldlr", "compare", "--model", str(path), "--degree", "3"])
     err = capsys.readouterr().err
-    assert code == 4 and "1e-6" in err
+    assert code == 4 and "not monotone" in err
 
 
 def test_families_list_and_check(capsys):

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from nefqvf.errors import ConfigError, DomainError
-from nefqvf.families import Family, MeanParamMeasure, parse_family
+from nefqvf.families import Family, parse_family
 
 ALL = [
     Family.gaussian(1.3),
@@ -170,10 +170,3 @@ def test_parse_family_rejects_malformed():
                 "poisson{m=2}", "binomial{m=0}", "gamma{alpha=2"]:
         with pytest.raises((ConfigError, DomainError)):
             parse_family(bad)
-
-
-def test_measure_validates_mean():
-    with pytest.raises(DomainError):
-        MeanParamMeasure(Family.binomial(2), 0.0)
-    m = MeanParamMeasure(Family.binomial(2), 1.0)
-    assert m.variance == pytest.approx(0.5)

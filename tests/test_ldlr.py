@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import direct_l2_norm_discrete, random_shared_instance, random_z_instance
+from helpers import (
+    count_multi_indices,
+    direct_l2_norm_discrete,
+    iter_multi_indices,
+    random_shared_instance,
+    random_z_instance,
+)
 from nefqvf.errors import CapExceededError, DegenerateDegreeError, DomainError
 from nefqvf.families import Family
 from nefqvf.ldlr import (
@@ -14,9 +20,7 @@ from nefqvf.ldlr import (
     SpikePrior,
     channel_compare,
     component,
-    count_multi_indices,
     full_norm_exact,
-    iter_multi_indices,
     ldlr_exact,
     ldlr_exact_additive,
     overlap_bound_exact,
@@ -109,11 +113,19 @@ def test_degree_zero_is_one_and_monotone_in_degree():
 
 
 def test_enumeration_cap():
+    # work bound atoms^2 * N * (D+1)^2 = 30 * 601^2 > ENUM_CAP = 10^7
     means = tuple([1.0] * 30)
     prior = point_mass("kin", tuple([1.1] * 30))
     model = KinSpikedModel(Family.poisson(), means, prior)
     with pytest.raises(CapExceededError):
-        ldlr_exact(model, 12)
+        ldlr_exact(model, 600)
+    # 30 * 501^2 stays under the bound, and D = 500 reaches the full norm
+    # exp(sum_i z_i^2) with z_i = 0.1 (v2 = 0)
+    assert ldlr_exact(model, 500).value == pytest.approx(math.exp(0.3), rel=1e-12)
+    additive = AdditiveSpikedModel(Family.sech(), (0.0,) * 30,
+                                   point_mass("additive", (0.5,) * 30))
+    with pytest.raises(CapExceededError):
+        ldlr_exact_additive(additive, 600)
 
 
 def test_equality_case_v2_zero():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import expectation_under
-from nefqvf.errors import DegenerateDegreeError, DomainError, NumericInstabilityError
+from helpers import expectation_under, gram_schmidt_basis, moments_at
+from nefqvf.errors import DegenerateDegreeError, DomainError
 from nefqvf.families import Family
 from nefqvf.orthopoly import (
     OrthoPolyBasis,
@@ -18,7 +18,6 @@ from nefqvf.orthopoly import (
     check_v,
     f_eval,
     f_trunc,
-    moments_at,
 )
 
 V_GRID = [-1.0, -0.5, -1 / 3, -0.25, -0.2, 0.0, 0.1, 0.5, 1.0, 2.0]
@@ -180,29 +179,18 @@ def test_kin_spike_expectation_spot_check():
             assert got == pytest.approx(want, rel=1e-6, abs=1e-9), (family.kind, k)
 
 
-def test_float_mode_agrees_with_exact_at_small_degree():
-    for family, mu0 in [(Family.poisson(), 2.5), (Family.sech(), 0.6)]:
-        ex = build_basis(family, mu0, 6, exact=True)
-        fl = build_basis(family, mu0, 6, exact=False)
-        for k in range(7):
-            np.testing.assert_allclose(
-                ex.normalized_coeffs(k), fl.normalized_coeffs(k), rtol=1e-7
-            )
-
-
-def test_float_mode_instability_detected_at_large_degree():
-    with pytest.raises(NumericInstabilityError):
-        build_basis(Family.sech(), 0.6, 40, exact=False)
-
-
 def test_exact_norms_match_closed_form_identically():
+    # the moment-based inner products of the Gram-Schmidt oracle check the
+    # closed form independently of the recurrence that uses it
     for family, mu0 in [(Family.negbinomial(3), Fraction(7, 5)),
                         (Family.gamma(2.5), Fraction(9, 5))]:
         basis = build_basis(family, mu0, 8)
+        _, oracle_norms = gram_schmidt_basis(family, mu0, 8)
         v2 = family.variance_coeffs_exact()[2]
         vmu = family.variance(Fraction(mu0))
         for k in range(9):
-            assert basis.norm_sq[k] == a_const(k, v2) * vmu**k
+            assert oracle_norms[k] == a_const(k, v2) * vmu**k
+            assert basis.norm_sq[k] == oracle_norms[k]
 
 
 def test_basis_rows_shape():

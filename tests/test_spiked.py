@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from nefqvf.errors import DomainError
 from nefqvf.spiked import (
     LAMBDA_STAR,
+    MAX_EXACT_N,
     EntrywiseBound,
     WigInstance,
     entrywise_coefficient,
@@ -221,7 +222,9 @@ def test_entrywise_exact_sign_invariance_and_monotone():
 
 def test_entrywise_exact_caps():
     with pytest.raises(DomainError):
-        entrywise_ldlr_exact(9, 0.5, 2)
+        entrywise_ldlr_exact(MAX_EXACT_N + 1, 0.5, 2)
+    with pytest.raises(DomainError):
+        entrywise_ldlr_exact(1, 0.5, 2)
     with pytest.raises(DomainError):
         entrywise_ldlr_exact(4, 0.5, 4)
 
@@ -246,6 +249,35 @@ def test_overlap_chi2_matches_gaussian_limit():
     assert abs(val - math.sqrt(2.0)) < 0.1 * math.sqrt(2.0)
     exact = overlap_chi2_exact(0.5, 400)
     assert abs(val - exact) < 4 * se
+
+
+def test_overlap_chi2_exact_matches_pmf_sum():
+    # oracle: the binomial pmf times the exponent, summed directly
+    from scipy.stats import binom
+
+    for n in (1, 7, 50, 400):
+        j = np.arange(n + 1)
+        h = 2.0 * j - n
+        for c in (-1.0, 0.1, 0.758, 0.95, 2.0):
+            want = float(np.sum(binom.pmf(j, n, 0.5) * np.exp(c * h * h / (2.0 * n))))
+            assert overlap_chi2_exact(c, n) == pytest.approx(want, rel=1e-12), (n, c)
+
+
+def test_overlap_chi2_exact_finite_at_large_n():
+    # c at lambda = 0.8, D = 3: the pmf underflows where the exponent
+    # overflows, so a direct product sum returns nan
+    c = entrywise_coefficient(4000, 0.8, 3)
+    val = overlap_chi2_exact(c, 4000)
+    assert math.isfinite(val)
+    # the Gaussian limit (1 - c)^(-1/2) with c near 0.76
+    assert val == pytest.approx(1.0 / math.sqrt(1.0 - c), rel=0.01)
+
+
+def test_entrywise_exact_at_large_n():
+    # lambda = 0.5, D = 2: the entrywise sum stays near its n -> inf limit
+    vals = [entrywise_ldlr_exact(n, 0.5, 2) for n in (400, 40_000)]
+    assert all(math.isfinite(v) and 1.0 < v < 1.1 for v in vals)
+    assert vals[0] <= overlap_chi2_exact(entrywise_coefficient(400, 0.5, 2), 400)
 
 
 def test_entrywise_bound_dominates_exact_sum():

@@ -13,7 +13,6 @@ from nefqvf.orthopoly import build_basis
 from nefqvf.translation import (
     build_translation_table,
     table_rows,
-    tau_hat_eval,
     tau_value_bound,
 )
 
@@ -39,16 +38,16 @@ def test_degree_three_against_symbolic_oracle():
 
 
 def test_eval_values():
-    assert tau_hat_eval(TABLE, 1, 0.3) == pytest.approx(0.3)
-    assert tau_hat_eval(TABLE, 3, 1.0) == pytest.approx(-1 / 6)
-    assert tau_hat_eval(TABLE, 2, 0.0) == 0.0
+    assert TABLE.eval(1, 0.3) == pytest.approx(0.3)
+    assert TABLE.eval(3, 1.0) == pytest.approx(-1 / 6)
+    assert TABLE.eval(2, 0.0) == 0.0
 
 
 def test_eval_rejects_out_of_range():
     with pytest.raises(DomainError):
-        tau_hat_eval(TABLE, 61, 0.5)
+        TABLE.eval(61, 0.5)
     with pytest.raises(DomainError):
-        tau_hat_eval(TABLE, -1, 0.5)
+        TABLE.eval(-1, 0.5)
     with pytest.raises(DomainError):
         build_translation_table(201)
 
@@ -84,13 +83,13 @@ def test_coefficient_bound():
 def test_pointwise_value_bound():
     for k in range(1, 51):
         for x in (0.01, 0.05, 0.1, 0.5, 1.0):
-            assert abs(tau_hat_eval(TABLE, k, x)) <= tau_value_bound(k, x), (k, x)
+            assert abs(TABLE.eval(k, x)) <= tau_value_bound(k, x), (k, x)
 
 
 def test_generating_function_consistency():
     for t in np.linspace(-0.3, 0.3, 7):
         for y in np.linspace(-2.0, 2.0, 9):
-            total = sum(t**k * tau_hat_eval(TABLE, k, y) for k in range(61))
+            total = sum(t**k * TABLE.eval(k, y) for k in range(61))
             assert total == pytest.approx(math.exp(y * math.atan(t)), abs=1e-10)
 
 
@@ -103,4 +102,4 @@ def test_shift_expectation_matches_table():
         for k in range(7):
             vals = basis.normalized_eval(k, x + noise)
             got, se = vals.mean(), vals.std() / math.sqrt(vals.size)
-            assert abs(got - tau_hat_eval(TABLE, k, x)) <= 4 * se + 1e-15, (k, x)
+            assert abs(got - TABLE.eval(k, x)) <= 4 * se + 1e-15, (k, x)
