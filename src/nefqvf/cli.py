@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import subprocess
 import sys
@@ -308,10 +309,12 @@ def _model_from(desc: dict):
 # report writing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _git_revision() -> str:
+    """Short revision of the checkout holding this package, else ``unknown``."""
     try:
         res = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "-C", str(Path(__file__).resolve().parent), "rev-parse", "--short", "HEAD"],
             capture_output=True, text=True, timeout=5,
         )
         if res.returncode == 0:

@@ -293,6 +293,9 @@ class Family:
         # sech
         if mu == 0.0:
             u = rng.random(count)
+            while not u.all():  # u = 0 maps to -inf: redraw just those entries
+                zero = u == 0.0
+                u[zero] = rng.random(int(zero.sum()))
             return (2.0 / math.pi) * np.log(np.tan(math.pi * u / 2.0))
         # logit(S)/pi with S ~ Beta(1/2 + theta/pi, 1/2 - theta/pi); drawing
         # the logit as a log-ratio of Gammas keeps the extreme tails finite

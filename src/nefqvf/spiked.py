@@ -1,9 +1,9 @@
 """Rank-one spiked matrix simulation and entrywise-degree norm bounds.
 
-Observations are the strict upper triangle of a symmetric n x n matrix.
-Under the planted distribution the entries are (lambda/sqrt(n)) x_i x_j
-plus noise with x uniform over sign vectors; under the null they are pure
-noise.  Noise kinds:
+An observation is a symmetric n x n matrix Y with zero diagonal, built
+once per instance and read-only.  Under the planted distribution its
+off-diagonal entries are (lambda/sqrt(n)) x_i x_j plus noise with x uniform
+over sign vectors; under the null they are pure noise.  Noise kinds:
 
 - ``sech``:  density (1/2) sech(pi y / 2), unit variance;
 - ``heavy``: density proportional to (1 + y^2)^(-alpha/2) with alpha > 1,
@@ -50,7 +50,7 @@ from .families import Family
 from .translation import TranslationPolyTable, build_translation_table
 
 LAMBDA_STAR = 2.0 * math.sqrt(2.0) / math.pi
-MAX_EIG_SIZE = 4000  # default cap on dense eigen-solves
+MAX_EIG_SIZE = 4000  # largest n an instance may have
 NOISE_KINDS = ("sech", "heavy", "mixed")
 
 _SECH = Family.sech()
@@ -90,36 +90,31 @@ class WigInstance:
     lam: float
     noise_kind: str
     alpha: float | None
-    upper: np.ndarray  # strict upper triangle, row-major over i < j
+    Y: np.ndarray  # symmetric n x n, zero diagonal
     planted: bool
     spike: np.ndarray | None = None
     branch: int | None = None  # mixed null: 1 = sech, 2 = heavy
 
     def matrix(self) -> np.ndarray:
-        """Symmetric matrix with zero diagonal."""
-        Y = np.zeros((self.n, self.n))
-        iu = np.triu_indices(self.n, k=1)
-        Y[iu] = self.upper
-        return Y + Y.T
+        """Symmetric matrix with zero diagonal: the instance's own read-only buffer."""
+        return self.Y
 
     def max_abs_entry(self) -> float:
-        return float(np.max(np.abs(self.upper)))
+        return float(max(self.Y.max(), -self.Y.min()))
 
 
 def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
-               rng: np.random.Generator, alpha: float | None = None,
-               size_cap: int = MAX_EIG_SIZE) -> WigInstance:
-    """Draw one matrix instance.
+               rng: np.random.Generator, alpha: float | None = None) -> WigInstance:
+    """Draw one read-only matrix instance, 2 <= n <= MAX_EIG_SIZE.
 
-    The planted side of the mixed model always uses sech noise at rate
-    ``lam``; the mixed null draws a fair branch between sech and heavy.
-    Noise is drawn before the spike so that ``lam=0`` planted instances
-    coincide draw-for-draw with null instances at the same generator state.
+    The mixed model's planted side uses sech noise, its null a fair branch
+    between sech and heavy.  Noise fills the upper triangle row by row before
+    the spike is drawn, so ``lam=0`` planted instances equal null instances.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    if n > size_cap:
-        raise DomainError(f"n={n} exceeds size cap {size_cap}")
+    if n > MAX_EIG_SIZE:
+        raise DomainError(f"n={n} exceeds size cap {MAX_EIG_SIZE}")
     if lam < 0:
         raise DomainError(f"need lambda >= 0, got {lam}")
     if noise_kind not in NOISE_KINDS:
@@ -127,22 +122,25 @@ def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
     if noise_kind in ("heavy", "mixed") and (alpha is None or alpha <= 1):
         raise DomainError(f"{noise_kind} noise needs alpha > 1, got {alpha}")
 
-    m = n * (n - 1) // 2
     branch = None
     if noise_kind == "mixed":
         branch = 1 if planted else int(rng.integers(1, 3))
         entry_kind = "sech" if branch == 1 else "heavy"
     else:
         entry_kind = noise_kind
-    upper = sample_noise(entry_kind, m, rng, alpha=alpha)
+    noise = sample_noise(entry_kind, n * (n - 1) // 2, rng, alpha=alpha)
+    Y = np.zeros((n, n))
+    for i, row in enumerate(np.split(noise, np.cumsum(np.arange(n - 1, 1, -1)))):
+        Y[i, i + 1:] = Y[i + 1:, i] = row  # row-major over i < j, mirrored
 
     spike = None
     if planted:
         spike = rng.choice([-1.0, 1.0], size=n)
-        iu, ju = np.triu_indices(n, k=1)
-        upper = upper + (lam / math.sqrt(n)) * spike[iu] * spike[ju]
+        Y += (lam / math.sqrt(n)) * np.outer(spike, spike)
+        np.fill_diagonal(Y, 0.0)
+    Y.flags.writeable = False
     return WigInstance(
-        n=n, lam=lam, noise_kind=noise_kind, alpha=alpha, upper=upper,
+        n=n, lam=lam, noise_kind=noise_kind, alpha=alpha, Y=Y,
         planted=planted, spike=spike, branch=branch,
     )
 
@@ -163,7 +161,8 @@ def top_eigenvalue(M: np.ndarray) -> float:
 
     Lanczos iteration on the dense matrix, with a direct dense solve as
     fallback for the degenerate cases ARPACK rejects (tiny or all-zero
-    matrices); an unsolvable matrix surfaces as an error."""
+    matrices) and, with a RuntimeWarning, for Lanczos non-convergence; an
+    unsolvable matrix surfaces as an error."""
     n = M.shape[0]
     if n >= 10:
         # fixed start vector: the default draws from numpy's global RNG,
@@ -172,7 +171,11 @@ def top_eigenvalue(M: np.ndarray) -> float:
         try:
             return float(eigsh(M, k=1, which="LA", tol=1e-8, v0=v0,
                                return_eigenvectors=False)[0])
-        except (ArpackError, ArpackNoConvergence):
+        except ArpackNoConvergence:
+            warnings.warn(f"Lanczos did not converge at n={n}; "
+                          "falling back to a dense eigen-solve",
+                          RuntimeWarning, stacklevel=2)
+        except ArpackError:
             pass
     try:
         return float(np.linalg.eigvalsh(M)[-1])

@@ -9,7 +9,9 @@ The generic algorithms the library replaced by closed forms live on here as
 reference implementations: Gram-Schmidt on exact moments (against the Morris
 recurrence), enumeration of multi-indices (against the generating-function
 products of the exact norms), and dynamic programming over vertex-parity
-states (against the O(n) entrywise sum).
+states (against the O(n) entrywise sum).  The spiked-matrix sampler's
+earlier construction, a triangle vector scattered into a fresh matrix,
+pins its draw order.
 """
 
 import math
@@ -20,6 +22,7 @@ from scipy.integrate import quad
 
 from nefqvf.families import Family
 from nefqvf.orthopoly import a_hat, neg_v_order
+from nefqvf.spiked import sample_noise
 from nefqvf.translation import build_translation_table
 
 
@@ -275,3 +278,28 @@ def entrywise_parity_dp(n: int, lam: float, D: int) -> float:
             flip = (1 << i) | (1 << j)
             state = w_even * state + w_odd * state[idx ^ flip]
     return float(state[0])
+
+
+# ---------------------------------------------------------------------------
+# spiked observation matrix from its strict upper triangle
+# ---------------------------------------------------------------------------
+
+def wig_matrix_from_triangle(n, lam, noise_kind, planted, rng, alpha=None):
+    """The matrix ``sample_wig`` must build for the same generator state.
+
+    Draws the mixed branch, the triangle of noise in row-major i < j order
+    and the spike signs, adds the spike on the triangle and scatters it
+    into a symmetric matrix with zero diagonal.
+    """
+    entry_kind = noise_kind
+    if noise_kind == "mixed":
+        branch = 1 if planted else int(rng.integers(1, 3))
+        entry_kind = "sech" if branch == 1 else "heavy"
+    upper = sample_noise(entry_kind, n * (n - 1) // 2, rng, alpha=alpha)
+    iu, ju = np.triu_indices(n, k=1)
+    if planted:
+        spike = rng.choice([-1.0, 1.0], size=n)
+        upper = upper + (lam / math.sqrt(n)) * spike[iu] * spike[ju]
+    Y = np.zeros((n, n))
+    Y[iu, ju] = upper
+    return Y + Y.T

@@ -1,8 +1,12 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nefqvf
 from nefqvf import ldlr
 from nefqvf.cli import main, parse_model_file
 from nefqvf.ldlr import LdlrResult
@@ -281,3 +285,18 @@ def test_provenance_line_present(bernoulli_model, capsys):
     out = capsys.readouterr().out
     first = out.splitlines()[0]
     assert first.startswith("# nefqvf ldlr exact") and "rev=" in first
+
+
+def test_provenance_revision_is_the_package_checkout(tmp_path, monkeypatch, capsys):
+    # the revision belongs to the code that ran, not to the working directory
+    package_dir = Path(nefqvf.__file__).resolve().parent
+    try:
+        res = subprocess.run(["git", "-C", str(package_dir), "rev-parse", "--short", "HEAD"],
+                             capture_output=True, text=True)
+        want = res.stdout.strip() if res.returncode == 0 else "unknown"
+    except OSError:  # no git
+        want = "unknown"
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(["families", "list"], capsys)
+    assert code == 0
+    assert out.splitlines()[0].endswith(f"rev={want}")

@@ -134,6 +134,25 @@ def test_sech_standard_sampler_variance():
     assert abs(draws.var() - 1.0) < 4 * math.sqrt(np.mean(draws**4) / 1e6)
 
 
+def test_sech_sampler_redraws_exact_zero_uniforms():
+    # u = 0 would give log(tan 0) = -inf; only that entry is drawn again
+    class StubGenerator:
+        def __init__(self):
+            self.batches = [np.array([0.0, 0.25, 0.5, 0.9]), np.array([0.0]),
+                            np.array([0.7])]
+
+        def random(self, size):
+            out = self.batches.pop(0)
+            assert out.size == size
+            return out.copy()
+
+    stub = StubGenerator()
+    draws = Family.sech().sample(0.0, stub, 4)
+    assert not stub.batches and np.all(np.isfinite(draws))
+    u = np.array([0.7, 0.25, 0.5, 0.9])
+    np.testing.assert_array_equal(draws, (2 / math.pi) * np.log(np.tan(math.pi * u / 2)))
+
+
 def test_sample_count_zero_and_negative():
     rng = np.random.default_rng(0)
     assert Family.poisson().sample(2.0, rng, 0).size == 0
