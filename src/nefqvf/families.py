@@ -147,27 +147,34 @@ class Family:
     def v2(self) -> float:
         return self.variance_coeffs()[2]
 
-    # -- core scalar operations ----------------------------------------
+    # -- core operations -------------------------------------------------
 
-    def _check_mean(self, mu: float) -> None:
-        if mu not in self.mean_domain:
-            raise DomainError(
-                f"mean {mu} outside {self.mean_domain} for {self.tag()}"
-            )
+    def _check_mean(self, mu) -> None:
+        """Raise unless mu (a scalar or an array of means) is in the mean domain."""
+        dom = self.mean_domain
+        if isinstance(mu, np.ndarray):
+            inside = (dom.lo < mu) & (mu < dom.hi)
+            if inside.all():
+                return
+            mu = mu[~inside].flat[0]  # report the first offending mean
+        elif mu in dom:
+            return
+        raise DomainError(f"mean {mu} outside {dom} for {self.tag()}")
 
-    def variance(self, mu: float):
-        """V(mu); exact if mu is a Fraction, float otherwise."""
-        self._check_mean(float(mu))
+    def variance(self, mu):
+        """V(mu), elementwise over arrays; exact if mu is a Fraction."""
+        self._check_mean(mu)
         if isinstance(mu, Fraction):
             v0, v1, v2 = self.variance_coeffs_exact()
         else:
             v0, v1, v2 = self.variance_coeffs()
         return v0 + v1 * mu + v2 * mu * mu
 
-    def z_score(self, mu: float, x: float) -> float:
-        """Standardized deviation (x - mu) / sqrt(V(mu))."""
+    def z_score(self, mu, x):
+        """Standardized deviation (x - mu) / sqrt(V(mu)), elementwise with
+        numpy broadcasting; each value equals the scalar formula's bit for bit."""
         self._check_mean(mu)
-        return (float(x) - mu) / math.sqrt(self.variance(mu))
+        return (np.asarray(x, dtype=float) - mu) / np.sqrt(self.variance(mu))
 
     def mean_to_natural(self, mu: float) -> float:
         """Inverse of psi': the natural parameter theta with mean mu."""

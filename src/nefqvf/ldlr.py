@@ -25,6 +25,10 @@ v2 > 0, and a lower bound (with E[exp_trunc(r)] as the matching upper
 bound) when v2 < 0.  Both routes are implemented and
 cross-checked in the test suite.
 
+Z-scores come from one array map of rows of mean vectors,
+:meth:`KinSpikedModel.z_scores`; the overlap route then applies f to whole
+arrays of overlaps (``probs @ f(Z Z^T) @ probs`` over atom pairs).
+
 Exact norms are restricted to atom priors; sampler-backed priors feed only
 the Monte Carlo overlap estimates.
 """
@@ -41,7 +45,7 @@ from scipy.stats import binom
 from .errors import CapExceededError, DegenerateDegreeError, DomainError, NumericInstabilityError
 from .families import Family
 from .orthopoly import a_hat, exp_trunc, f_eval, f_trunc, neg_v_order
-from .translation import TranslationPolyTable, build_translation_table
+from .translation import build_translation_table
 
 ENUM_CAP = 10**7  # documented bound on atoms^2 * N * (D+1)^2 for exact norms
 
@@ -88,13 +92,6 @@ class SpikePrior:
     def is_atomic(self) -> bool:
         return self.atoms is not None
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        if self.atoms is not None:
-            probs = [p for _, p in self.atoms]
-            idx = rng.choice(len(self.atoms), p=probs)
-            return np.array(self.atoms[idx][0])
-        return np.asarray(self.sampler(rng), dtype=float)
-
 
 @dataclass(frozen=True)
 class KinSpikedModel:
@@ -124,17 +121,18 @@ class KinSpikedModel:
     def N(self) -> int:
         return len(self.null_means)
 
+    def z_scores(self, means) -> np.ndarray:
+        """Rows of mean vectors to rows of z-scores against the null means."""
+        x = np.asarray(means, dtype=float)
+        if x.shape[-1:] != (self.N,):
+            raise DomainError(f"mean vectors of shape {x.shape} do not have length N={self.N}")
+        return self.family.z_score(np.array(self.null_means), x)
+
     def z_matrix(self) -> np.ndarray:
         """Row a = z-score vector of atom a against the null means."""
         if self.prior.atoms is None:
             raise DomainError("z_matrix requires an atom prior")
-        return np.array([
-            [self.family.z_score(mu, x) for mu, x in zip(self.null_means, vec)]
-            for vec, _ in self.prior.atoms
-        ])
-
-    def z_vector(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.family.z_score(mu, xi) for mu, xi in zip(self.null_means, x)])
+        return self.z_scores([vec for vec, _ in self.prior.atoms])
 
 
 @dataclass(frozen=True)
@@ -270,15 +268,10 @@ def full_norm_exact(model: KinSpikedModel) -> LdlrResult:
         raise DomainError("full_norm_exact requires an atom-mode prior")
     v2 = model.family.v2
     Z = model.z_matrix()
-    probs = [p for _, p in model.prior.atoms]
-    total = 0.0
-    for a, pa in enumerate(probs):
-        for b, pb in enumerate(probs):
-            prod = 1.0
-            for i in range(model.N):
-                prod *= f_eval(Z[a, i] * Z[b, i], v2)
-            total += pa * pb * prod
-    return LdlrResult(value=total, mode="exact", degree=None)
+    probs = np.array([p for _, p in model.prior.atoms])
+    # one (atoms, N) slab per atom a, never an atoms x atoms x N array
+    g = np.array([np.prod(f_eval(z * Z, v2), axis=1) for z in Z])
+    return LdlrResult(value=float(probs @ g @ probs), mode="exact", degree=None)
 
 
 def overlap_bound_exact(model: KinSpikedModel, D: int | None, v: float | None = None) -> float:
@@ -293,22 +286,17 @@ def overlap_bound_exact(model: KinSpikedModel, D: int | None, v: float | None = 
     if v is None:
         v = model.family.v2
     Z = model.z_matrix()
-    probs = [p for _, p in model.prior.atoms]
-    series = None if D is None else f_trunc(D, v)
-    total = 0.0
-    for a, pa in enumerate(probs):
-        for b, pb in enumerate(probs):
-            r = float(np.dot(Z[a], Z[b]))
-            total += pa * pb * (f_eval(r, v) if series is None else series(r))
-    return total
+    probs = np.array([p for _, p in model.prior.atoms])
+    r = Z @ Z.T
+    g = f_eval(r, v) if D is None else f_trunc(D, v)(r)
+    return float(probs @ g @ probs)
 
 
 # ---------------------------------------------------------------------------
 # exact component sums (additive, sech at mean zero)
 # ---------------------------------------------------------------------------
 
-def ldlr_exact_additive(model: AdditiveSpikedModel, D: int,
-                        table: TranslationPolyTable | None = None) -> LdlrResult:
+def ldlr_exact_additive(model: AdditiveSpikedModel, D: int) -> LdlrResult:
     """Exact degree-D squared norm for additive spiking of mean-zero sech noise.
 
     The generating-function product of :func:`ldlr_exact` with coefficients
@@ -322,8 +310,7 @@ def ldlr_exact_additive(model: AdditiveSpikedModel, D: int,
     if D < 0:
         raise DomainError(f"D must be >= 0, got {D}")
     _check_work(model, D)
-    if table is None or table.max_degree < D:
-        table = build_translation_table(D)
+    table = build_translation_table(D)
     X = np.array([vec for vec, _ in model.prior.atoms])
     # tau[a, i, k] = tau_hat_k at coordinate i of atom a
     tau = np.stack([table.eval(k, X) for k in range(D + 1)], axis=2)
@@ -336,16 +323,26 @@ def ldlr_exact_additive(model: AdditiveSpikedModel, D: int,
 # Monte Carlo overlap bounds
 # ---------------------------------------------------------------------------
 
-def _f_eval_vec(t: np.ndarray, v: float) -> np.ndarray:
-    if v == 0:
-        return np.exp(t)
-    if v > 0:
-        out = np.full_like(t, np.inf)
-        ok = t < 1.0 / v
-        out[ok] = (1.0 - v * t[ok]) ** (-1.0 / v)
-        return out
-    m = neg_v_order(v)
-    return (1.0 + t / m) ** m
+def _mc_summary(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error, which is inf for a non-finite mean."""
+    value = float(vals.mean())
+    return value, float(vals.std() / math.sqrt(vals.size)) if math.isfinite(value) else math.inf
+
+
+def _pair_overlaps(model: KinSpikedModel, samples: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Overlaps r of ``samples`` independent pairs of prior draws; sampler
+    priors are drawn in pair order x1_0, x2_0, x1_1, ... and mapped at once."""
+    if model.prior.is_atomic:
+        Z = model.z_matrix()
+        probs = [p for _, p in model.prior.atoms]
+        i1 = rng.choice(len(probs), p=probs, size=samples)
+        i2 = rng.choice(len(probs), p=probs, size=samples)
+        Z1, Z2 = Z[i1], Z[i2]
+    else:
+        Z = model.z_scores([model.prior.sampler(rng) for _ in range(2 * samples)])
+        Z1, Z2 = Z[0::2], Z[1::2]
+    return np.einsum("ij,ij->i", Z1, Z2)
 
 
 def overlap_bound_mc(model: KinSpikedModel, D: int | None, samples: int,
@@ -354,34 +351,19 @@ def overlap_bound_mc(model: KinSpikedModel, D: int | None, samples: int,
 
     For v2 < 0 the result also carries the exp-series value (the matching
     upper bound on the norm); for v2 > 0 with D None, +inf draws propagate
-    into an infinite estimate (the singular regime).
+    into an infinite estimate (the singular regime).  A non-finite estimate
+    has stderr inf.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     v2 = model.family.v2
-    if model.prior.is_atomic:
-        Z = model.z_matrix()
-        probs = [p for _, p in model.prior.atoms]
-        i1 = rng.choice(len(probs), p=probs, size=samples)
-        i2 = rng.choice(len(probs), p=probs, size=samples)
-        r = np.einsum("ij,ij->i", Z[i1], Z[i2])
-    else:
-        r = np.empty(samples)
-        for s in range(samples):
-            z1 = model.z_vector(model.prior.draw(rng))
-            z2 = model.z_vector(model.prior.draw(rng))
-            r[s] = float(np.dot(z1, z2))
-    if D is None:
-        vals = _f_eval_vec(r, v2)
-    else:
-        vals = f_trunc(D, v2)(r)
-    value = float(vals.mean())
-    stderr = float(vals.std() / math.sqrt(samples)) if np.isfinite(value) else math.inf
-    upper_value = upper_stderr = None
-    if v2 < 0:
-        uv = np.exp(r) if D is None else exp_trunc(D)(r)
-        upper_value = float(uv.mean())
-        upper_stderr = float(uv.std() / math.sqrt(samples))
+    r = _pair_overlaps(model, samples, rng)
+
+    def summary(v):
+        return _mc_summary(f_eval(r, v) if D is None else f_trunc(D, v)(r))
+
+    value, stderr = summary(v2)
+    upper_value, upper_stderr = summary(0.0) if v2 < 0 else (None, None)
     return LdlrResult(
         value=value, mode="monte-carlo", degree=D, stderr=stderr,
         samples=samples, upper_value=upper_value, upper_stderr=upper_stderr,
@@ -408,11 +390,12 @@ def kin_model_from_z(family: Family, null_means, z_prior: SpikePrior) -> KinSpik
     """
     if not z_prior.is_atomic or z_prior.kind != "kin":
         raise DomainError("kin_model_from_z requires an atom-mode kin prior")
-    sds = [math.sqrt(family.variance(mu)) for mu in null_means]
-    atoms = [
-        (tuple(mu + d * sd for mu, sd, d in zip(null_means, sds, vec)), p)
-        for vec, p in z_prior.atoms
-    ]
+    mu = np.array(null_means, dtype=float)
+    if any(len(vec) != len(mu) for vec, _ in z_prior.atoms):
+        raise DomainError("prior atom dimension differs from N")
+    deltas = np.array([vec for vec, _ in z_prior.atoms])
+    raw = mu + deltas * np.sqrt(family.variance(mu))
+    atoms = [(row, p) for row, (_, p) in zip(raw, z_prior.atoms)]
     return KinSpikedModel(family, tuple(null_means), SpikePrior.from_atoms("kin", atoms))
 
 
@@ -501,12 +484,10 @@ def sbm_ks_scan(n: int, D: int, grid, samples: int,
         u = rng.random(samples)
         dot = 2.0 * binom.ppf(u, n, 0.5) - n
         r = (a - b) ** 2 / (4.0 * (a + b)) * (dot * dot - n) / n
-        vals = series(r)
+        estimate, stderr = _mc_summary(series(r))
         rows.append(SbmScanRow(
             a=float(a), b=float(b), n=n, degree=D,
-            estimate=float(vals.mean()),
-            stderr=float(vals.std() / math.sqrt(samples)),
-            samples=samples,
+            estimate=estimate, stderr=stderr, samples=samples,
             ks_lhs=float((a - b) ** 2),
             ks_rhs=float(2.0 * (a + b)),
         ))

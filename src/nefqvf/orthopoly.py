@@ -17,12 +17,13 @@ parameters), so the recurrence runs in exact rational arithmetic.  For the
 binomial family (v2 = -1/m) the norm vanishes past degree m and the basis
 stops there.
 
-The module also hosts the scalar generating function
+The module also hosts the generating function
 
     f(t; v) = e^t (v = 0),  (1 - v t)^(-1/v) (v != 0),
 
-whose Taylor coefficients are ``a_hat_k(v)/k!``; for v < 0 (= -1/m) the
-series is the polynomial (1 + t/m)^m and is evaluated as such for all t.
+evaluated elementwise over arrays of t, whose Taylor coefficients are
+``a_hat_k(v)/k!``; for v < 0 (= -1/m) the series is the polynomial
+(1 + t/m)^m and is evaluated as such for all t.
 """
 
 from __future__ import annotations
@@ -80,18 +81,26 @@ def a_const(k: int, v):
 # the generating function f and its truncations
 # ---------------------------------------------------------------------------
 
-def f_eval(t: float, v: float) -> float:
-    """f(t; v); returns math.inf past the positive-v singularity."""
+def f_eval(t, v: float):
+    """f(t; v), elementwise over a scalar or an array of t.
+
+    Returns +inf at and past the positive-v singularity t >= 1/v and where
+    the value overflows; a scalar t gives a numpy float.
+    """
     check_v(v)
-    if v == 0:
-        return math.exp(t)
-    if v > 0:
-        if t >= 1.0 / v:
-            return math.inf
-        return (1.0 - v * t) ** (-1.0 / v)
-    # v = -1/m: the series is the polynomial (1 + t/m)^m, defined everywhere
-    m = neg_v_order(v)
-    return float((1.0 + t / m) ** m)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        if v == 0:
+            out = np.exp(t)
+        elif v > 0:
+            out = np.full_like(t, np.inf)
+            ok = t < 1.0 / v
+            out[ok] = (1.0 - v * t[ok]) ** (-1.0 / v)
+        else:
+            # v = -1/m: the series is the polynomial (1 + t/m)^m, defined everywhere
+            m = neg_v_order(v)
+            out = (1.0 + t / m) ** m
+    return out[()]
 
 
 @dataclass(frozen=True)
@@ -99,10 +108,6 @@ class TruncSeries:
     """Coefficients c_0..c_D of a univariate polynomial, low order first."""
 
     coeffs: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, t):
         out = 0.0
@@ -147,21 +152,12 @@ class OrthoPolyBasis:
     max_degree: int
     monic: tuple
     norm_sq: tuple
-    _monic_np: tuple = field(repr=False, default=())
     _normalized_np: tuple = field(repr=False, default=())
-
-    def monic_eval(self, k: int, y):
-        self._check_degree(k)
-        return npoly.polyval(y, self._monic_np[k])
 
     def normalized_eval(self, k: int, y):
         """Orthonormal polynomial value: p_k / sqrt(a_k(v2) V(mu0)^k)."""
         self._check_degree(k)
         return npoly.polyval(y, self._normalized_np[k])
-
-    def normalized_coeffs(self, k: int) -> np.ndarray:
-        self._check_degree(k)
-        return self._normalized_np[k]
 
     def _check_degree(self, k: int) -> None:
         if not 0 <= k <= self.max_degree:
@@ -206,9 +202,9 @@ def build_basis(family: Family, mu0: float, K: int) -> OrthoPolyBasis:
         monic.append(nxt)
     norm_sq = [a_const(k, v2) * vmu**k for k in range(k_max + 1)]
 
-    monic_np = tuple(np.array([float(c) for c in p]) for p in monic)
     normalized_np = tuple(
-        monic_np[k] / math.sqrt(float(norm_sq[k])) for k in range(k_max + 1)
+        np.array([float(c) for c in monic[k]]) / math.sqrt(float(norm_sq[k]))
+        for k in range(k_max + 1)
     )
     return OrthoPolyBasis(
         family=family,
@@ -216,7 +212,6 @@ def build_basis(family: Family, mu0: float, K: int) -> OrthoPolyBasis:
         max_degree=k_max,
         monic=tuple(tuple(p) for p in monic),
         norm_sq=tuple(norm_sq),
-        _monic_np=monic_np,
         _normalized_np=normalized_np,
     )
 

@@ -47,7 +47,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .errors import DomainError, NumericInstabilityError
 from .families import Family
-from .translation import TranslationPolyTable, build_translation_table
+from .translation import build_translation_table
 
 LAMBDA_STAR = 2.0 * math.sqrt(2.0) / math.pi
 MAX_EIG_SIZE = 4000  # largest n an instance may have
@@ -84,7 +84,8 @@ def sample_noise(kind: str, size: int, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class WigInstance:
-    """One sampled observation matrix, with hidden truth kept for scoring."""
+    """One observation matrix, read-only from construction on, with hidden
+    truth kept for scoring."""
 
     n: int
     lam: float
@@ -94,6 +95,12 @@ class WigInstance:
     planted: bool
     spike: np.ndarray | None = None
     branch: int | None = None  # mixed null: 1 = sech, 2 = heavy
+
+    def __post_init__(self):
+        # a view, not a copy: an n = 2000 instance keeps a single 32 MB buffer
+        Y = self.Y.view()
+        Y.flags.writeable = False
+        object.__setattr__(self, "Y", Y)
 
     def matrix(self) -> np.ndarray:
         """Symmetric matrix with zero diagonal: the instance's own read-only buffer."""
@@ -138,7 +145,6 @@ def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
         spike = rng.choice([-1.0, 1.0], size=n)
         Y += (lam / math.sqrt(n)) * np.outer(spike, spike)
         np.fill_diagonal(Y, 0.0)
-    Y.flags.writeable = False
     return WigInstance(
         n=n, lam=lam, noise_kind=noise_kind, alpha=alpha, Y=Y,
         planted=planted, spike=spike, branch=branch,
@@ -257,8 +263,7 @@ def _sign_count_mean(log_values: np.ndarray, signs=1.0) -> float:
         return float(ratio * np.exp(top - w_top))
 
 
-def entrywise_ldlr_exact(n: int, lam: float, D: int,
-                         table: TranslationPolyTable | None = None) -> float:
+def entrywise_ldlr_exact(n: int, lam: float, D: int) -> float:
     """Exact sum of squared components over all k with max_e k_e <= D.
 
     The surviving multi-indices are those giving every vertex an even
@@ -270,8 +275,7 @@ def entrywise_ldlr_exact(n: int, lam: float, D: int,
         raise DomainError(f"need 2 <= n <= {MAX_EXACT_N}, got {n}")
     if not 0 <= D <= MAX_EXACT_D:
         raise DomainError(f"need 0 <= D <= {MAX_EXACT_D}, got {D}")
-    if table is None or table.max_degree < D:
-        table = build_translation_table(D)
+    table = build_translation_table(D)
     s = lam / math.sqrt(n)
     tau_sq = [float(table.eval(k, s)) ** 2 for k in range(D + 1)]
     w_even = sum(tau_sq[k] for k in range(0, D + 1, 2))

@@ -11,7 +11,8 @@ recurrence), enumeration of multi-indices (against the generating-function
 products of the exact norms), and dynamic programming over vertex-parity
 states (against the O(n) entrywise sum).  The spiked-matrix sampler's
 earlier construction, a triangle vector scattered into a fresh matrix,
-pins its draw order.
+pins its draw order.  Per-scalar z-scores, the scalar generating function
+and a per-draw Monte Carlo loop pin the array forms of the overlap route.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from nefqvf.families import Family
-from nefqvf.orthopoly import a_hat, neg_v_order
+from nefqvf.orthopoly import a_hat, f_trunc, neg_v_order
 from nefqvf.spiked import sample_noise
 from nefqvf.translation import build_translation_table
 
@@ -303,3 +304,46 @@ def wig_matrix_from_triangle(n, lam, noise_kind, planted, rng, alpha=None):
     Y = np.zeros((n, n))
     Y[iu, ju] = upper
     return Y + Y.T
+
+
+# ---------------------------------------------------------------------------
+# the overlap route one scalar at a time
+# ---------------------------------------------------------------------------
+
+def z_score_scalar(family: Family, mu: float, x: float) -> float:
+    """(x - mu) / sqrt(V(mu)) in Python float arithmetic."""
+    v0, v1, v2 = family.variance_coeffs()
+    return (float(x) - mu) / math.sqrt(v0 + v1 * mu + v2 * mu * mu)
+
+
+def z_rows_per_scalar(family: Family, null_means, vecs) -> np.ndarray:
+    """Row a = z-scores of mean vector a, one scalar call per coordinate."""
+    return np.array([
+        [z_score_scalar(family, mu, x) for mu, x in zip(null_means, vec)]
+        for vec in vecs
+    ])
+
+
+def f_eval_scalar(t: float, v: float) -> float:
+    """f(t; v) with math functions; inf at and past the singularity 1/v."""
+    if v == 0:
+        return math.exp(t)
+    if v > 0:
+        if t >= 1.0 / v:
+            return math.inf
+        return (1.0 - v * t) ** (-1.0 / v)
+    m = neg_v_order(v)
+    return float((1.0 + t / m) ** m)
+
+
+def overlap_mc_per_draw(model, D, samples: int, rng) -> float:
+    """Sampler-backed E[f_trunc(D, v2)(r)]: draws x1, x2 per sample in turn."""
+    v2 = model.family.v2
+    vals = []
+    for _ in range(samples):
+        x1 = model.prior.sampler(rng)
+        x2 = model.prior.sampler(rng)
+        z1, z2 = z_rows_per_scalar(model.family, model.null_means, [x1, x2])
+        r = float(np.dot(z1, z2))
+        vals.append(f_eval_scalar(r, v2) if D is None else f_trunc(D, v2)(r))
+    return float(np.mean(vals))

@@ -3,10 +3,13 @@
 Each library routine is pinned to its reference implementation in
 ``helpers``: the Morris recurrence to Gram-Schmidt on exact moments, the
 generating-function products of the exact norms to multi-index
-enumeration, and the O(n) entrywise sum to the vertex-parity dynamic
-program.  Examples are derandomized so the suite stays repeatable.
+enumeration, the O(n) entrywise sum to the vertex-parity dynamic
+program, and the array z-scores, array f and one-call Monte Carlo overlap
+to their per-scalar forms.  Examples are derandomized so the suite stays
+repeatable.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,20 +19,24 @@ from hypothesis import strategies as st
 
 from helpers import (
     entrywise_parity_dp,
+    f_eval_scalar,
     gram_schmidt_basis,
     ldlr_exact_additive_enum,
     ldlr_exact_enum,
+    overlap_mc_per_draw,
     random_shared_instance,
+    z_rows_per_scalar,
 )
-from nefqvf.families import Family
+from nefqvf.families import Family, parse_family
 from nefqvf.ldlr import (
     AdditiveSpikedModel,
     KinSpikedModel,
     SpikePrior,
     ldlr_exact,
     ldlr_exact_additive,
+    overlap_bound_mc,
 )
-from nefqvf.orthopoly import build_basis
+from nefqvf.orthopoly import build_basis, f_eval
 from nefqvf.spiked import entrywise_ldlr_exact
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -91,3 +98,79 @@ def test_additive_generating_function_matches_enumeration(seed, N, A, D):
 def test_entrywise_sum_matches_parity_dp(n, D, lam):
     want = entrywise_parity_dp(n, lam, D)
     assert entrywise_ldlr_exact(n, lam, D) == pytest.approx(want, rel=1e-12)
+
+
+@PROPERTY
+@given(index=family_index, seed=seeds, N=st.integers(1, 6), A=st.integers(1, 5))
+def test_array_z_scores_match_per_scalar_oracle(index, seed, N, A):
+    family, lo, hi = FAMILIES[index]
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(lo, hi, N)
+    rows = rng.uniform(lo, hi, size=(A, N))
+    want = z_rows_per_scalar(family, means, rows)
+    assert family.z_score(means, rows).tobytes() == want.tobytes()
+    atoms = [(tuple(row), 1.0 / A) for row in rows]
+    model = KinSpikedModel(family, tuple(means), SpikePrior.from_atoms("kin", atoms))
+    assert model.z_matrix().tobytes() == want.tobytes()
+
+
+# v = 0, v > 0 and v = -1/m, with t past the singularity 1/v for most v > 0
+v_values = st.one_of(st.just(0.0), st.floats(0.05, 3.0),
+                     st.integers(1, 6).map(lambda m: -1.0 / m))
+
+
+@PROPERTY
+@given(v=v_values, ts=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=20))
+@example(v=0.5, ts=[2.0, 1.999, 2.001, -1.0])  # at, below and past t = 1/v
+@example(v=0.0, ts=[800.0, -800.0])  # overflow to inf, underflow to 0
+def test_array_f_eval_matches_scalar_oracle(v, ts):
+    def scalar(t):
+        try:
+            return f_eval_scalar(t, v)
+        except OverflowError:
+            return math.inf
+
+    got = f_eval(np.array(ts), v)
+    want = np.array([scalar(t) for t in ts])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert f_eval(ts[0], v) == got[0]
+
+
+@PROPERTY
+@given(index=family_index, seed=seeds, N=st.integers(1, 5),
+       D=st.one_of(st.none(), st.integers(0, 6)), samples=st.integers(1, 30))
+def test_sampler_overlap_mc_matches_per_draw_oracle(index, seed, N, D, samples):
+    family, lo, hi = FAMILIES[index]
+    rng = np.random.default_rng(seed)
+    means = tuple(rng.uniform(lo, hi, N))
+    # draws near the null means keep the overlap small and the value finite
+    width = 0.1 * (hi - lo)
+    prior = SpikePrior.from_sampler(
+        "kin", lambda g: np.clip(np.array(means) + width * g.uniform(-1, 1, N), lo, hi))
+    model = KinSpikedModel(family, means, prior)
+    got = overlap_bound_mc(model, D, samples, np.random.default_rng(seed)).value
+    want = overlap_mc_per_draw(model, D, samples, np.random.default_rng(seed))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@st.composite
+def families(draw):
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    size = st.integers(1, 10**6)
+    kind = draw(st.sampled_from(["gaussian", "poisson", "gamma", "binomial",
+                                 "negbinomial", "sech"]))
+    if kind == "gaussian":
+        return Family.gaussian(draw(positive))
+    if kind == "gamma":
+        return Family.gamma(draw(positive))
+    if kind in ("binomial", "negbinomial"):
+        return getattr(Family, kind)(draw(size))
+    return getattr(Family, kind)()
+
+
+@PROPERTY
+@given(family=families())
+@example(family=Family.gaussian(2))  # integral float parameters print as ints
+@example(family=Family.gamma(0.1))
+def test_parse_family_round_trips_tag(family):
+    assert parse_family(family.tag()) == family

@@ -66,6 +66,15 @@ def test_z_score_values():
         assert fam.z_score(mu, mu) == 0.0
 
 
+def test_z_score_maps_rows_of_values_against_a_vector_of_means():
+    fam = Family.poisson()
+    z = fam.z_score(np.array([1.0, 4.0]), np.array([[3.0, 4.0], [1.0, 0.0]]))
+    assert z.shape == (2, 2)
+    assert z.tolist() == [[2.0, 0.0], [0.0, -2.0]]
+    with pytest.raises(DomainError, match="mean -1.0 outside"):
+        fam.z_score(np.array([1.0, -1.0, 2.0]), np.zeros(3))
+
+
 def test_mean_to_natural_closed_forms():
     assert Family.sech().mean_to_natural(1.0) == pytest.approx(math.pi / 4)
     assert Family.gaussian(1.0).mean_to_natural(0.0) == 0.0

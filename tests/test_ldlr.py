@@ -21,6 +21,7 @@ from nefqvf.ldlr import (
     channel_compare,
     component,
     full_norm_exact,
+    kin_model_from_z,
     ldlr_exact,
     ldlr_exact_additive,
     overlap_bound_exact,
@@ -219,6 +220,26 @@ def test_overlap_mc_infinite_sentinel_past_singularity():
     # any finite truncation stays finite
     finite = overlap_bound_mc(model, 6, 20, np.random.default_rng(0))
     assert math.isfinite(finite.value)
+
+
+def test_overlap_mc_overflowing_exp_bound_has_infinite_stderr():
+    # r = 40 z^2 with z^2 = 0.98^2 / (0.01 * 0.99) ~ 97: exp(r) overflows
+    model = KinSpikedModel(Family.binomial(1), (0.01,) * 40, point_mass("kin", (0.99,) * 40))
+    res = overlap_bound_mc(model, None, 10, np.random.default_rng(0))
+    assert math.isfinite(res.value) and math.isfinite(res.stderr)
+    assert res.upper_value == math.inf and res.upper_stderr == math.inf
+
+
+def test_mean_vectors_of_the_wrong_length_are_rejected():
+    model = KinSpikedModel(Family.poisson(), (1.0, 2.0), point_mass("kin", (1.5, 2.5)))
+    with pytest.raises(DomainError):
+        model.z_scores([[1.0]])
+    bad = SpikePrior.from_sampler("kin", lambda rng: np.ones(3))
+    with pytest.raises(DomainError):
+        overlap_bound_mc(KinSpikedModel(Family.poisson(), (1.0, 2.0), bad), 2, 5,
+                         np.random.default_rng(0))
+    with pytest.raises(DomainError):
+        kin_model_from_z(Family.poisson(), (1.0, 2.0), point_mass("kin", (0.1, 0.1, 0.1)))
 
 
 def test_overlap_mc_sampler_backed():

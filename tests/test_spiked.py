@@ -186,6 +186,14 @@ def test_eigen_tests_separate_at_moderate_size():
     assert hits_null <= 1 and hits_plant >= trials - 1
 
 
+def test_wig_instance_is_read_only_from_construction():
+    Y = np.zeros((10, 10))
+    inst = WigInstance(n=10, lam=1.0, noise_kind="sech", alpha=None, Y=Y, planted=False)
+    with pytest.raises(ValueError):
+        inst.matrix()[0, 1] = 1.0
+    assert np.shares_memory(inst.matrix(), Y)  # a view, not a copy
+
+
 def test_mixed_test_branch_cases():
     zero = WigInstance(n=50, lam=1.0, noise_kind="mixed", alpha=3.0,
                        Y=np.zeros((50, 50)), planted=False)
