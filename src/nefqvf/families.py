@@ -149,8 +149,8 @@ class Family:
 
     # -- core operations -------------------------------------------------
 
-    def _check_mean(self, mu) -> None:
-        """Raise unless mu (a scalar or an array of means) is in the mean domain."""
+    def _check_mean(self, mu, what: str = "mean") -> None:
+        """Raise unless mu (a scalar or an array) is in the mean domain."""
         dom = self.mean_domain
         if isinstance(mu, np.ndarray):
             inside = (dom.lo < mu) & (mu < dom.hi)
@@ -159,7 +159,7 @@ class Family:
             mu = mu[~inside].flat[0]  # report the first offending mean
         elif mu in dom:
             return
-        raise DomainError(f"mean {mu} outside {dom} for {self.tag()}")
+        raise DomainError(f"{what} {mu} outside {dom} for {self.tag()}")
 
     def variance(self, mu):
         """V(mu), elementwise over arrays; exact if mu is a Fraction."""
@@ -173,7 +173,6 @@ class Family:
     def z_score(self, mu, x):
         """Standardized deviation (x - mu) / sqrt(V(mu)), elementwise with
         numpy broadcasting; each value equals the scalar formula's bit for bit."""
-        self._check_mean(mu)
         return (np.asarray(x, dtype=float) - mu) / np.sqrt(self.variance(mu))
 
     def mean_to_natural(self, mu: float) -> float:
@@ -324,6 +323,13 @@ class Family:
         if self.kind == "negbinomial":
             return f"negbinomial{{m={self.param}}}"
         return self.kind
+
+
+def binomial_log_weights(n: int) -> np.ndarray:
+    """-log p! - log (n-p)!, p = 0..n: the Binomial(n, 1/2) log pmf up to
+    a constant, from ``math.lgamma``; callers normalise the weights."""
+    lg = np.array([math.lgamma(p + 1) for p in range(n + 1)])
+    return -lg - lg[::-1]
 
 
 def _fmt(x) -> str:

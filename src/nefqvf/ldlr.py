@@ -31,19 +31,21 @@ arrays of overlaps (``probs @ f(Z Z^T) @ probs`` over atom pairs).
 
 Exact norms are restricted to atom priors; sampler-backed priors feed only
 the Monte Carlo overlap estimates.
+
+The block-model scan draws <s1, s2> = 2 Binomial(n, 1/2) - n by searching
+a symmetric-binomial CDF table built once per scan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import CapExceededError, DegenerateDegreeError, DomainError, NumericInstabilityError
-from .families import Family
+from .families import Family, binomial_log_weights
 from .orthopoly import a_hat, exp_trunc, f_eval, f_trunc, neg_v_order
 from .translation import build_translation_table
 
@@ -94,32 +96,35 @@ class SpikePrior:
 
 
 @dataclass(frozen=True)
-class KinSpikedModel:
+class _SpikedModel:
+    """Null means in the mean domain; a prior of ``prior_kind``, atoms of length N."""
+
     family: Family
     null_means: tuple
     prior: SpikePrior
 
     def __post_init__(self):
         object.__setattr__(self, "null_means", tuple(float(m) for m in self.null_means))
-        if self.prior.kind != "kin":
-            raise DomainError("KinSpikedModel requires a kin prior")
-        dom = self.family.mean_domain
-        for mu in self.null_means:
-            if mu not in dom:
-                raise DomainError(f"null mean {mu} outside {dom} for {self.family.tag()}")
-        if self.prior.atoms is not None:
-            for vec, _ in self.prior.atoms:
-                if len(vec) != self.N:
-                    raise DomainError("prior atom dimension differs from N")
-                for c in vec:
-                    if c not in dom:
-                        raise DomainError(
-                            f"kin atom coordinate {c} outside {dom} for {self.family.tag()}"
-                        )
+        if self.prior.kind != self.prior_kind:
+            raise DomainError(f"{type(self).__name__} requires prior kind {self.prior_kind}")
+        self.family._check_mean(np.array(self.null_means), "null mean")
+        if self.prior.atoms is not None and any(len(vec) != self.N for vec, _ in self.prior.atoms):
+            raise DomainError("prior atom dimension differs from N")
 
     @property
     def N(self) -> int:
         return len(self.null_means)
+
+
+@dataclass(frozen=True)
+class KinSpikedModel(_SpikedModel):
+    prior_kind: ClassVar[str] = "kin"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.prior.atoms is not None:
+            self.family._check_mean(np.array([vec for vec, _ in self.prior.atoms]),
+                                    "kin atom coordinate")
 
     def z_scores(self, means) -> np.ndarray:
         """Rows of mean vectors to rows of z-scores against the null means."""
@@ -136,27 +141,8 @@ class KinSpikedModel:
 
 
 @dataclass(frozen=True)
-class AdditiveSpikedModel:
-    family: Family
-    null_means: tuple
-    prior: SpikePrior
-
-    def __post_init__(self):
-        object.__setattr__(self, "null_means", tuple(float(m) for m in self.null_means))
-        if self.prior.kind != "additive":
-            raise DomainError("AdditiveSpikedModel requires an additive prior")
-        dom = self.family.mean_domain
-        for mu in self.null_means:
-            if mu not in dom:
-                raise DomainError(f"null mean {mu} outside {dom} for {self.family.tag()}")
-        if self.prior.atoms is not None:
-            for vec, _ in self.prior.atoms:
-                if len(vec) != self.N:
-                    raise DomainError("prior atom dimension differs from N")
-
-    @property
-    def N(self) -> int:
-        return len(self.null_means)
+class AdditiveSpikedModel(_SpikedModel):
+    prior_kind: ClassVar[str] = "additive"
 
 
 @dataclass(frozen=True)
@@ -464,25 +450,34 @@ class SbmScanRow:
         return self.ks_lhs > self.ks_rhs
 
 
+def _symmetric_binomial_cdf(n: int) -> np.ndarray:
+    """Binomial(n, 1/2) CDF at 0..n: running sums of the lgamma weights over
+    their total, so the table is sorted and ends at exactly 1."""
+    log_w = binomial_log_weights(n)
+    cum = np.cumsum(np.exp(log_w - log_w.max()))
+    return cum / cum[-1]
+
+
 def sbm_ks_scan(n: int, D: int, grid, samples: int,
                 rng: np.random.Generator) -> list[SbmScanRow]:
     """Monte Carlo of E[exp_trunc(D)(r)] over uniform labelings, per (a, b).
 
     The overlap depends on the labelings only through <s1, s2>, whose exact
-    law is 2*Binomial(n, 1/2) - n; it is drawn by inverse CDF so that scans
-    sharing a generator state across different n reuse the same underlying
-    uniforms (common random numbers).  Rows carry both sides of the
+    law is 2*Binomial(n, 1/2) - n; it is drawn by searching one uniform per
+    sample in a CDF table, so that scans sharing a generator state across
+    different n reuse the same underlying uniforms (common random numbers).
+    A uniform of 0 draws the count 0.  Rows carry both sides of the
     detectability comparison (a-b)^2 vs 2(a+b).
     """
     if n < 1 or D < 0 or samples < 1:
         raise DomainError("need n >= 1, D >= 0, samples >= 1")
     series = exp_trunc(D)
+    cdf = _symmetric_binomial_cdf(n)
     rows = []
     for a, b in grid:
         if a <= 0 or b <= 0:
             raise DomainError(f"rates must be positive, got a={a}, b={b}")
-        u = rng.random(samples)
-        dot = 2.0 * binom.ppf(u, n, 0.5) - n
+        dot = 2.0 * np.searchsorted(cdf, rng.random(samples)) - n
         r = (a - b) ** 2 / (4.0 * (a + b)) * (dot * dot - n) / n
         estimate, stderr = _mc_summary(series(r))
         rows.append(SbmScanRow(

@@ -46,7 +46,8 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .errors import DomainError, NumericInstabilityError
-from .families import Family
+from .families import Family, binomial_log_weights
+from .ldlr import _mc_summary
 from .translation import build_translation_table
 
 LAMBDA_STAR = 2.0 * math.sqrt(2.0) / math.pi
@@ -253,9 +254,7 @@ def _sign_count_mean(log_values: np.ndarray, signs=1.0) -> float:
     Summed in log space with the pmf normalised to total one, so a constant
     log_values gives exactly that constant; the result may overflow to inf.
     """
-    n = len(log_values) - 1
-    lg = np.array([math.lgamma(p + 1) for p in range(n + 1)])
-    log_w = -lg - lg[::-1]  # log C(n, p) up to a constant
+    log_w = binomial_log_weights(len(log_values) - 1)
     log_terms = log_w + log_values
     top, w_top = float(np.max(log_terms)), float(np.max(log_w))
     ratio = np.sum(signs * np.exp(log_terms - top)) / np.sum(np.exp(log_w - w_top))
@@ -310,9 +309,7 @@ def overlap_chi2_mc(c: float, n: int, samples: int,
     h = 2.0 * rng.binomial(n, 0.5, size=samples) - n
     with np.errstate(over="ignore"):
         vals = np.exp(c * h * h / (2.0 * n))
-    value = float(vals.mean())
-    stderr = float(vals.std() / math.sqrt(samples)) if math.isfinite(value) else math.inf
-    return value, stderr
+    return _mc_summary(vals)
 
 
 def overlap_chi2_exact(c: float, n: int) -> float:

@@ -1,6 +1,8 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -300,3 +302,16 @@ def test_provenance_revision_is_the_package_checkout(tmp_path, monkeypatch, caps
     code, out = run_cli(["families", "list"], capsys)
     assert code == 0
     assert out.splitlines()[0].endswith(f"rev={want}")
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second of import time; the package needs
+    # only scipy.sparse.linalg
+    src = str(Path(nefqvf.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; import nefqvf.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

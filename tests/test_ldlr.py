@@ -1,5 +1,6 @@
 """Likelihood-ratio norms: exact component sums vs the overlap route."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from helpers import (
 from nefqvf.errors import CapExceededError, DegenerateDegreeError, DomainError
 from nefqvf.families import Family
 from nefqvf.ldlr import (
+    _symmetric_binomial_cdf,
     AdditiveSpikedModel,
     KinSpikedModel,
     SpikePrior,
@@ -29,6 +31,8 @@ from nefqvf.ldlr import (
     sbm_ks_scan,
     sbm_overlap,
 )
+from nefqvf.orthopoly import exp_trunc
+from nefqvf.spiked import _sign_count_mean
 
 
 def point_mass(kind, vec):
@@ -55,6 +59,24 @@ def test_prior_validation():
         KinSpikedModel(Family.binomial(1), (0.5,), point_mass("kin", (1.5,)))
     with pytest.raises(DomainError):
         KinSpikedModel(Family.poisson(), (1.0,), point_mass("additive", (0.5,)))
+
+
+def test_model_domain_errors_name_the_value():
+    # one array check per model; the error names the first offending value
+    bern = Family.binomial(1)
+    with pytest.raises(DomainError, match=r"^null mean 1.5 outside \(0.0, 1.0\) for binomial\{m=1\}$"):
+        KinSpikedModel(bern, (0.5, 1.5, 2.0), point_mass("kin", (0.5, 0.5, 0.5)))
+    with pytest.raises(DomainError, match=r"^kin atom coordinate 1.0 outside \(0.0, 1.0\)"):
+        KinSpikedModel(bern, (0.5, 0.5), SpikePrior.from_atoms(
+            "kin", [((0.5, 0.25), 0.5), ((1.0, -1.0), 0.5)]))
+    with pytest.raises(DomainError, match="prior atom dimension differs from N"):
+        KinSpikedModel(bern, (0.5, 0.5), point_mass("kin", (0.5,)))
+    with pytest.raises(DomainError, match=r"^null mean -1.0 outside \(0.0, inf\) for poisson$"):
+        AdditiveSpikedModel(Family.poisson(), (1.0, -1.0), point_mass("additive", (0.5, 0.5)))
+    with pytest.raises(DomainError, match="prior atom dimension differs from N"):
+        AdditiveSpikedModel(Family.sech(), (0.0,), point_mass("additive", (0.5, 0.5)))
+    # atoms of an additive prior are shifts, not means: any value is allowed
+    AdditiveSpikedModel(Family.poisson(), (1.0,), point_mass("additive", (-5.0,)))
 
 
 def test_component_values():
@@ -335,17 +357,80 @@ def test_sbm_scan_degree_zero_is_one():
     assert rows[0].stderr == 0.0
 
 
+def _sbm_scan_exact(n, D, a, b):
+    """E[exp_trunc(D)(r)] under <s1, s2> = 2 Binomial(n, 1/2) - n, as the
+    O(n) log-space sum over the count, with the series' sign kept apart."""
+    dot = 2.0 * np.arange(n + 1) - n
+    v = exp_trunc(D)((a - b) ** 2 / (4 * (a + b)) * (dot * dot - n) / n)
+    with np.errstate(divide="ignore"):
+        return _sign_count_mean(np.log(np.abs(v)), np.sign(v))
+
+
 def test_sbm_scan_matches_exact_enumeration():
     # oracle: the overlap law is 2*Binomial(n, 1/2) - n, so the scanned
-    # functional has an exact finite sum
-    from scipy.stats import binom as _binom
+    # functional has an exact finite sum; at odd D and (a, b) = (10, 1) the
+    # series is negative near <s1, s2> = 0
+    from scipy.stats import binom
 
-    from nefqvf.orthopoly import exp_trunc
+    j = np.arange(31)
+    dot = 2.0 * j - 30
+    for n in (30, 200):
+        for D, a, b in ((4, 3.0, 1.0), (3, 10.0, 1.0)):
+            exact = _sbm_scan_exact(n, D, a, b)
+            if n == 30:  # the oracle against the direct pmf sum
+                r = (a - b) ** 2 / (4 * (a + b)) * (dot * dot - 30) / 30
+                direct = float(np.sum(binom.pmf(j, 30, 0.5) * exp_trunc(D)(r)))
+                assert exact == pytest.approx(direct, rel=1e-12), D
+            row = sbm_ks_scan(n, D, [(a, b)], 400_000, np.random.default_rng(77))[0]
+            assert abs(row.estimate - exact) < 4 * row.stderr, (n, D)
 
-    n, D, a, b = 30, 4, 3.0, 1.0
-    j = np.arange(n + 1)
-    dot = 2.0 * j - n
-    r = (a - b) ** 2 / (4 * (a + b)) * (dot * dot - n) / n
-    exact = float(np.sum(_binom.pmf(j, n, 0.5) * exp_trunc(D)(r)))
-    row = sbm_ks_scan(n, D, [(a, b)], 400_000, np.random.default_rng(77))[0]
-    assert abs(row.estimate - exact) < 4 * row.stderr
+
+class _FixedUniforms:
+    """Generator stub whose ``random`` hands out the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+def test_sbm_scan_inverse_cdf_ends():
+    # u = 0 draws the count 0 (scipy's binom.ppf gives -1, outside the
+    # support); the largest double below 1 draws n for n <= 52, where
+    # F(n - 1) = 1 - 2^-n lies below it
+    a, b, D = 3.0, 1.0, 6
+    c = (a - b) ** 2 / (4 * (a + b))
+    for n in (1, 2, 20, 51):
+        top = float(exp_trunc(D)(c * (n - 1)))  # |<s1, s2>| = n
+        for u in (0.0, np.nextafter(1.0, 0.0)):
+            row = sbm_ks_scan(n, D, [(a, b)], 1, _FixedUniforms([u]))[0]
+            assert row.estimate == top, (n, u)
+    # u equal to F(k) draws k, the smallest count whose CDF reaches u
+    n = 20
+    for k in (3, 10, 16):
+        u = _symmetric_binomial_cdf(n)[k]
+        row = sbm_ks_scan(n, D, [(a, b)], 1, _FixedUniforms([u]))[0]
+        assert row.estimate == float(exp_trunc(D)(c * ((2 * k - n) ** 2 - n) / n)), k
+
+
+def test_symmetric_binomial_cdf_matches_scipy_ppf():
+    from scipy.stats import binom
+
+    rng = np.random.default_rng(20260809)
+    for n in (1, 2, 50, 200, 2000):
+        u = rng.random(2_000_000)
+        want = binom.ppf(u, n, 0.5)
+        assert np.array_equal(np.searchsorted(_symmetric_binomial_cdf(n), u), want), n
+
+
+def test_symmetric_binomial_cdf_matches_exact_integer_cdf():
+    # running integer sums over 2**n: int / int division rounds correctly
+    u = np.random.default_rng(5).random(100_000)
+    for n in range(1, 61):
+        exact = np.array([c / 2**n for c in itertools.accumulate(math.comb(n, k) for k in range(n + 1))])
+        cdf = _symmetric_binomial_cdf(n)
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
+        assert np.max(np.abs(cdf - exact)) < 1e-14, n
+        assert np.array_equal(np.searchsorted(cdf, u), np.searchsorted(exact, u)), n
