@@ -302,13 +302,22 @@ class Family:
             while not u.all():  # u = 0 maps to -inf: redraw just those entries
                 zero = u == 0.0
                 u[zero] = rng.random(int(zero.sum()))
-            return (2.0 / math.pi) * np.log(np.tan(math.pi * u / 2.0))
+            # (2/pi) log tan(pi u / 2), computed in place in the draw buffer
+            u *= math.pi
+            u /= 2.0
+            np.tan(u, out=u)
+            np.log(u, out=u)
+            u *= 2.0 / math.pi
+            return u
         # logit(S)/pi with S ~ Beta(1/2 + theta/pi, 1/2 - theta/pi); drawing
         # the logit as a log-ratio of Gammas keeps the extreme tails finite
         theta = math.atan(mu)
         ga = rng.gamma(0.5 + theta / math.pi, size=count)
         gb = rng.gamma(0.5 - theta / math.pi, size=count)
-        return (np.log(ga) - np.log(gb)) / math.pi
+        np.log(ga, out=ga)
+        ga -= np.log(gb, out=gb)
+        ga /= math.pi
+        return ga
 
     # -- serialization ------------------------------------------------------
 

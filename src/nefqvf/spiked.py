@@ -20,6 +20,10 @@ null bulk edge is 2 lambda_star and whose planted outlier sits at
 lambda + lambda_star^2 / lambda once lambda > lambda_star; both tests
 threshold halfway between the null edge and the planted outlier.
 
+Memory: an instance is one n x n buffer, built beside the packed noise
+triangle with the spike added row by row, and ``tpca_test`` allocates one
+more for the transformed matrix; no other n x n array is made on the way.
+
 Entrywise-degree-bounded likelihood-ratio mass: with the translation
 polynomials tau_hat of the sech family, the component at a multi-index k
 over edges factorizes into prod_e tau_hat_{k_e}(lambda/sqrt(n)) times a
@@ -53,6 +57,8 @@ from .translation import build_translation_table
 LAMBDA_STAR = 2.0 * math.sqrt(2.0) / math.pi
 MAX_EIG_SIZE = 4000  # largest n an instance may have
 NOISE_KINDS = ("sech", "heavy", "mixed")
+_MIRROR_ROWS = 64  # row block of the triangle mirror in sample_wig
+_SCORE_SCALE = LAMBDA_STAR**2 * (math.pi / 2.0)
 
 _SECH = Family.sech()
 
@@ -66,7 +72,8 @@ def heavy_pdf(alpha: float, x: float) -> float:
     """Normalized density proportional to (1 + x^2)^(-alpha/2)."""
     if alpha <= 1:
         raise DomainError(f"heavy noise needs alpha > 1, got {alpha}")
-    c = math.gamma(alpha / 2) / (math.sqrt(math.pi) * math.gamma((alpha - 1) / 2))
+    # the Gamma ratio in log space: math.gamma overflows past alpha ~ 343
+    c = math.exp(math.lgamma(alpha / 2) - math.lgamma((alpha - 1) / 2)) / math.sqrt(math.pi)
     return c * (1.0 + x * x) ** (-alpha / 2)
 
 
@@ -79,7 +86,9 @@ def sample_noise(kind: str, size: int, rng: np.random.Generator,
             raise DomainError(f"heavy noise needs alpha > 1, got {alpha}")
         # (1 + x^2)^(-alpha/2) is Student t with alpha-1 dof, scaled
         df = alpha - 1.0
-        return rng.standard_t(df, size=size) / math.sqrt(df)
+        t = rng.standard_t(df, size=size)
+        t /= math.sqrt(df)
+        return t
     raise DomainError(f"unknown noise kind {kind!r}")
 
 
@@ -116,8 +125,8 @@ def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
     """Draw one read-only matrix instance, 2 <= n <= MAX_EIG_SIZE.
 
     The mixed model's planted side uses sech noise, its null a fair branch
-    between sech and heavy.  Noise fills the upper triangle row by row before
-    the spike is drawn, so ``lam=0`` planted instances equal null instances.
+    between sech and heavy.  The noise triangle is drawn before the spike
+    signs, so ``lam=0`` planted instances equal null instances.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
@@ -137,15 +146,20 @@ def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
     else:
         entry_kind = noise_kind
     noise = sample_noise(entry_kind, n * (n - 1) // 2, rng, alpha=alpha)
+    spike = rng.choice([-1.0, 1.0], size=n) if planted else None
+    c = lam / math.sqrt(n)
     Y = np.zeros((n, n))
     for i, row in enumerate(np.split(noise, np.cumsum(np.arange(n - 1, 1, -1)))):
-        Y[i, i + 1:] = Y[i + 1:, i] = row  # row-major over i < j, mirrored
-
-    spike = None
-    if planted:
-        spike = rng.choice([-1.0, 1.0], size=n)
-        Y += (lam / math.sqrt(n)) * np.outer(spike, spike)
-        np.fill_diagonal(Y, 0.0)
+        # row-major over i < j; spike[j] * (c * spike[i]) is exactly +-c
+        Y[i, i + 1:] = row if spike is None else row + spike[i + 1:] * (c * spike[i])
+    # mirror the upper triangle a block of rows at a time: each block reads
+    # a narrow column strip above the diagonal, which stays in cache
+    for r0 in range(0, n, _MIRROR_ROWS):
+        r1 = min(r0 + _MIRROR_ROWS, n)
+        Y[r0:r1, :r0] = Y[:r0, r0:r1].T
+        block = Y[r0:r1, r0:r1]
+        lower = np.tril_indices(r1 - r0, -1)
+        block[lower] = block.T[lower]
     return WigInstance(
         n=n, lam=lam, noise_kind=noise_kind, alpha=alpha, Y=Y,
         planted=planted, spike=spike, branch=branch,
@@ -209,8 +223,14 @@ def score_transform(y):
     (pi/2) tanh(pi y / 2) is minus the log-derivative of the density; its
     second moment under the noise is the Fisher information 1/lambda_star^2,
     so the lambda_star^2 multiple has null entry variance lambda_star^2 and
-    bulk edge 2*lambda_star."""
-    return LAMBDA_STAR**2 * (math.pi / 2.0) * np.tanh((math.pi / 2.0) * y)
+    bulk edge 2*lambda_star.  An array input is read, never written: the
+    result is one fresh buffer, transformed in place."""
+    t = np.multiply(y, math.pi / 2.0)
+    if t.ndim == 0:  # a scalar has no buffer to reuse
+        return _SCORE_SCALE * np.tanh(t)
+    np.tanh(t, out=t)
+    t *= _SCORE_SCALE
+    return t
 
 
 def tpca_test(inst: WigInstance, lam: float | None = None) -> TestVerdict:

@@ -10,9 +10,10 @@ reference implementations: Gram-Schmidt on exact moments (against the Morris
 recurrence), enumeration of multi-indices (against the generating-function
 products of the exact norms), and dynamic programming over vertex-parity
 states (against the O(n) entrywise sum).  The spiked-matrix sampler's
-earlier construction, a triangle vector scattered into a fresh matrix,
-pins its draw order.  Per-scalar z-scores, the scalar generating function
-and a per-draw Monte Carlo loop pin the array forms of the overlap route.
+earlier construction, whole-array noise expressions and a triangle vector
+scattered into a fresh matrix, pins its draw order and its bits.
+Per-scalar z-scores, the scalar generating function and a per-draw Monte
+Carlo loop pin the array forms of the overlap route.
 """
 
 import math
@@ -23,7 +24,6 @@ from scipy.integrate import quad
 
 from nefqvf.families import Family
 from nefqvf.orthopoly import a_hat, f_trunc, neg_v_order
-from nefqvf.spiked import sample_noise
 from nefqvf.translation import build_translation_table
 
 
@@ -285,6 +285,22 @@ def entrywise_parity_dp(n: int, lam: float, D: int) -> float:
 # spiked observation matrix from its strict upper triangle
 # ---------------------------------------------------------------------------
 
+def noise_from_expressions(kind, size, rng, alpha=None):
+    """Mean-zero noise by the samplers' whole-array expressions.
+
+    sech: (2/pi) log tan(pi u / 2) for uniform u, redrawing u = 0;
+    heavy: a Student t with alpha - 1 degrees of freedom over its scale.
+    """
+    if kind == "sech":
+        u = rng.random(size)
+        while not u.all():
+            zero = u == 0.0
+            u[zero] = rng.random(int(zero.sum()))
+        return (2.0 / math.pi) * np.log(np.tan(math.pi * u / 2.0))
+    df = alpha - 1.0
+    return rng.standard_t(df, size=size) / math.sqrt(df)
+
+
 def wig_matrix_from_triangle(n, lam, noise_kind, planted, rng, alpha=None):
     """The matrix ``sample_wig`` must build for the same generator state.
 
@@ -296,7 +312,7 @@ def wig_matrix_from_triangle(n, lam, noise_kind, planted, rng, alpha=None):
     if noise_kind == "mixed":
         branch = 1 if planted else int(rng.integers(1, 3))
         entry_kind = "sech" if branch == 1 else "heavy"
-    upper = sample_noise(entry_kind, n * (n - 1) // 2, rng, alpha=alpha)
+    upper = noise_from_expressions(entry_kind, n * (n - 1) // 2, rng, alpha=alpha)
     iu, ju = np.triu_indices(n, k=1)
     if planted:
         spike = rng.choice([-1.0, 1.0], size=n)

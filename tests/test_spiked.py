@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -55,6 +56,9 @@ def test_lambda_star_matches_fisher_information():
 
 def test_heavy_density_and_tail_mass():
     assert heavy_pdf(3.0, 0.0) == pytest.approx(0.5)
+    # the normalizer's Gamma ratio ~ sqrt(alpha / 2) stays finite past the
+    # point where math.gamma overflows
+    assert heavy_pdf(400.0, 0.0) == pytest.approx(math.sqrt(199.25 / math.pi), rel=1e-3)
     total, _ = quad(lambda x: heavy_pdf(2.5, x), -np.inf, np.inf)
     assert total == pytest.approx(1.0, abs=1e-9)
     rng = np.random.default_rng(8)
@@ -81,7 +85,7 @@ def test_zero_signal_matches_null_draws():
     np.testing.assert_array_equal(a.matrix(), b.matrix())
 
 
-@pytest.mark.parametrize("n", [2, 3, 57])
+@pytest.mark.parametrize("n", [2, 3, 57, 300])
 @pytest.mark.parametrize("noise", ["sech", "heavy", "mixed"])
 @pytest.mark.parametrize("planted", [False, True])
 def test_sample_wig_matches_triangle_construction(n, noise, planted):
@@ -159,6 +163,44 @@ def test_score_transform_shape():
     t = score_transform(y)
     assert np.all(np.abs(t) <= LAMBDA_STAR**2 * math.pi / 2 + 1e-12)
     assert np.allclose(t, -score_transform(-y))
+
+
+def test_score_transform_matches_expression_and_keeps_input():
+    Y = sample_wig(57, 1.3, "sech", True, np.random.default_rng(6)).matrix()
+    before = Y.tobytes()
+    want = LAMBDA_STAR**2 * (math.pi / 2) * np.tanh((math.pi / 2) * Y)
+    got = score_transform(Y)
+    assert got.tobytes() == want.tobytes()
+    assert Y.tobytes() == before and not np.shares_memory(got, Y)
+    assert score_transform(0.0) == 0.0
+    assert score_transform(1.0) == LAMBDA_STAR**2 * (math.pi / 2) * np.tanh(math.pi / 2)
+
+
+def _traced_peak(fn) -> int:
+    """Peak traced bytes that ``fn()`` allocates beyond what is live."""
+    tracemalloc.reset_peak()
+    base, _ = tracemalloc.get_traced_memory()
+    fn()
+    return tracemalloc.get_traced_memory()[1] - base
+
+
+def test_spiked_path_holds_one_matrix_per_stage():
+    # numpy reports its buffers to tracemalloc; a planted instance needs its
+    # matrix plus the packed noise triangle (1.5 x 8n^2), and the score
+    # test one transformed matrix beyond what the eigen-solve itself takes
+    n = 400
+    matrix_bytes = 8 * n * n
+    tracemalloc.start()
+    try:
+        sample = _traced_peak(lambda: sample_wig(n, 1.5, "sech", True, np.random.default_rng(0)))
+        inst = sample_wig(n, 1.5, "sech", True, np.random.default_rng(0))
+        solve = _traced_peak(lambda: pca_test(inst))
+        scored = _traced_peak(lambda: tpca_test(inst))
+    finally:
+        tracemalloc.stop()
+    assert sample <= 1.6 * matrix_bytes
+    assert solve <= 0.2 * matrix_bytes
+    assert scored - solve <= 1.05 * matrix_bytes
 
 
 def test_tpca_threshold_matches_pinned_value():
