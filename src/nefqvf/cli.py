@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, NefqvfError, NumericInstabilityError
-from .families import ALL_KINDS, Family, parse_family
+from .families import Family, parse_family
 from .ldlr import (
     AdditiveSpikedModel,
     KinSpikedModel,
@@ -50,13 +50,12 @@ from .ldlr import (
 )
 from .orthopoly import a_const, basis_rows, build_basis
 from .spiked import (
+    _TESTS as _TEST_FNS,
     entrywise_ldlr_exact,
     entrywise_ldlr_mc_bound,
-    mixed_test,
-    pca_test,
+    mixed_test,  # noqa: F401  (unused here; perfbench/tracing.py patches it by this name)
     power_curve,
     sample_wig,
-    tpca_test,
     MAX_EXACT_D,
     MAX_EXACT_N,
 )
@@ -106,79 +105,7 @@ COMMON = [
     Flag("seed", int, "random seed", default=0),
 ]
 
-FLAGS: dict[tuple[str, str], list[Flag]] = {
-    ("families", "list"): [Flag("out", str, "output path")],
-    ("families", "check"): [Flag("out", str, "output path")],
-    ("orthopoly", "build"): [
-        Flag("family", str, "family tag, e.g. gamma{alpha=2}", required=True),
-        Flag("mu0", float, "null mean", required=True),
-        Flag("degree", int, "maximum degree", required=True),
-        Flag("out", str, "output path"),
-    ],
-    ("orthopoly", "dump"): [
-        Flag("family", str, "family tag", required=True),
-        Flag("mu0", float, "null mean", required=True),
-        Flag("degree", int, "maximum degree", required=True),
-        Flag("out", str, "output path"),
-    ],
-    ("tau", "dump"): [
-        Flag("degree", int, "maximum degree", default=DEFAULT_TABLE_DEGREE),
-        Flag("out", str, "output path"),
-    ],
-    ("ldlr", "exact"): [
-        Flag("model", str, "model file path", required=True),
-        Flag("degree", _degree, "degree bound D", required=True),
-        Flag("out", str, "output path"),
-    ],
-    ("ldlr", "mc"): [
-        Flag("model", str, "model file path", required=True),
-        Flag("degree", _degree, "degree bound D, or 'inf'", required=True),
-        Flag("samples", int, "Monte Carlo sample count", required=True),
-    ] + COMMON,
-    ("ldlr", "compare"): [
-        Flag("model", str, "model file with families list and z-unit prior", required=True),
-        Flag("degree", _degree, "degree bound D", required=True),
-        Flag("out", str, "output path"),
-    ],
-    ("ldlr", "sbm"): [
-        Flag("n", int, "number of vertices", required=True),
-        Flag("a", _float_list, "inside rate(s), comma separated", required=True),
-        Flag("b", _float_list, "across rate(s), comma separated", required=True),
-        Flag("degree", int, "degree bound D", default=20),
-        Flag("samples", int, "Monte Carlo sample count", required=True),
-    ] + COMMON,
-    ("spiked", "simulate"): [
-        Flag("n", int, "matrix size", required=True),
-        Flag("lam", float, "signal strength lambda", required=True),
-        Flag("noise", str, "sech | heavy | mixed", required=True),
-        Flag("alpha", float, "heavy-tail exponent"),
-        Flag("planted", _bool, "sample the planted side", default=False),
-        Flag("trials", int, "number of instances", default=1),
-        Flag("test", str, "pca | tpca | mixed | none", default="none"),
-    ] + COMMON,
-    ("spiked", "power-curve"): [
-        Flag("test", str, "pca | tpca | mixed", required=True),
-        Flag("noise", str, "sech | heavy | mixed", required=True),
-        Flag("n", int, "matrix size", required=True),
-        Flag("lambdas", _float_list, "signal strengths, comma separated", required=True),
-        Flag("trials", int, "trials per rate and side", required=True),
-        Flag("alpha", float, "heavy-tail exponent"),
-    ] + COMMON,
-    ("spiked", "entrywise-bound"): [
-        Flag("n", int, "matrix size", required=True),
-        Flag("lam", float, "signal strength lambda", required=True),
-        Flag("degree", int, "entrywise degree bound D", required=True),
-        Flag("samples", int, "Monte Carlo sample count", required=True),
-        Flag("exact", _bool, f"also run the exact sum (n <= {MAX_EXACT_N}, D <= {MAX_EXACT_D})",
-             default=False),
-    ] + COMMON,
-    ("mix", "test"): [
-        Flag("n", int, "matrix size", required=True),
-        Flag("lam", float, "signal strength lambda", required=True),
-        Flag("alpha", float, "heavy-tail exponent", required=True),
-        Flag("trials", int, "trials per side", required=True),
-    ] + COMMON,
-}
+OUT = Flag("out", str, "output path")
 
 
 @dataclass(frozen=True)
@@ -197,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI file with per-subcommand defaults")
     groups = parser.add_subparsers(dest="group", required=True)
     seen: dict[str, argparse._SubParsersAction] = {}
-    for (group, action), flags in FLAGS.items():
+    for (group, action), (_, flags) in COMMANDS.items():
         if group not in seen:
             gp = groups.add_parser(group)
             seen[group] = gp.add_subparsers(dest="action", required=True)
@@ -213,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 def merge_config(args: argparse.Namespace) -> ExperimentConfig:
     """Apply config-file defaults, convert types, check required keys."""
     command = (args.group, args.action)
-    flags = FLAGS[command]
+    flags = COMMANDS[command][1]
     file_vals: dict[str, str] = {}
     if args.config:
         ini = configparser.ConfigParser()
@@ -346,7 +273,10 @@ def write_report(config: ExperimentConfig, header: list[str], rows: list[tuple])
     text = "\n".join(lines) + "\n"
     out = config.values.get("out")
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"report: cannot write file {out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -357,15 +287,11 @@ def write_report(config: ExperimentConfig, header: list[str], rows: list[tuple])
 
 def _run_families_list(config):
     rows = []
-    for kind in ALL_KINDS:
-        fam = {
-            "gaussian": Family.gaussian(1.0), "poisson": Family.poisson(),
-            "gamma": Family.gamma(2.0), "binomial": Family.binomial(1),
-            "negbinomial": Family.negbinomial(2), "sech": Family.sech(),
-        }[kind]
+    for fam in (Family.gaussian(1.0), Family.poisson(), Family.gamma(2.0),
+                Family.binomial(1), Family.negbinomial(2), Family.sech()):
         v0, v1, v2 = fam.variance_coeffs()
         dom = fam.mean_domain
-        rows.append((kind, fam.tag(), v0, v1, v2, dom.lo, dom.hi))
+        rows.append((fam.kind, fam.tag(), v0, v1, v2, dom.lo, dom.hi))
     write_report(config, ["kind", "example_tag", "v0", "v1", "v2", "mean_lo", "mean_hi"], rows)
 
 
@@ -394,10 +320,10 @@ def _run_families_check(config):
         raise NumericInstabilityError("families check failed; see report")
 
 
-def _run_orthopoly(config, dump: bool):
+def _run_orthopoly(config):
     fam = parse_family(config.values["family"])
     basis = build_basis(fam, config.values["mu0"], config.values["degree"])
-    if dump:
+    if config.command[1] == "dump":
         rows = basis_rows(basis)
         width = max(len(r) for r in rows)
         header = ["k"] + [f"c{i}" for i in range(width - 2)] + ["norm_sq"]
@@ -486,23 +412,21 @@ def _run_ldlr_sbm(config):
     )
 
 
-_TEST_FNS = {"pca": pca_test, "tpca": tpca_test, "mixed": mixed_test}
-
-
 def _run_spiked_simulate(config):
     v = config.values
+    test = _TEST_FNS.get(v["test"])
+    if test is None and v["test"] != "none":
+        raise ConfigError(f"config: unknown test {v['test']!r} "
+                          f"(expected none or one of {sorted(_TEST_FNS)})")
     seed = v["seed"]
     rng = np.random.default_rng(seed)
     rows = []
     for trial in range(v["trials"]):
         inst = sample_wig(v["n"], v["lam"], v["noise"], v["planted"], rng, alpha=v["alpha"])
-        if v["test"] == "none":
-            stat = thr = label = None
-        elif v["test"] in _TEST_FNS:
-            verdict = _TEST_FNS[v["test"]](inst)
+        stat = thr = label = None
+        if test is not None:
+            verdict = test(inst)
             stat, thr, label = verdict.statistic, verdict.threshold, verdict.label
-        else:
-            raise ConfigError(f"config: unknown test {v['test']!r}")
         rows.append((trial, inst.n, inst.lam, inst.noise_kind, inst.alpha,
                      inst.planted, inst.branch, v["test"], stat, thr, label, seed))
     write_report(config, ["trial", "n", "lambda", "noise", "alpha", "planted",
@@ -552,25 +476,85 @@ def _run_mix_test(config):
     )
 
 
-RUNNERS = {
-    ("families", "list"): _run_families_list,
-    ("families", "check"): _run_families_check,
-    ("orthopoly", "build"): lambda c: _run_orthopoly(c, dump=False),
-    ("orthopoly", "dump"): lambda c: _run_orthopoly(c, dump=True),
-    ("tau", "dump"): _run_tau_dump,
-    ("ldlr", "exact"): _run_ldlr_exact,
-    ("ldlr", "mc"): _run_ldlr_mc,
-    ("ldlr", "compare"): _run_ldlr_compare,
-    ("ldlr", "sbm"): _run_ldlr_sbm,
-    ("spiked", "simulate"): _run_spiked_simulate,
-    ("spiked", "power-curve"): _run_spiked_power_curve,
-    ("spiked", "entrywise-bound"): _run_spiked_entrywise,
-    ("mix", "test"): _run_mix_test,
+# ---------------------------------------------------------------------------
+# command table: runner and declarative flags, shared by argparse and the
+# config-file merge
+# ---------------------------------------------------------------------------
+
+_ORTHOPOLY_FLAGS = [
+    Flag("family", str, "family tag, e.g. gamma{alpha=2}", required=True),
+    Flag("mu0", float, "null mean", required=True),
+    Flag("degree", int, "maximum degree", required=True),
+    OUT,
+]
+
+COMMANDS: dict[tuple[str, str], tuple[object, list[Flag]]] = {
+    ("families", "list"): (_run_families_list, [OUT]),
+    ("families", "check"): (_run_families_check, [OUT]),
+    ("orthopoly", "build"): (_run_orthopoly, _ORTHOPOLY_FLAGS),
+    ("orthopoly", "dump"): (_run_orthopoly, _ORTHOPOLY_FLAGS),
+    ("tau", "dump"): (_run_tau_dump, [
+        Flag("degree", int, "maximum degree", default=DEFAULT_TABLE_DEGREE),
+        OUT,
+    ]),
+    ("ldlr", "exact"): (_run_ldlr_exact, [
+        Flag("model", str, "model file path", required=True),
+        Flag("degree", _degree, "degree bound D", required=True),
+        OUT,
+    ]),
+    ("ldlr", "mc"): (_run_ldlr_mc, [
+        Flag("model", str, "model file path", required=True),
+        Flag("degree", _degree, "degree bound D, or 'inf'", required=True),
+        Flag("samples", int, "Monte Carlo sample count", required=True),
+    ] + COMMON),
+    ("ldlr", "compare"): (_run_ldlr_compare, [
+        Flag("model", str, "model file with families list and z-unit prior", required=True),
+        Flag("degree", _degree, "degree bound D", required=True),
+        OUT,
+    ]),
+    ("ldlr", "sbm"): (_run_ldlr_sbm, [
+        Flag("n", int, "number of vertices", required=True),
+        Flag("a", _float_list, "inside rate(s), comma separated", required=True),
+        Flag("b", _float_list, "across rate(s), comma separated", required=True),
+        Flag("degree", int, "degree bound D", default=20),
+        Flag("samples", int, "Monte Carlo sample count", required=True),
+    ] + COMMON),
+    ("spiked", "simulate"): (_run_spiked_simulate, [
+        Flag("n", int, "matrix size", required=True),
+        Flag("lam", float, "signal strength lambda", required=True),
+        Flag("noise", str, "sech | heavy | mixed", required=True),
+        Flag("alpha", float, "heavy-tail exponent"),
+        Flag("planted", _bool, "sample the planted side", default=False),
+        Flag("trials", int, "number of instances", default=1),
+        Flag("test", str, "pca | tpca | mixed | none", default="none"),
+    ] + COMMON),
+    ("spiked", "power-curve"): (_run_spiked_power_curve, [
+        Flag("test", str, "pca | tpca | mixed", required=True),
+        Flag("noise", str, "sech | heavy | mixed", required=True),
+        Flag("n", int, "matrix size", required=True),
+        Flag("lambdas", _float_list, "signal strengths, comma separated", required=True),
+        Flag("trials", int, "trials per rate and side", required=True),
+        Flag("alpha", float, "heavy-tail exponent"),
+    ] + COMMON),
+    ("spiked", "entrywise-bound"): (_run_spiked_entrywise, [
+        Flag("n", int, "matrix size", required=True),
+        Flag("lam", float, "signal strength lambda", required=True),
+        Flag("degree", int, "entrywise degree bound D", required=True),
+        Flag("samples", int, "Monte Carlo sample count", required=True),
+        Flag("exact", _bool, f"also run the exact sum (n <= {MAX_EXACT_N}, D <= {MAX_EXACT_D})",
+             default=False),
+    ] + COMMON),
+    ("mix", "test"): (_run_mix_test, [
+        Flag("n", int, "matrix size", required=True),
+        Flag("lam", float, "signal strength lambda", required=True),
+        Flag("alpha", float, "heavy-tail exponent", required=True),
+        Flag("trials", int, "trials per side", required=True),
+    ] + COMMON),
 }
 
 
 def run(config: ExperimentConfig) -> int:
-    RUNNERS[config.command](config)
+    COMMANDS[config.command][0](config)
     return EXIT_OK
 
 
@@ -582,19 +566,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return run(merge_config(args))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except NumericInstabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except NefqvfError as exc:
-        # remaining domain violations are bad configuration
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, CapExceededError):
+            return EXIT_CAP
+        if isinstance(exc, NumericInstabilityError):
+            return EXIT_NUMERIC
+        return EXIT_CONFIG  # config errors and the remaining domain violations
 
 
 if __name__ == "__main__":

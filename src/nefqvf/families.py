@@ -36,6 +36,9 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 ALL_KINDS = ("gaussian", "poisson", "gamma", "binomial", "negbinomial", "sech")
+# the tag key and type of each parametrized kind's ``param``; the rest take none
+_PARAM = {"gaussian": ("sigma2", float), "gamma": ("alpha", float),
+          "binomial": ("m", int), "negbinomial": ("m", int)}
 
 
 @dataclass(frozen=True)
@@ -323,15 +326,9 @@ class Family:
 
     def tag(self) -> str:
         """Short string form, e.g. ``gamma{alpha=2}``; see :func:`parse_family`."""
-        if self.kind == "gaussian":
-            return f"gaussian{{sigma2={_fmt(self.param)}}}"
-        if self.kind == "gamma":
-            return f"gamma{{alpha={_fmt(self.param)}}}"
-        if self.kind == "binomial":
-            return f"binomial{{m={self.param}}}"
-        if self.kind == "negbinomial":
-            return f"negbinomial{{m={self.param}}}"
-        return self.kind
+        if self.kind not in _PARAM:
+            return self.kind
+        return f"{self.kind}{{{_PARAM[self.kind][0]}={_fmt(self.param)}}}"
 
 
 def binomial_log_weights(n: int) -> np.ndarray:
@@ -342,7 +339,7 @@ def binomial_log_weights(n: int) -> np.ndarray:
 
 
 def _fmt(x) -> str:
-    return repr(int(x)) if float(x) == int(x) else repr(float(x))
+    return repr(int(x)) if x == int(x) else repr(float(x))
 
 
 def _log_cosh(t: float) -> float:
@@ -372,26 +369,19 @@ def parse_family(tag: str) -> Family:
     name = name.strip()
     if name not in ALL_KINDS:
         raise ConfigError(f"family: unknown name {name!r} (expected one of {ALL_KINDS})")
-
-    def _num(key, cast):
-        if key not in params:
-            raise ConfigError(f"family: {name} requires parameter {key!r}")
-        extra = set(params) - {key}
-        if extra:
-            raise ConfigError(f"family: unexpected parameter(s) {sorted(extra)} for {name}")
-        try:
-            return cast(params[key])
-        except ValueError as exc:
-            raise ConfigError(f"family: bad value for {key!r}: {params[key]!r}") from exc
-
-    if name == "gaussian":
-        return Family.gaussian(_num("sigma2", float))
-    if name == "gamma":
-        return Family.gamma(_num("alpha", float))
-    if name == "binomial":
-        return Family.binomial(_num("m", int))
-    if name == "negbinomial":
-        return Family.negbinomial(_num("m", int))
-    if params:
-        raise ConfigError(f"family: {name} takes no parameters, got {sorted(params)}")
-    return Family.poisson() if name == "poisson" else Family.sech()
+    make = getattr(Family, name)  # the classmethod constructor validates the value
+    if name not in _PARAM:
+        if params:
+            raise ConfigError(f"family: {name} takes no parameters, got {sorted(params)}")
+        return make()
+    key, cast = _PARAM[name]
+    if key not in params:
+        raise ConfigError(f"family: {name} requires parameter {key!r}")
+    extra = set(params) - {key}
+    if extra:
+        raise ConfigError(f"family: unexpected parameter(s) {sorted(extra)} for {name}")
+    try:
+        value = cast(params[key])
+    except ValueError as exc:
+        raise ConfigError(f"family: bad value for {key!r}: {params[key]!r}") from exc
+    return make(value)

@@ -13,12 +13,14 @@ over sign vectors; under the null they are pure noise.  Noise kinds:
 
 The sech-noise critical signal strength is ``lambda_star = 2 sqrt(2)/pi``,
 the inverse square root of the Fisher information of the location family
-of the sech density.  The plain eigenvalue test thresholds the top
-eigenvalue of Y; the score-transformed test first applies the Fisher-
-normalized score lambda_star^2 * (pi/2) tanh(pi y / 2) entrywise, whose
-null bulk edge is 2 lambda_star and whose planted outlier sits at
-lambda + lambda_star^2 / lambda once lambda > lambda_star; both tests
-threshold halfway between the null edge and the planted outlier.
+of the sech density.  There is one eigenvalue test: apply an entrywise
+transform g, then threshold the top eigenvalue of g(Y)/sqrt(n) halfway
+between the null bulk edge 2 sigma and the planted outlier
+lambda + sigma^2/lambda, where sigma^2 is the null entry variance of g.
+``pca_test`` takes g(y) = y with sigma = 1; ``tpca_test`` takes the
+Fisher-normalized score lambda_star^2 * (pi/2) tanh(pi y / 2) with
+sigma = lambda_star, whose outlier separates from the bulk once
+lambda > lambda_star.
 
 Memory: an instance is one n x n buffer, built beside the packed noise
 triangle with the spike added row by row, and ``tpca_test`` allocates one
@@ -204,17 +206,23 @@ def top_eigenvalue(M: np.ndarray) -> float:
         raise NumericInstabilityError(f"eigen-solver failed: {exc}") from exc
 
 
-def pca_test(inst: WigInstance, lam: float | None = None) -> TestVerdict:
-    """Threshold the top eigenvalue of Y / sqrt(n).
+def _eigen_test(inst: WigInstance, lam: float | None, transform,
+                sigma: float) -> TestVerdict:
+    """Threshold the top eigenvalue of transform(Y) / sqrt(n).
 
-    Null bulk edge 2 (unit-variance noise), planted outlier
-    lambda + 1/lambda for lambda > 1; the threshold is their midpoint."""
+    Null bulk edge 2*sigma, planted outlier lambda + sigma^2/lambda once
+    lambda > sigma; the threshold is their midpoint (infinite at lambda = 0)."""
     lam = inst.lam if lam is None else lam
     if lam < 0:
         raise DomainError("the eigenvalue tests need lambda >= 0")
-    stat = top_eigenvalue(inst.matrix()) / math.sqrt(inst.n)
-    thr = math.inf if lam == 0 else 0.5 * (2.0 + lam + 1.0 / lam)
+    stat = top_eigenvalue(transform(inst.matrix())) / math.sqrt(inst.n)
+    thr = math.inf if lam == 0 else 0.5 * (2.0 * sigma + lam + sigma**2 / lam)
     return TestVerdict("p" if stat >= thr else "q", stat, thr)
+
+
+def pca_test(inst: WigInstance, lam: float | None = None) -> TestVerdict:
+    """The eigenvalue test on Y itself (no copy): edge 2, outlier lambda + 1/lambda."""
+    return _eigen_test(inst, lam, lambda y: y, 1.0)
 
 
 def score_transform(y):
@@ -234,17 +242,11 @@ def score_transform(y):
 
 
 def tpca_test(inst: WigInstance, lam: float | None = None) -> TestVerdict:
-    """Threshold the top eigenvalue after the entrywise score transform.
+    """The eigenvalue test after the entrywise score transform.
 
-    Null edge 2*lambda_star; planted outlier lambda + lambda_star^2/lambda
-    once lambda > lambda_star; threshold at the midpoint.  Detects down to
-    lambda_star, below the plain test's critical value of 1."""
-    lam = inst.lam if lam is None else lam
-    if lam < 0:
-        raise DomainError("the eigenvalue tests need lambda >= 0")
-    stat = top_eigenvalue(score_transform(inst.matrix())) / math.sqrt(inst.n)
-    thr = math.inf if lam == 0 else 0.5 * (2.0 * LAMBDA_STAR + lam + LAMBDA_STAR**2 / lam)
-    return TestVerdict("p" if stat >= thr else "q", stat, thr)
+    Edge 2*lambda_star, outlier lambda + lambda_star^2/lambda: detects down
+    to lambda_star, below the plain test's critical value of 1."""
+    return _eigen_test(inst, lam, score_transform, LAMBDA_STAR)
 
 
 def mixed_test(inst: WigInstance, lam: float | None = None) -> TestVerdict:
@@ -352,6 +354,7 @@ def entrywise_ldlr_mc_bound(n: int, lam: float, D: int, samples: int,
     """Monte Carlo of the chi-square functional dominating the exact sum."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
+    c = entrywise_coefficient(n, lam, D)  # checks D >= 1 before the regime test divides by D
     if lam >= LAMBDA_STAR + 1.0 / (20.0 * D):
         warnings.warn(
             f"lambda={lam} is at or above the bounded regime "
@@ -359,7 +362,6 @@ def entrywise_ldlr_mc_bound(n: int, lam: float, D: int, samples: int,
             "the estimate may diverge",
             stacklevel=2,
         )
-    c = entrywise_coefficient(n, lam, D)
     value, stderr = overlap_chi2_mc(c, n, samples, rng)
     return EntrywiseBound(c=c, value=value, stderr=stderr, samples=samples)
 

@@ -1,5 +1,6 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import nefqvf
-from nefqvf import ldlr
+from nefqvf import cli, ldlr, spiked
 from nefqvf.cli import main, parse_model_file
 from nefqvf.ldlr import LdlrResult
 
@@ -168,6 +169,64 @@ def test_numeric_instability_exit_code(tmp_path, monkeypatch, capsys):
     code = main(["ldlr", "compare", "--model", str(path), "--degree", "3"])
     err = capsys.readouterr().err
     assert code == 4 and "not monotone" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spiked", "entrywise-bound", "--n", "50", "--lambda", "0.5", "--degree", "0",
+      "--samples", "30"], "D >= 1"),
+    (["families", "list", "--out", "/nonexistent/x.csv"], "/nonexistent/x.csv"),
+    (["spiked", "simulate", "--n", "20", "--lambda", "1", "--noise", "sech",
+      "--test", "bogus", "--trials", "0"], "bogus"),
+])
+def test_bad_input_exits_config_code(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_rejects_test_name_before_drawing(monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew an instance for an unknown test")
+
+    monkeypatch.setattr(cli, "sample_wig", no_draw)
+    code = main(["spiked", "simulate", "--n", "2000", "--lambda", "1", "--noise", "sech",
+                 "--test", "bogus", "--trials", "3"])
+    assert code == 2 and "bogus" in capsys.readouterr().err
+
+
+def test_cli_and_library_share_one_test_table():
+    assert cli._TEST_FNS is spiked._TESTS
+    assert set(spiked._TESTS) == {"pca", "tpca", "mixed"}
+
+
+def test_layer_tracing_still_sees_the_spiked_layers(capsys):
+    # perfbench/tracing.py patches package functions by name; load it from
+    # its file and check that a folded table or wrapper still routes through
+    # the patched names
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("nefqvf_layer_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        assert cli.main(["spiked", "simulate", "--n", "30", "--lambda", "1.2",
+                         "--noise", "heavy", "--alpha", "1.5", "--trials", "3",
+                         "--test", "mixed", "--seed", "3"]) == 0
+        assert cli.main(["spiked", "power-curve", "--test", "tpca", "--noise", "sech",
+                         "--n", "30", "--lambdas", "1.3", "--trials", "2",
+                         "--seed", "4"]) == 0
+    finally:
+        undo()
+    capsys.readouterr()
+    counts = tracer.summary()
+    assert counts.get("spiked.score_transform.entries", 0) > 0
+    assert counts.get("spiked.top_eigenvalue.calls", 0) > 0
+    assert counts.get("spiked.mixed_test.short_circuits", 0) > 0
+    assert spiked._TESTS["mixed"] is spiked.mixed_test
+    assert cli.mixed_test is spiked.mixed_test
 
 
 def test_families_list_and_check(capsys):

@@ -402,6 +402,13 @@ def test_entrywise_mc_bound_warns_above_regime():
         entrywise_ldlr_mc_bound(100, 1.5, 2, 100, rng)
 
 
+def test_entrywise_mc_bound_rejects_degree_below_one():
+    # the regime test divides by D, so D >= 1 is checked before it
+    for D in (0, -1):
+        with pytest.raises(DomainError, match="D >= 1"):
+            entrywise_ldlr_mc_bound(100, 0.5, D, 100, np.random.default_rng(0))
+
+
 def test_power_curve_rows():
     rng = np.random.default_rng(14)
     rows = power_curve("pca", "sech", [0.0, 2.0], 60, 5, rng)
