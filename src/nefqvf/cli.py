@@ -56,10 +56,9 @@ from .spiked import (
     mixed_test,  # noqa: F401  (unused here; perfbench/tracing.py patches it by this name)
     power_curve,
     sample_wig,
-    MAX_EXACT_D,
     MAX_EXACT_N,
 )
-from .translation import DEFAULT_TABLE_DEGREE, build_translation_table, table_rows
+from .translation import DEFAULT_TABLE_DEGREE, MAX_TABLE_DEGREE, build_translation_table, table_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -541,7 +540,8 @@ COMMANDS: dict[tuple[str, str], tuple[object, list[Flag]]] = {
         Flag("lam", float, "signal strength lambda", required=True),
         Flag("degree", int, "entrywise degree bound D", required=True),
         Flag("samples", int, "Monte Carlo sample count", required=True),
-        Flag("exact", _bool, f"also run the exact sum (n <= {MAX_EXACT_N}, D <= {MAX_EXACT_D})",
+        Flag("exact", _bool,
+             f"also run the exact sum (n <= {MAX_EXACT_N}, D <= {MAX_TABLE_DEGREE})",
              default=False),
     ] + COMMON),
     ("mix", "test"): (_run_mix_test, [

@@ -331,13 +331,6 @@ class Family:
         return f"{self.kind}{{{_PARAM[self.kind][0]}={_fmt(self.param)}}}"
 
 
-def binomial_log_weights(n: int) -> np.ndarray:
-    """-log p! - log (n-p)!, p = 0..n: the Binomial(n, 1/2) log pmf up to
-    a constant, from ``math.lgamma``; callers normalise the weights."""
-    lg = np.array([math.lgamma(p + 1) for p in range(n + 1)])
-    return -lg - lg[::-1]
-
-
 def _fmt(x) -> str:
     return repr(int(x)) if x == int(x) else repr(float(x))
 

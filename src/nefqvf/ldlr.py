@@ -30,10 +30,14 @@ Z-scores come from one array map of rows of mean vectors,
 arrays of overlaps (``probs @ f(Z Z^T) @ probs`` over atom pairs).
 
 Exact norms are restricted to atom priors; sampler-backed priors feed only
-the Monte Carlo overlap estimates.
+the Monte Carlo overlap estimates.  Every atom-only route reads the prior
+through :meth:`SpikePrior.atom_arrays`, the one place that rejects a
+sampler-backed prior.
 
-The block-model scan draws <s1, s2> = 2 Binomial(n, 1/2) - n by searching
-a symmetric-binomial CDF table built once per scan.
+The overlap of two uniform sign vectors is 2P - n with P ~ Binomial(n, 1/2);
+its law lives here once: exact means over P in log space
+(``_sign_count_mean``), and the CDF table that the block-model scan
+searches to draw P.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .errors import CapExceededError, DegenerateDegreeError, DomainError, NumericInstabilityError
-from .families import Family, binomial_log_weights
+from .families import Family
 from .orthopoly import a_hat, exp_trunc, f_eval, f_trunc, neg_v_order
 from .translation import build_translation_table
 
@@ -90,9 +94,12 @@ class SpikePrior:
     def from_sampler(cls, kind: str, sampler) -> "SpikePrior":
         return cls(kind=kind, sampler=sampler)
 
-    @property
-    def is_atomic(self) -> bool:
-        return self.atoms is not None
+    def atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (atoms, N) array of atom vectors and the array of their
+        probabilities; a sampler-backed prior raises DomainError."""
+        if self.atoms is None:
+            raise DomainError("this route requires an atom prior, not a sampler")
+        return np.array([vec for vec, _ in self.atoms]), np.array([p for _, p in self.atoms])
 
 
 @dataclass(frozen=True)
@@ -123,8 +130,7 @@ class KinSpikedModel(_SpikedModel):
     def __post_init__(self):
         super().__post_init__()
         if self.prior.atoms is not None:
-            self.family._check_mean(np.array([vec for vec, _ in self.prior.atoms]),
-                                    "kin atom coordinate")
+            self.family._check_mean(self.prior.atom_arrays()[0], "kin atom coordinate")
 
     def z_scores(self, means) -> np.ndarray:
         """Rows of mean vectors to rows of z-scores against the null means."""
@@ -135,9 +141,7 @@ class KinSpikedModel(_SpikedModel):
 
     def z_matrix(self) -> np.ndarray:
         """Row a = z-score vector of atom a against the null means."""
-        if self.prior.atoms is None:
-            raise DomainError("z_matrix requires an atom prior")
-        return self.z_scores([vec for vec, _ in self.prior.atoms])
+        return self.z_scores(self.prior.atom_arrays()[0])
 
 
 @dataclass(frozen=True)
@@ -167,12 +171,17 @@ class LdlrResult:
 # truncated generating-function products
 # ---------------------------------------------------------------------------
 
-def _check_work(model, D: int) -> None:
-    work = len(model.prior.atoms) ** 2 * model.N * (D + 1) ** 2
+def _check_work(model, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prior's atom arrays, once D >= 0 and the work bound hold."""
+    vecs, probs = model.prior.atom_arrays()
+    if D < 0:
+        raise DomainError(f"D must be >= 0, got {D}")
+    work = len(probs) ** 2 * model.N * (D + 1) ** 2
     if work > ENUM_CAP:
         raise CapExceededError(
             f"atoms^2 * N * (D+1)^2 = {work} exceeds the work bound {ENUM_CAP}"
         )
+    return vecs, probs
 
 
 def _pair_gf_sum(probs: np.ndarray, factors, D: int) -> float:
@@ -198,8 +207,7 @@ def _pair_gf_sum(probs: np.ndarray, factors, D: int) -> float:
 
 def component(model: KinSpikedModel, k) -> float:
     """Projection of the likelihood ratio on the product basis element k."""
-    if not model.prior.is_atomic:
-        raise DomainError("component requires an atom-mode prior")
+    vecs, probs = model.prior.atom_arrays()
     k = tuple(int(v) for v in k)
     if len(k) != model.N:
         raise DomainError(f"multi-index length {len(k)} != N={model.N}")
@@ -214,10 +222,9 @@ def component(model: KinSpikedModel, k) -> float:
                 f"degree {ki} is degenerate for {model.family.tag()}"
             )
         coef *= a_hat(ki, v2) / math.factorial(ki)
-    Z = model.z_matrix()
     expect = sum(
-        p * math.prod(Z[a, i] ** ki for i, ki in enumerate(k))
-        for a, (_, p) in enumerate(model.prior.atoms)
+        p * math.prod(zi ** ki for zi, ki in zip(z, k))
+        for z, p in zip(model.z_scores(vecs), probs)
     )
     return math.sqrt(coef) * expect
 
@@ -225,19 +232,14 @@ def component(model: KinSpikedModel, k) -> float:
 def ldlr_exact(model: KinSpikedModel, D: int) -> LdlrResult:
     """Exact squared norm of the degree-D projection, as a truncated
     generating-function product over coordinates."""
-    if not model.prior.is_atomic:
-        raise DomainError("ldlr_exact requires an atom-mode prior")
-    if D < 0:
-        raise DomainError(f"D must be >= 0, got {D}")
-    _check_work(model, D)
+    vecs, probs = _check_work(model, D)
     v2 = model.family.v2
     m_stop = neg_v_order(v2)  # degrees past m are degenerate for v2 = -1/m
     K = D if m_stop is None else min(D, m_stop)
     # (a_hat_k/k!) w^k as a running product of w (1 + v2 (k-1)) / k, which
     # neither overflows in k! nor in w^k
     ratios = np.array([(1.0 + v2 * (k - 1)) / k for k in range(1, K + 1)])
-    Z = model.z_matrix()
-    probs = np.array([p for _, p in model.prior.atoms])
+    Z = model.z_scores(vecs)
     ones = np.ones((len(probs), len(probs), 1))
     factors = (
         np.concatenate([ones, np.cumprod(np.outer(z, z)[:, :, None] * ratios, axis=2)], axis=2)
@@ -250,11 +252,9 @@ def full_norm_exact(model: KinSpikedModel) -> LdlrResult:
     """Untruncated squared norm: E over prior pairs of prod_i f(z_i^1 z_i^2; v2).
 
     May be +inf for v2 > 0 when an overlap reaches the singularity."""
-    if not model.prior.is_atomic:
-        raise DomainError("full_norm_exact requires an atom-mode prior")
+    vecs, probs = model.prior.atom_arrays()
     v2 = model.family.v2
-    Z = model.z_matrix()
-    probs = np.array([p for _, p in model.prior.atoms])
+    Z = model.z_scores(vecs)
     # one (atoms, N) slab per atom a, never an atoms x atoms x N array
     g = np.array([np.prod(f_eval(z * Z, v2), axis=1) for z in Z])
     return LdlrResult(value=float(probs @ g @ probs), mode="exact", degree=None)
@@ -267,12 +267,10 @@ def overlap_bound_exact(model: KinSpikedModel, D: int | None, v: float | None = 
     is the overlap route to the same quantity as :func:`ldlr_exact` (equal
     at v2 = 0) and is kept algorithmically independent of it.
     """
-    if not model.prior.is_atomic:
-        raise DomainError("overlap_bound_exact requires an atom-mode prior")
+    vecs, probs = model.prior.atom_arrays()
     if v is None:
         v = model.family.v2
-    Z = model.z_matrix()
-    probs = np.array([p for _, p in model.prior.atoms])
+    Z = model.z_scores(vecs)
     r = Z @ Z.T
     g = f_eval(r, v) if D is None else f_trunc(D, v)(r)
     return float(probs @ g @ probs)
@@ -291,16 +289,10 @@ def ldlr_exact_additive(model: AdditiveSpikedModel, D: int) -> LdlrResult:
         raise DomainError("additive exact norms require the sech family")
     if any(mu != 0.0 for mu in model.null_means):
         raise DomainError("additive exact norms require all null means zero")
-    if not model.prior.is_atomic:
-        raise DomainError("ldlr_exact_additive requires an atom-mode prior")
-    if D < 0:
-        raise DomainError(f"D must be >= 0, got {D}")
-    _check_work(model, D)
+    X, probs = _check_work(model, D)
     table = build_translation_table(D)
-    X = np.array([vec for vec, _ in model.prior.atoms])
     # tau[a, i, k] = tau_hat_k at coordinate i of atom a
     tau = np.stack([table.eval(k, X) for k in range(D + 1)], axis=2)
-    probs = np.array([p for _, p in model.prior.atoms])
     factors = (t[:, None, :] * t[None, :, :] for t in tau.transpose(1, 0, 2))
     return LdlrResult(value=_pair_gf_sum(probs, factors, D), mode="exact", degree=D)
 
@@ -319,9 +311,9 @@ def _pair_overlaps(model: KinSpikedModel, samples: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Overlaps r of ``samples`` independent pairs of prior draws; sampler
     priors are drawn in pair order x1_0, x2_0, x1_1, ... and mapped at once."""
-    if model.prior.is_atomic:
-        Z = model.z_matrix()
-        probs = [p for _, p in model.prior.atoms]
+    if model.prior.atoms is not None:
+        vecs, probs = model.prior.atom_arrays()
+        Z = model.z_scores(vecs)
         i1 = rng.choice(len(probs), p=probs, size=samples)
         i2 = rng.choice(len(probs), p=probs, size=samples)
         Z1, Z2 = Z[i1], Z[i2]
@@ -374,15 +366,15 @@ def kin_model_from_z(family: Family, null_means, z_prior: SpikePrior) -> KinSpik
     maps to the mean mu_j + delta_j * sqrt(V(mu_j)).  The resulting raw
     atoms must land inside the family's mean domain.
     """
-    if not z_prior.is_atomic or z_prior.kind != "kin":
-        raise DomainError("kin_model_from_z requires an atom-mode kin prior")
+    if z_prior.kind != "kin":
+        raise DomainError("kin_model_from_z requires a kin prior")
     mu = np.array(null_means, dtype=float)
-    if any(len(vec) != len(mu) for vec, _ in z_prior.atoms):
+    if z_prior.atoms is not None and any(len(vec) != len(mu) for vec, _ in z_prior.atoms):
         raise DomainError("prior atom dimension differs from N")
-    deltas = np.array([vec for vec, _ in z_prior.atoms])
+    deltas, probs = z_prior.atom_arrays()
     raw = mu + deltas * np.sqrt(family.variance(mu))
-    atoms = [(row, p) for row, (_, p) in zip(raw, z_prior.atoms)]
-    return KinSpikedModel(family, tuple(null_means), SpikePrior.from_atoms("kin", atoms))
+    return KinSpikedModel(family, tuple(null_means),
+                          SpikePrior.from_atoms("kin", zip(raw, probs)))
 
 
 def channel_compare(families: list[Family], null_means, z_prior: SpikePrior,
@@ -448,6 +440,27 @@ class SbmScanRow:
     @property
     def above_threshold(self) -> bool:
         return self.ks_lhs > self.ks_rhs
+
+
+def binomial_log_weights(n: int) -> np.ndarray:
+    """-log p! - log (n-p)!, p = 0..n: the Binomial(n, 1/2) log pmf up to
+    a constant, from ``math.lgamma``; callers normalise the weights."""
+    lg = np.array([math.lgamma(p + 1) for p in range(n + 1)])
+    return -lg - lg[::-1]
+
+
+def _sign_count_mean(log_values: np.ndarray, signs=1.0) -> float:
+    """E[signs[P] exp(log_values[P])] for P ~ Binomial(n, 1/2), n = len - 1.
+
+    Summed in log space with the pmf normalised to total one, so a constant
+    log_values gives exactly that constant; the result may overflow to inf.
+    """
+    log_w = binomial_log_weights(len(log_values) - 1)
+    log_terms = log_w + log_values
+    top, w_top = float(np.max(log_terms)), float(np.max(log_w))
+    ratio = np.sum(signs * np.exp(log_terms - top)) / np.sum(np.exp(log_w - w_top))
+    with np.errstate(over="ignore"):
+        return float(ratio * np.exp(top - w_top))
 
 
 def _symmetric_binomial_cdf(n: int) -> np.ndarray:

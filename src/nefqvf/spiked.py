@@ -52,8 +52,8 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .errors import DomainError, NumericInstabilityError
-from .families import Family, binomial_log_weights
-from .ldlr import _mc_summary
+from .families import Family
+from .ldlr import _mc_summary, _sign_count_mean
 from .translation import build_translation_table
 
 LAMBDA_STAR = 2.0 * math.sqrt(2.0) / math.pi
@@ -267,21 +267,6 @@ def mixed_test(inst: WigInstance, lam: float | None = None) -> TestVerdict:
 # ---------------------------------------------------------------------------
 
 MAX_EXACT_N = 10**6  # keeps the O(n) work arrays small
-MAX_EXACT_D = 3
-
-
-def _sign_count_mean(log_values: np.ndarray, signs=1.0) -> float:
-    """E[signs[P] exp(log_values[P])] for P ~ Binomial(n, 1/2), n = len - 1.
-
-    Summed in log space with the pmf normalised to total one, so a constant
-    log_values gives exactly that constant; the result may overflow to inf.
-    """
-    log_w = binomial_log_weights(len(log_values) - 1)
-    log_terms = log_w + log_values
-    top, w_top = float(np.max(log_terms)), float(np.max(log_w))
-    ratio = np.sum(signs * np.exp(log_terms - top)) / np.sum(np.exp(log_w - w_top))
-    with np.errstate(over="ignore"):
-        return float(ratio * np.exp(top - w_top))
 
 
 def entrywise_ldlr_exact(n: int, lam: float, D: int) -> float:
@@ -290,12 +275,11 @@ def entrywise_ldlr_exact(n: int, lam: float, D: int) -> float:
     The surviving multi-indices are those giving every vertex an even
     incident degree; the sum factorizes over edges into even/odd weights
     and over sign vectors into the positive-sign count (see the module
-    docstring).  Caps: n <= MAX_EXACT_N, D <= 3.
+    docstring).  Caps: n <= MAX_EXACT_N; D is any degree the translation
+    table builds (0..MAX_TABLE_DEGREE), which the table build checks.
     """
     if not 2 <= n <= MAX_EXACT_N:
         raise DomainError(f"need 2 <= n <= {MAX_EXACT_N}, got {n}")
-    if not 0 <= D <= MAX_EXACT_D:
-        raise DomainError(f"need 0 <= D <= {MAX_EXACT_D}, got {D}")
     table = build_translation_table(D)
     s = lam / math.sqrt(n)
     tau_sq = [float(table.eval(k, s)) ** 2 for k in range(D + 1)]

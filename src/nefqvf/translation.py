@@ -57,7 +57,7 @@ class TranslationPolyTable:
 def build_translation_table(K: int = DEFAULT_TABLE_DEGREE) -> TranslationPolyTable:
     """Exact table of tau_hat_0 .. tau_hat_K via powers of the arctan series."""
     if not 0 <= K <= MAX_TABLE_DEGREE:
-        raise DomainError(f"K must be in 0..{MAX_TABLE_DEGREE}, got {K}")
+        raise DomainError(f"translation table degree must be in 0..{MAX_TABLE_DEGREE}, got {K}")
     # arctan t = sum_{j odd} (-1)^((j-1)/2) t^j / j, truncated at order K
     atan = [Fraction(0)] * (K + 1)
     for j in range(1, K + 1, 2):

@@ -201,10 +201,13 @@ def test_cli_and_library_share_one_test_table():
     assert set(spiked._TESTS) == {"pca", "tpca", "mixed"}
 
 
-def test_layer_tracing_still_sees_the_spiked_layers(capsys):
+def test_layer_tracing_still_sees_the_spiked_layers(bernoulli_model, tmp_path, capsys):
     # perfbench/tracing.py patches package functions by name; load it from
-    # its file and check that a folded table or wrapper still routes through
-    # the patched names
+    # its file and check that a folded table, wrapper or accessor still
+    # routes through the patched names
+    additive_model = tmp_path / "additive.model"
+    additive_model.write_text("family = sech\nkind = additive\nnull_means = 0 0\n"
+                              "atom = 0.3 -0.2 : 0.6\natom = -0.1 0.25 : 0.4\n")
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("nefqvf_layer_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -218,6 +221,10 @@ def test_layer_tracing_still_sees_the_spiked_layers(capsys):
         assert cli.main(["spiked", "power-curve", "--test", "tpca", "--noise", "sech",
                          "--n", "30", "--lambdas", "1.3", "--trials", "2",
                          "--seed", "4"]) == 0
+        for model in (bernoulli_model, str(additive_model)):
+            assert cli.main(["ldlr", "exact", "--model", model, "--degree", "2"]) == 0
+        assert cli.main(["ldlr", "mc", "--model", bernoulli_model, "--degree", "2",
+                         "--samples", "50", "--seed", "5"]) == 0
     finally:
         undo()
     capsys.readouterr()
@@ -225,6 +232,10 @@ def test_layer_tracing_still_sees_the_spiked_layers(capsys):
     assert counts.get("spiked.score_transform.entries", 0) > 0
     assert counts.get("spiked.top_eigenvalue.calls", 0) > 0
     assert counts.get("spiked.mixed_test.short_circuits", 0) > 0
+    assert counts.get("ldlr.ldlr_exact.calls", 0) > 0
+    assert counts.get("ldlr.ldlr_exact_additive.calls", 0) > 0
+    assert counts.get("ldlr.overlap_bound_mc.samples", 0) > 0
+    assert counts.get("families.z_score.calls", 0) > 0
     assert spiked._TESTS["mixed"] is spiked.mixed_test
     assert cli.mixed_test is spiked.mixed_test
 

@@ -100,6 +100,14 @@ def test_entrywise_sum_matches_parity_dp(n, D, lam):
     assert entrywise_ldlr_exact(n, lam, D) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("D", [4, 5, 7, 9])
+@pytest.mark.parametrize("lam", [0.9, 3.0])
+def test_entrywise_sum_past_degree_three_matches_parity_dp(n, D, lam):
+    want = entrywise_parity_dp(n, lam, D)
+    assert entrywise_ldlr_exact(n, lam, D) == pytest.approx(want, rel=1e-12)
+
+
 @PROPERTY
 @given(index=family_index, seed=seeds, N=st.integers(1, 6), A=st.integers(1, 5))
 def test_array_z_scores_match_per_scalar_oracle(index, seed, N, A):

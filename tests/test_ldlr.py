@@ -16,6 +16,7 @@ from helpers import (
 from nefqvf.errors import CapExceededError, DegenerateDegreeError, DomainError
 from nefqvf.families import Family
 from nefqvf.ldlr import (
+    _sign_count_mean,
     _symmetric_binomial_cdf,
     AdditiveSpikedModel,
     KinSpikedModel,
@@ -32,7 +33,6 @@ from nefqvf.ldlr import (
     sbm_overlap,
 )
 from nefqvf.orthopoly import exp_trunc
-from nefqvf.spiked import _sign_count_mean
 
 
 def point_mass(kind, vec):
@@ -272,6 +272,26 @@ def test_overlap_mc_sampler_backed():
     assert res.samples == 500 and res.stderr > 0
     with pytest.raises(DomainError):
         ldlr_exact(model, 2)
+
+
+def test_atom_only_routes_reject_a_sampler_prior():
+    # each exact route reads the prior through SpikePrior.atom_arrays
+    kin = KinSpikedModel(Family.poisson(), (1.0, 2.0), SpikePrior.from_sampler(
+        "kin", lambda rng: np.array([1.5, 2.5])))
+    additive = AdditiveSpikedModel(Family.sech(), (0.0, 0.0), SpikePrior.from_sampler(
+        "additive", lambda rng: np.array([0.5, 0.5])))
+    routes = [
+        kin.z_matrix,
+        lambda: component(kin, (1, 0)),
+        lambda: ldlr_exact(kin, 2),
+        lambda: full_norm_exact(kin),
+        lambda: overlap_bound_exact(kin, 2),
+        lambda: ldlr_exact_additive(additive, 2),
+        lambda: kin_model_from_z(Family.poisson(), (1.0, 2.0), kin.prior),
+    ]
+    for route in routes:
+        with pytest.raises(DomainError, match="requires an atom"):
+            route()
 
 
 def test_additive_fixtures():

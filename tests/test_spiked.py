@@ -33,7 +33,7 @@ from nefqvf.spiked import (
     top_eigenvalue,
     tpca_test,
 )
-from nefqvf.translation import build_translation_table
+from nefqvf.translation import MAX_TABLE_DEGREE, build_translation_table
 
 from helpers import wig_matrix_from_triangle
 
@@ -325,7 +325,9 @@ def test_entrywise_exact_caps():
     with pytest.raises(DomainError):
         entrywise_ldlr_exact(1, 0.5, 2)
     with pytest.raises(DomainError):
-        entrywise_ldlr_exact(4, 0.5, 4)
+        entrywise_ldlr_exact(4, 0.5, MAX_TABLE_DEGREE + 1)
+    with pytest.raises(DomainError):
+        entrywise_ldlr_exact(4, 0.5, -1)
 
 
 def test_entrywise_coefficient_limit():
