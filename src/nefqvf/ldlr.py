@@ -226,7 +226,7 @@ def component(model: KinSpikedModel, k) -> float:
         p * math.prod(zi ** ki for zi, ki in zip(z, k))
         for z, p in zip(model.z_scores(vecs), probs)
     )
-    return math.sqrt(coef) * expect
+    return float(math.sqrt(coef) * expect)
 
 
 def ldlr_exact(model: KinSpikedModel, D: int) -> LdlrResult:
@@ -309,18 +309,21 @@ def _mc_summary(vals: np.ndarray) -> tuple[float, float]:
 
 def _pair_overlaps(model: KinSpikedModel, samples: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """Overlaps r of ``samples`` independent pairs of prior draws; sampler
-    priors are drawn in pair order x1_0, x2_0, x1_1, ... and mapped at once."""
+    """Overlaps r of ``samples`` independent pairs of prior draws.  An atom
+    prior's drawn pairs (i1, i2) read its table of atoms^2 z-score row dot
+    products, built one first atom at a time (never an atoms^2 x N array);
+    sampler priors are drawn in pair order x1_0, x2_0, x1_1, ... and mapped at once."""
     if model.prior.atoms is not None:
         vecs, probs = model.prior.atom_arrays()
         Z = model.z_scores(vecs)
-        i1 = rng.choice(len(probs), p=probs, size=samples)
-        i2 = rng.choice(len(probs), p=probs, size=samples)
-        Z1, Z2 = Z[i1], Z[i2]
-    else:
-        Z = model.z_scores([model.prior.sampler(rng) for _ in range(2 * samples)])
-        Z1, Z2 = Z[0::2], Z[1::2]
-    return np.einsum("ij,ij->i", Z1, Z2)
+        atoms = len(probs)
+        pair = np.concatenate([np.einsum("ij,ij->i", Z[np.full(atoms, a)], Z)
+                               for a in range(atoms)])
+        i1 = rng.choice(atoms, p=probs, size=samples)
+        i2 = rng.choice(atoms, p=probs, size=samples)
+        return pair[i1 * atoms + i2]
+    Z = model.z_scores([model.prior.sampler(rng) for _ in range(2 * samples)])
+    return np.einsum("ij,ij->i", Z[0::2], Z[1::2])
 
 
 def overlap_bound_mc(model: KinSpikedModel, D: int | None, samples: int,

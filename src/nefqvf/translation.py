@@ -3,18 +3,24 @@
 The shift operator of the mean-zero sech distribution expands in its
 orthonormal polynomials through the polynomials tau_hat_k defined by
 
-    sum_{k>=0} t^k tau_hat_k(y) = exp(y * arctan(t)),
+    sum_{k>=0} t^k tau_hat_k(y) = G(t, y) = exp(y * arctan(t)).
 
-so that ``[y^l] tau_hat_k = [t^k]((arctan t)^l) / l!``.  Only monomials with
-l == k (mod 2) and l >= 1 appear for k >= 1, and the coefficients obey
+Differentiating in t gives (1 + t^2) dG/dt = y G; comparing coefficients of
+t^k, the scaled polynomials P_k = k! tau_hat_k have integer coefficients and
+obey the three-term recurrence
+
+    P_0 = 1,  P_1 = y,  P_{k+1} = y P_k - k (k - 1) P_{k-1}.
+
+Only monomials with l == k (mod 2) and l >= 1 appear for k >= 1, and the
+coefficients obey
 
     |[y^l] tau_hat_k| <= (2 log(e k))^(l-1) / (k * l!),
 
 which integrates to the pointwise bound implemented by
-:func:`tau_value_bound`.  The table is built once in exact rational
-arithmetic (the arctan series has coefficients +-1/odd, so float
-cancellation in the alternating sums never enters) and converted to floats
-only for evaluation.
+:func:`tau_value_bound`.  The table is built once in exact integer
+arithmetic (so float cancellation in the alternating sums never enters),
+divided by k! into exact rationals, and converted to floats only for
+evaluation.
 """
 
 from __future__ import annotations
@@ -55,33 +61,19 @@ class TranslationPolyTable:
 
 
 def build_translation_table(K: int = DEFAULT_TABLE_DEGREE) -> TranslationPolyTable:
-    """Exact table of tau_hat_0 .. tau_hat_K via powers of the arctan series."""
+    """Exact table of tau_hat_0 .. tau_hat_K from the integer recurrence
+    P_{k+1} = y P_k - k (k - 1) P_{k-1} for P_k = k! tau_hat_k, which
+    follows from (1 + t^2) dG/dt = y G; O(K^2) integer operations."""
     if not 0 <= K <= MAX_TABLE_DEGREE:
         raise DomainError(f"translation table degree must be in 0..{MAX_TABLE_DEGREE}, got {K}")
-    # arctan t = sum_{j odd} (-1)^((j-1)/2) t^j / j, truncated at order K
-    atan = [Fraction(0)] * (K + 1)
-    for j in range(1, K + 1, 2):
-        atan[j] = Fraction((-1) ** ((j - 1) // 2), j)
-
-    # power[l][k] = [t^k]((arctan t)^l)
-    power = [Fraction(0)] * (K + 1)
-    power[0] = Fraction(1)
-    coeffs = [[Fraction(0)] * (k + 1) for k in range(K + 1)]
-    for k in range(K + 1):
-        coeffs[k][0] = power[k]  # l = 0 contributes only to k = 0
-    fact = Fraction(1)
-    for l in range(1, K + 1):
-        fact *= l
-        nxt = [Fraction(0)] * (K + 1)
-        for i in range(l - 1, K + 1):  # (arctan)^(l-1) has order >= l-1
-            if power[i] == 0:
-                continue
-            for j in range(1, K - i + 1, 2):
-                nxt[i + j] += power[i] * atan[j]
-        power = nxt
-        for k in range(l, K + 1):
-            coeffs[k][l] = power[k] / fact
-
+    rows = [[1]]  # rows[k][l] = [y^l] P_k
+    for k in range(K):
+        nxt = [0] + rows[k]
+        if k > 1:  # the k (k - 1) P_{k-1} term vanishes for k < 2
+            for l, c in enumerate(rows[k - 1]):
+                nxt[l] -= k * (k - 1) * c
+        rows.append(nxt)
+    coeffs = [[Fraction(c, math.factorial(k)) for c in row] for k, row in enumerate(rows)]
     arrays = tuple(np.array([float(c) for c in row]) for row in coeffs)
     return TranslationPolyTable(
         max_degree=K,

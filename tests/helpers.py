@@ -13,7 +13,9 @@ states (against the O(n) entrywise sum).  The spiked-matrix sampler's
 earlier construction, whole-array noise expressions and a triangle vector
 scattered into a fresh matrix, pins its draw order and its bits.
 Per-scalar z-scores, the scalar generating function and a per-draw Monte
-Carlo loop pin the array forms of the overlap route.
+Carlo loop pin the array forms of the overlap route.  The translation table
+by convolving powers of the arctan series pins the integer recurrence, and
+gathering both z-score rows of every drawn atom pair pins the pair table.
 """
 
 import math
@@ -24,7 +26,7 @@ from scipy.integrate import quad
 
 from nefqvf.families import Family
 from nefqvf.orthopoly import a_hat, f_trunc, neg_v_order
-from nefqvf.translation import build_translation_table
+from nefqvf.translation import TranslationPolyTable, build_translation_table
 
 
 def random_shared_instance(rng, n_coords=None, n_atoms=None):
@@ -363,3 +365,53 @@ def overlap_mc_per_draw(model, D, samples: int, rng) -> float:
         r = float(np.dot(z1, z2))
         vals.append(f_eval_scalar(r, v2) if D is None else f_trunc(D, v2)(r))
     return float(np.mean(vals))
+
+
+# ---------------------------------------------------------------------------
+# the translation table and the atom-pair overlaps by their first algorithms
+# ---------------------------------------------------------------------------
+
+def translation_table_by_powers(K: int) -> TranslationPolyTable:
+    """Exact table of tau_hat_0 .. tau_hat_K via powers of the arctan series,
+    ``[y^l] tau_hat_k = [t^k]((arctan t)^l) / l!``; O(K^3) rational operations."""
+    # arctan t = sum_{j odd} (-1)^((j-1)/2) t^j / j, truncated at order K
+    atan = [Fraction(0)] * (K + 1)
+    for j in range(1, K + 1, 2):
+        atan[j] = Fraction((-1) ** ((j - 1) // 2), j)
+
+    # power[l][k] = [t^k]((arctan t)^l)
+    power = [Fraction(0)] * (K + 1)
+    power[0] = Fraction(1)
+    coeffs = [[Fraction(0)] * (k + 1) for k in range(K + 1)]
+    for k in range(K + 1):
+        coeffs[k][0] = power[k]  # l = 0 contributes only to k = 0
+    fact = Fraction(1)
+    for l in range(1, K + 1):
+        fact *= l
+        nxt = [Fraction(0)] * (K + 1)
+        for i in range(l - 1, K + 1):  # (arctan)^(l-1) has order >= l-1
+            if power[i] == 0:
+                continue
+            for j in range(1, K - i + 1, 2):
+                nxt[i + j] += power[i] * atan[j]
+        power = nxt
+        for k in range(l, K + 1):
+            coeffs[k][l] = power[k] / fact
+
+    arrays = tuple(np.array([float(c) for c in row]) for row in coeffs)
+    return TranslationPolyTable(
+        max_degree=K,
+        coeffs=tuple(tuple(row) for row in coeffs),
+        _np=arrays,
+    )
+
+
+def atom_pair_overlaps_by_gather(model, samples: int, rng) -> np.ndarray:
+    """Overlaps of ``samples`` atom-prior pairs, gathering both z-score rows
+    of every drawn pair into ``samples x N`` arrays (same draws as the library)."""
+    vecs, probs = model.prior.atom_arrays()
+    Z = model.z_scores(vecs)
+    i1 = rng.choice(len(probs), p=probs, size=samples)
+    i2 = rng.choice(len(probs), p=probs, size=samples)
+    Z1, Z2 = Z[i1], Z[i2]
+    return np.einsum("ij,ij->i", Z1, Z2)

@@ -4,8 +4,9 @@ Each library routine is pinned to its reference implementation in
 ``helpers``: the Morris recurrence to Gram-Schmidt on exact moments, the
 generating-function products of the exact norms to multi-index
 enumeration, the O(n) entrywise sum to the vertex-parity dynamic
-program, and the array z-scores, array f and one-call Monte Carlo overlap
-to their per-scalar forms.  Examples are derandomized so the suite stays
+program, the array z-scores, array f and one-call Monte Carlo overlap
+to their per-scalar forms, and the atom-pair overlap table to gathering both
+rows of every drawn pair.  Examples are derandomized so the suite stays
 repeatable.
 """
 
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    atom_pair_overlaps_by_gather,
     entrywise_parity_dp,
     f_eval_scalar,
     gram_schmidt_basis,
@@ -32,6 +34,7 @@ from nefqvf.ldlr import (
     AdditiveSpikedModel,
     KinSpikedModel,
     SpikePrior,
+    _pair_overlaps,
     ldlr_exact,
     ldlr_exact_additive,
     overlap_bound_mc,
@@ -159,6 +162,18 @@ def test_sampler_overlap_mc_matches_per_draw_oracle(index, seed, N, D, samples):
     got = overlap_bound_mc(model, D, samples, np.random.default_rng(seed)).value
     want = overlap_mc_per_draw(model, D, samples, np.random.default_rng(seed))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@PROPERTY
+@given(index=family_index, seed=seeds, N=st.integers(1, 60), A=st.integers(1, 12),
+       samples=st.integers(1, 3000))
+@example(index=0, seed=0, N=1, A=1, samples=1)
+def test_atom_pair_table_matches_gathered_rows(index, seed, N, A, samples):
+    means, atoms = random_shared_instance(np.random.default_rng(seed), N, A)
+    model = KinSpikedModel(FAMILIES[index][0], means, SpikePrior.from_atoms("kin", atoms))
+    got = _pair_overlaps(model, samples, np.random.default_rng(seed))
+    want = atom_pair_overlaps_by_gather(model, samples, np.random.default_rng(seed))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @st.composite

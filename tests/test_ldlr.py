@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,7 @@ def test_component_values():
     assert component(gaussian_point_model(0.7), (1,)) == pytest.approx(0.7)
     # two-point oracle: z = (3/4 - 1/2) / sqrt(1/4) = 1/2
     assert component(BERNOULLI_FIXTURE, (1,)) == pytest.approx(0.5)
+    assert type(component(BERNOULLI_FIXTURE, (1,))) is float
     with pytest.raises(DegenerateDegreeError):
         component(BERNOULLI_FIXTURE, (2,))
 
@@ -223,6 +225,23 @@ def test_overlap_mc_null_prior_is_one():
     model = KinSpikedModel(Family.poisson(), (2.0, 3.0), point_mass("kin", (2.0, 3.0)))
     res = overlap_bound_mc(model, 4, 100, np.random.default_rng(1))
     assert res.value == 1.0 and res.stderr == 0.0
+
+
+def test_atom_overlap_mc_holds_no_samples_by_n_array():
+    # the atom path reads a table of atom-pair overlaps; gathering both
+    # z-score rows of every drawn pair would take 2 x samples x N x 8 bytes
+    samples, N = 20_000, 100
+    means, atoms = random_shared_instance(np.random.default_rng(5), N, 12)
+    model = KinSpikedModel(Family.poisson(), means, SpikePrior.from_atoms("kin", atoms))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        overlap_bound_mc(model, 6, samples, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * samples
 
 
 def test_overlap_mc_reports_exp_bound_for_negative_v2():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy
 
+from helpers import translation_table_by_powers
 from nefqvf.errors import DomainError
 from nefqvf.families import Family
 from nefqvf.orthopoly import build_basis
@@ -24,6 +25,18 @@ def test_series_heads():
     assert TABLE.coeffs[1] == (0, 1)
     assert TABLE.coeffs[2] == (0, 0, Fraction(1, 2))
     assert TABLE.coeffs[3] == (0, Fraction(-1, 3), 0, Fraction(1, 6))
+    # P_4 = y^4 - 8 y^2 and P_5 = y^5 - 20 y^3 + 24 y, over 4! and 5!
+    assert TABLE.coeffs[4] == (0, 0, Fraction(-1, 3), 0, Fraction(1, 24))
+    assert TABLE.coeffs[5] == (0, Fraction(1, 5), 0, Fraction(-1, 6), 0, Fraction(1, 120))
+
+
+@pytest.mark.parametrize("K", [*range(61), 120])
+def test_recurrence_table_matches_arctan_powers(K):
+    got, want = build_translation_table(K), translation_table_by_powers(K)
+    assert got.max_degree == want.max_degree == K
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is Fraction for row in got.coeffs for c in row)
+    assert [a.tobytes() for a in got._np] == [a.tobytes() for a in want._np]
 
 
 def test_degree_three_against_symbolic_oracle():
