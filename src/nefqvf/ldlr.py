@@ -310,18 +310,18 @@ def _mc_summary(vals: np.ndarray) -> tuple[float, float]:
 def _pair_overlaps(model: KinSpikedModel, samples: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Overlaps r of ``samples`` independent pairs of prior draws.  An atom
-    prior's drawn pairs (i1, i2) read its table of atoms^2 z-score row dot
-    products, built one first atom at a time (never an atoms^2 x N array);
-    sampler priors are drawn in pair order x1_0, x2_0, x1_1, ... and mapped at once."""
+    prior takes the z-score row dot product once per distinct drawn pair
+    (i1, i2), at most min(atoms^2, samples) of them, and spreads it to every
+    draw of that pair; sampler priors are drawn in pair order
+    x1_0, x2_0, x1_1, ... and mapped at once."""
     if model.prior.atoms is not None:
         vecs, probs = model.prior.atom_arrays()
         Z = model.z_scores(vecs)
         atoms = len(probs)
-        pair = np.concatenate([np.einsum("ij,ij->i", Z[np.full(atoms, a)], Z)
-                               for a in range(atoms)])
         i1 = rng.choice(atoms, p=probs, size=samples)
         i2 = rng.choice(atoms, p=probs, size=samples)
-        return pair[i1 * atoms + i2]
+        pairs, which = np.unique(i1 * atoms + i2, return_inverse=True)
+        return np.einsum("ij,ij->i", Z[pairs // atoms], Z[pairs % atoms])[which]
     Z = model.z_scores([model.prior.sampler(rng) for _ in range(2 * samples)])
     return np.einsum("ij,ij->i", Z[0::2], Z[1::2])
 

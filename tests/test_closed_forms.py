@@ -165,9 +165,10 @@ def test_sampler_overlap_mc_matches_per_draw_oracle(index, seed, N, D, samples):
 
 
 @PROPERTY
-@given(index=family_index, seed=seeds, N=st.integers(1, 60), A=st.integers(1, 12),
+@given(index=family_index, seed=seeds, N=st.integers(1, 60), A=st.integers(1, 60),
        samples=st.integers(1, 3000))
 @example(index=0, seed=0, N=1, A=1, samples=1)
+@example(index=2, seed=3, N=40, A=500, samples=1000)
 def test_atom_pair_table_matches_gathered_rows(index, seed, N, A, samples):
     means, atoms = random_shared_instance(np.random.default_rng(seed), N, A)
     model = KinSpikedModel(FAMILIES[index][0], means, SpikePrior.from_atoms("kin", atoms))

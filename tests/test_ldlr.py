@@ -227,21 +227,31 @@ def test_overlap_mc_null_prior_is_one():
     assert res.value == 1.0 and res.stderr == 0.0
 
 
-def test_atom_overlap_mc_holds_no_samples_by_n_array():
-    # the atom path reads a table of atom-pair overlaps; gathering both
-    # z-score rows of every drawn pair would take 2 x samples x N x 8 bytes
-    samples, N = 20_000, 100
-    means, atoms = random_shared_instance(np.random.default_rng(5), N, 12)
+def _atom_overlap_mc_peak(N, n_atoms, samples):
+    means, atoms = random_shared_instance(np.random.default_rng(5), N, n_atoms)
     model = KinSpikedModel(Family.poisson(), means, SpikePrior.from_atoms("kin", atoms))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
         overlap_bound_mc(model, 6, samples, np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 8 * samples
+
+
+def test_atom_overlap_mc_holds_no_samples_by_n_array():
+    # the atom path takes one row dot product per distinct drawn pair;
+    # gathering both z-score rows of every draw would take 2 x samples x N x 8 bytes
+    samples = 20_000
+    assert _atom_overlap_mc_peak(100, 12, samples) < 10 * 8 * samples
+
+
+def test_atom_overlap_mc_holds_no_atoms_squared_array():
+    # 3000 atoms have 9e6 pairs (a 72 MB table of overlaps); the drawn pairs
+    # need at most the rows of the samples x N gather
+    samples, N = 20_000, 2
+    assert _atom_overlap_mc_peak(N, 3000, samples) < (10 + 2 * N) * 8 * samples
 
 
 def test_overlap_mc_reports_exp_bound_for_negative_v2():
