@@ -46,7 +46,6 @@ from .spiked import (
     WigInstance,
     entrywise_ldlr_exact,
     entrywise_ldlr_mc_bound,
-    lambda_star,
     mixed_test,
     pca_test,
     power_curve,

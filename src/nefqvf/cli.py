@@ -87,7 +87,10 @@ def _degree(s) -> int | None:
 
 
 def _float_list(s) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in str(s).split(",") if tok.strip())
+    values = tuple(float(tok) for tok in str(s).split(",") if tok.strip())
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 @dataclass(frozen=True)
@@ -353,8 +356,6 @@ def _run_ldlr_exact(config):
     desc = parse_model_file(config.values["model"])
     model = _model_from(desc)
     D = config.values["degree"]
-    if D is None:
-        raise ConfigError("config: degree 'inf' requires `ldlr mc`")
     if isinstance(model, AdditiveSpikedModel):
         res = ldlr_exact_additive(model, D)
     else:
@@ -384,13 +385,11 @@ def _run_ldlr_compare(config):
                           "(prior offsets in z-score units)")
     prior = SpikePrior.from_atoms("kin", desc["atoms"])
     D = config.values["degree"]
-    if D is None:
-        raise ConfigError("config: degree 'inf' is not supported by compare")
     rows = channel_compare(desc["families"], desc["null_means"], prior, D)
     write_report(
         config,
         ["family", "v2", "mode", "D", "value"],
-        [(r.family.tag(), r.v2, "exact", D, r.result.value) for r in rows],
+        [(r.family.tag(), r.family.v2, "exact", D, r.result.value) for r in rows],
     )
 
 
@@ -417,6 +416,8 @@ def _run_spiked_simulate(config):
     if test is None and v["test"] != "none":
         raise ConfigError(f"config: unknown test {v['test']!r} "
                           f"(expected none or one of {sorted(_TEST_FNS)})")
+    if v["trials"] < 1:
+        raise ConfigError(f"config: trials must be >= 1, got {v['trials']}")
     seed = v["seed"]
     rng = np.random.default_rng(seed)
     rows = []
@@ -498,7 +499,7 @@ COMMANDS: dict[tuple[str, str], tuple[object, list[Flag]]] = {
     ]),
     ("ldlr", "exact"): (_run_ldlr_exact, [
         Flag("model", str, "model file path", required=True),
-        Flag("degree", _degree, "degree bound D", required=True),
+        Flag("degree", int, "degree bound D", required=True),
         OUT,
     ]),
     ("ldlr", "mc"): (_run_ldlr_mc, [
@@ -508,7 +509,7 @@ COMMANDS: dict[tuple[str, str], tuple[object, list[Flag]]] = {
     ] + COMMON),
     ("ldlr", "compare"): (_run_ldlr_compare, [
         Flag("model", str, "model file with families list and z-unit prior", required=True),
-        Flag("degree", _degree, "degree bound D", required=True),
+        Flag("degree", int, "degree bound D", required=True),
         OUT,
     ]),
     ("ldlr", "sbm"): (_run_ldlr_sbm, [

@@ -358,7 +358,6 @@ def overlap_bound_mc(model: KinSpikedModel, D: int | None, samples: int,
 @dataclass(frozen=True)
 class ChannelNorm:
     family: Family
-    v2: float
     result: LdlrResult
 
 
@@ -394,16 +393,16 @@ def channel_compare(families: list[Family], null_means, z_prior: SpikePrior,
         raise DomainError("channel_compare needs at least one family")
     rows = sorted(
         (
-            ChannelNorm(f, f.v2, ldlr_exact(kin_model_from_z(f, null_means, z_prior), D))
+            ChannelNorm(f, ldlr_exact(kin_model_from_z(f, null_means, z_prior), D))
             for f in families
         ),
-        key=lambda row: row.v2,
+        key=lambda row: row.family.v2,
     )
     for lo, hi in zip(rows, rows[1:]):
         if hi.result.value < lo.result.value - 1e-9 * max(1.0, abs(lo.result.value)):
             raise NumericInstabilityError(
-                f"channel norms not monotone: v2={lo.v2} gives {lo.result.value}, "
-                f"v2={hi.v2} gives {hi.result.value}"
+                f"channel norms not monotone: v2={lo.family.v2} gives {lo.result.value}, "
+                f"v2={hi.family.v2} gives {hi.result.value}"
             )
     return rows
 

@@ -20,7 +20,10 @@ lambda + sigma^2/lambda, where sigma^2 is the null entry variance of g.
 ``pca_test`` takes g(y) = y with sigma = 1; ``tpca_test`` takes the
 Fisher-normalized score lambda_star^2 * (pi/2) tanh(pi y / 2) with
 sigma = lambda_star, whose outlier separates from the bulk once
-lambda > lambda_star.
+lambda > lambda_star.  ``mixed_test`` labels an instance with an
+implausibly large entry null and runs ``tpca_test`` on the rest.  Every
+test takes only the instance and reads lambda from it; each runs on any
+noise kind.
 
 Memory: an instance is one n x n buffer, built beside the packed noise
 triangle with the spike added row by row, and ``tpca_test`` allocates one
@@ -58,16 +61,10 @@ from .translation import build_translation_table
 
 LAMBDA_STAR = 2.0 * math.sqrt(2.0) / math.pi
 MAX_EIG_SIZE = 4000  # largest n an instance may have
-NOISE_KINDS = ("sech", "heavy", "mixed")
 _MIRROR_ROWS = 64  # row block of the triangle mirror in sample_wig
 _SCORE_SCALE = LAMBDA_STAR**2 * (math.pi / 2.0)
 
 _SECH = Family.sech()
-
-
-def lambda_star() -> float:
-    """Critical signal strength for sech noise, 2*sqrt(2)/pi."""
-    return LAMBDA_STAR
 
 
 def heavy_pdf(alpha: float, x: float) -> float:
@@ -97,22 +94,31 @@ def sample_noise(kind: str, size: int, rng: np.random.Generator,
 @dataclass(frozen=True)
 class WigInstance:
     """One observation matrix, read-only from construction on, with hidden
-    truth kept for scoring."""
+    truth kept for scoring: the spike signs of a planted instance, None
+    under the null."""
 
-    n: int
     lam: float
     noise_kind: str
     alpha: float | None
     Y: np.ndarray  # symmetric n x n, zero diagonal
-    planted: bool
     spike: np.ndarray | None = None
     branch: int | None = None  # mixed null: 1 = sech, 2 = heavy
 
     def __post_init__(self):
+        if self.lam < 0:
+            raise DomainError(f"need lambda >= 0, got {self.lam}")
         # a view, not a copy: an n = 2000 instance keeps a single 32 MB buffer
         Y = self.Y.view()
         Y.flags.writeable = False
         object.__setattr__(self, "Y", Y)
+
+    @property
+    def n(self) -> int:
+        return self.Y.shape[0]
+
+    @property
+    def planted(self) -> bool:
+        return self.spike is not None
 
     def matrix(self) -> np.ndarray:
         """Symmetric matrix with zero diagonal: the instance's own read-only buffer."""
@@ -134,10 +140,6 @@ def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
         raise DomainError(f"need n >= 2, got {n}")
     if n > MAX_EIG_SIZE:
         raise DomainError(f"n={n} exceeds size cap {MAX_EIG_SIZE}")
-    if lam < 0:
-        raise DomainError(f"need lambda >= 0, got {lam}")
-    if noise_kind not in NOISE_KINDS:
-        raise DomainError(f"unknown noise kind {noise_kind!r}")
     if noise_kind in ("heavy", "mixed") and (alpha is None or alpha <= 1):
         raise DomainError(f"{noise_kind} noise needs alpha > 1, got {alpha}")
 
@@ -162,10 +164,8 @@ def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
         block = Y[r0:r1, r0:r1]
         lower = np.tril_indices(r1 - r0, -1)
         block[lower] = block.T[lower]
-    return WigInstance(
-        n=n, lam=lam, noise_kind=noise_kind, alpha=alpha, Y=Y,
-        planted=planted, spike=spike, branch=branch,
-    )
+    return WigInstance(lam=lam, noise_kind=noise_kind, alpha=alpha, Y=Y,
+                       spike=spike, branch=branch)
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +206,20 @@ def top_eigenvalue(M: np.ndarray) -> float:
         raise NumericInstabilityError(f"eigen-solver failed: {exc}") from exc
 
 
-def _eigen_test(inst: WigInstance, lam: float | None, transform,
-                sigma: float) -> TestVerdict:
+def _eigen_test(inst: WigInstance, transform, sigma: float) -> TestVerdict:
     """Threshold the top eigenvalue of transform(Y) / sqrt(n).
 
     Null bulk edge 2*sigma, planted outlier lambda + sigma^2/lambda once
     lambda > sigma; the threshold is their midpoint (infinite at lambda = 0)."""
-    lam = inst.lam if lam is None else lam
-    if lam < 0:
-        raise DomainError("the eigenvalue tests need lambda >= 0")
+    lam = inst.lam
     stat = top_eigenvalue(transform(inst.matrix())) / math.sqrt(inst.n)
     thr = math.inf if lam == 0 else 0.5 * (2.0 * sigma + lam + sigma**2 / lam)
     return TestVerdict("p" if stat >= thr else "q", stat, thr)
 
 
-def pca_test(inst: WigInstance, lam: float | None = None) -> TestVerdict:
+def pca_test(inst: WigInstance) -> TestVerdict:
     """The eigenvalue test on Y itself (no copy): edge 2, outlier lambda + 1/lambda."""
-    return _eigen_test(inst, lam, lambda y: y, 1.0)
+    return _eigen_test(inst, lambda y: y, 1.0)
 
 
 def score_transform(y):
@@ -241,15 +238,15 @@ def score_transform(y):
     return t
 
 
-def tpca_test(inst: WigInstance, lam: float | None = None) -> TestVerdict:
+def tpca_test(inst: WigInstance) -> TestVerdict:
     """The eigenvalue test after the entrywise score transform.
 
     Edge 2*lambda_star, outlier lambda + lambda_star^2/lambda: detects down
     to lambda_star, below the plain test's critical value of 1."""
-    return _eigen_test(inst, lam, score_transform, LAMBDA_STAR)
+    return _eigen_test(inst, score_transform, LAMBDA_STAR)
 
 
-def mixed_test(inst: WigInstance, lam: float | None = None) -> TestVerdict:
+def mixed_test(inst: WigInstance) -> TestVerdict:
     """Examine the entrywise maximum, then fall through to the score test.
 
     A maximum above 10 log n is implausible under sech noise (whose
@@ -259,7 +256,7 @@ def mixed_test(inst: WigInstance, lam: float | None = None) -> TestVerdict:
     m = inst.max_abs_entry()
     if m > cutoff:
         return TestVerdict("q", m, cutoff)
-    return tpca_test(inst, lam=lam)
+    return tpca_test(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +378,15 @@ def power_curve(test_id: str, noise_kind: str, lams, n: int, trials: int,
         raise DomainError(f"unknown test {test_id!r} (expected one of {sorted(_TESTS)})")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    if test_id == "mixed" and noise_kind != "mixed":
-        raise DomainError("the mixed test runs on mixed-model instances")
     test = _TESTS[test_id]
     rows = []
     for lam in lams:
         false_p = sum(
-            test(sample_wig(n, lam, noise_kind, False, rng, alpha=alpha), lam=lam).label == "p"
+            test(sample_wig(n, lam, noise_kind, False, rng, alpha=alpha)).label == "p"
             for _ in range(trials)
         )
         false_q = sum(
-            test(sample_wig(n, lam, noise_kind, True, rng, alpha=alpha), lam=lam).label == "q"
+            test(sample_wig(n, lam, noise_kind, True, rng, alpha=alpha)).label == "q"
             for _ in range(trials)
         )
         t1, t2 = false_p / trials, false_q / trials

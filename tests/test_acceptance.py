@@ -28,7 +28,6 @@ from nefqvf.orthopoly import a_const, a_hat, build_basis
 from nefqvf.spiked import (
     LAMBDA_STAR,
     entrywise_ldlr_exact,
-    lambda_star,
     mixed_test,
     overlap_chi2_mc,
     pca_test,
@@ -323,6 +322,6 @@ def test_acc10_critical_rate_quadrature():
     h = 1e-6
     integrand = lambda x: ((w(x + h) - w(x - h)) / (2 * h)) ** 2 / w(x)
     fisher, _ = quad(integrand, -40.0, 40.0, limit=200)
-    err = abs(fisher ** -0.5 - lambda_star())
+    err = abs(fisher ** -0.5 - LAMBDA_STAR)
     check("ACC-10 critical rate quadrature", err < 1e-6,
           f"|quadrature - 2 sqrt(2)/pi| = {err:.2e}")

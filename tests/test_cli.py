@@ -177,6 +177,14 @@ def test_numeric_instability_exit_code(tmp_path, monkeypatch, capsys):
     (["families", "list", "--out", "/nonexistent/x.csv"], "/nonexistent/x.csv"),
     (["spiked", "simulate", "--n", "20", "--lambda", "1", "--noise", "sech",
       "--test", "bogus", "--trials", "0"], "bogus"),
+    # an empty input is an error, not an empty report
+    (["spiked", "simulate", "--n", "20", "--lambda", "1", "--noise", "sech",
+      "--test", "pca", "--trials", "0"], "trials must be >= 1, got 0"),
+    (["spiked", "simulate", "--n", "20", "--lambda", "1", "--noise", "sech",
+      "--trials", "-2"], "trials must be >= 1, got -2"),
+    (["spiked", "power-curve", "--test", "pca", "--noise", "sech", "--n", "20",
+      "--lambdas", "", "--trials", "2"], "'lambdas'"),
+    (["ldlr", "sbm", "--n", "20", "--a", "", "--b", "", "--samples", "10"], "'a'"),
 ])
 def test_bad_input_exits_config_code(argv, message, capsys):
     code = main(argv)
@@ -184,6 +192,49 @@ def test_bad_input_exits_config_code(argv, message, capsys):
     assert code == 2
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.out == ""
+
+
+def test_exact_degree_must_be_finite(bernoulli_model, tmp_path, capsys):
+    # `ldlr exact` and `ldlr compare` take an integer degree; only `ldlr mc`
+    # accepts 'inf'
+    compare_model = tmp_path / "cmp.model"
+    compare_model.write_text(COMPARE_MODEL)
+    for argv in (["ldlr", "exact", "--model", bernoulli_model, "--degree", "inf"],
+                 ["ldlr", "compare", "--model", str(compare_model), "--degree", "inf"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and "bad value for 'degree'" in captured.err
+        assert captured.out == ""
+
+
+def test_mixed_test_runs_on_any_noise_in_both_commands(capsys):
+    # one pairing rule: simulate and power-curve both accept the mixed
+    # test on sech-only noise
+    code, out = run_cli(["spiked", "simulate", "--n", "30", "--lambda", "1.5",
+                         "--noise", "sech", "--trials", "2", "--test", "mixed",
+                         "--seed", "1"], capsys)
+    assert code == 0 and len(body(out)[1]) == 2
+    code, out = run_cli(["spiked", "power-curve", "--test", "mixed", "--noise", "sech",
+                         "--n", "30", "--lambdas", "1.5", "--trials", "2",
+                         "--seed", "1"], capsys)
+    assert code == 0 and body(out)[1][0].startswith("mixed,sech,30,1.5,2,")
+
+
+def test_benchmark_operations_pass_their_checks(tmp_path, monkeypatch, capsys):
+    # perfbench/workloads.py drives the CLI and the library by name; load it
+    # from its file and run every operation once at its smallest size, so
+    # that a change which breaks a benchmark operation fails here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("nefqvf_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        ops = workloads.make_ops(name, 0, "tiny", tmp_path / name)
+        assert ops
+        for op in ops:
+            op.check(op.run())
+    capsys.readouterr()
 
 
 def test_simulate_rejects_test_name_before_drawing(monkeypatch, capsys):

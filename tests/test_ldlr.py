@@ -354,12 +354,12 @@ def test_channel_compare_ordering():
         Family.gamma(1.0),       # v2 = 1
     ]
     rows = channel_compare(families, means, prior, D=3)
-    v2s = [row.v2 for row in rows]
+    v2s = [row.family.v2 for row in rows]
     assert v2s == sorted(v2s)
     vals = [row.result.value for row in rows]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     # equal v2 gives equal norms: the gaussian/poisson pair
-    zero_vals = [row.result.value for row in rows if row.v2 == 0.0]
+    zero_vals = [row.result.value for row in rows if row.family.v2 == 0.0]
     assert zero_vals[0] == pytest.approx(zero_vals[1], abs=1e-10)
 
 

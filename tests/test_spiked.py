@@ -21,7 +21,6 @@ from nefqvf.spiked import (
     entrywise_ldlr_exact,
     entrywise_ldlr_mc_bound,
     heavy_pdf,
-    lambda_star,
     mixed_test,
     overlap_chi2_exact,
     overlap_chi2_mc,
@@ -39,9 +38,9 @@ from helpers import wig_matrix_from_triangle
 
 
 def test_lambda_star_value():
-    assert lambda_star() == pytest.approx(2 * math.sqrt(2) / math.pi)
-    assert lambda_star() == pytest.approx(0.9003163161571062)
-    assert lambda_star() < 1.0
+    assert LAMBDA_STAR == pytest.approx(2 * math.sqrt(2) / math.pi)
+    assert LAMBDA_STAR == pytest.approx(0.9003163161571062)
+    assert LAMBDA_STAR < 1.0
 
 
 def test_lambda_star_matches_fisher_information():
@@ -51,7 +50,7 @@ def test_lambda_star_matches_fisher_information():
     h = 1e-6
     integrand = lambda x: ((w(x + h) - w(x - h)) / (2 * h)) ** 2 / w(x)
     fisher, _ = quad(integrand, -40.0, 40.0, limit=200)
-    assert fisher ** -0.5 == pytest.approx(lambda_star(), abs=1e-6)
+    assert fisher ** -0.5 == pytest.approx(LAMBDA_STAR, abs=1e-6)
 
 
 def test_heavy_density_and_tail_mass():
@@ -151,10 +150,23 @@ def test_pca_threshold_values():
     inst = sample_wig(20, 1.5, "sech", planted=False, rng=rng)
     v = pca_test(inst)
     assert v.threshold == pytest.approx(0.5 * (2 + 1.5 + 1 / 1.5))
-    assert pca_test(inst, lam=1.0).threshold == pytest.approx(2.0)
-    assert pca_test(inst, lam=0.0).label == "q"  # infinite threshold
-    with pytest.raises(DomainError):
-        pca_test(inst, lam=-1.0)
+    # the tests read lambda from the instance alone
+    Y = inst.matrix()
+    assert pca_test(WigInstance(1.0, "sech", None, Y)).threshold == pytest.approx(2.0)
+    assert pca_test(WigInstance(0.0, "sech", None, Y)).label == "q"  # infinite threshold
+
+
+def test_wig_instance_rejects_negative_lambda():
+    with pytest.raises(DomainError, match="need lambda >= 0, got -1.0"):
+        WigInstance(lam=-1.0, noise_kind="sech", alpha=None, Y=np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("noise", ["sech", "heavy", "mixed"])
+@pytest.mark.parametrize("planted", [False, True])
+def test_wig_instance_derives_size_and_side(noise, planted):
+    inst = sample_wig(7, 1.1, noise, planted, np.random.default_rng(0), alpha=3.0)
+    assert inst.n == inst.matrix().shape[0] == 7
+    assert inst.planted == (inst.spike is not None) == planted
 
 
 def test_score_transform_shape():
@@ -230,20 +242,18 @@ def test_eigen_tests_separate_at_moderate_size():
 
 def test_wig_instance_is_read_only_from_construction():
     Y = np.zeros((10, 10))
-    inst = WigInstance(n=10, lam=1.0, noise_kind="sech", alpha=None, Y=Y, planted=False)
+    inst = WigInstance(lam=1.0, noise_kind="sech", alpha=None, Y=Y)
     with pytest.raises(ValueError):
         inst.matrix()[0, 1] = 1.0
     assert np.shares_memory(inst.matrix(), Y)  # a view, not a copy
 
 
 def test_mixed_test_branch_cases():
-    zero = WigInstance(n=50, lam=1.0, noise_kind="mixed", alpha=3.0,
-                       Y=np.zeros((50, 50)), planted=False)
+    zero = WigInstance(lam=1.0, noise_kind="mixed", alpha=3.0, Y=np.zeros((50, 50)))
     assert mixed_test(zero).label == "q"  # eigenvalue 0 under the threshold
     big = np.zeros((100, 100))
     big[0, 1] = big[1, 0] = 100.0  # exceeds 10 log(100) = 46.05
-    spiky = WigInstance(n=100, lam=1.0, noise_kind="mixed", alpha=3.0,
-                        Y=big, planted=False)
+    spiky = WigInstance(lam=1.0, noise_kind="mixed", alpha=3.0, Y=big)
     v = mixed_test(spiky)
     assert v.label == "q" and v.threshold == pytest.approx(10 * math.log(100))
 
@@ -423,5 +433,12 @@ def test_power_curve_rows():
         power_curve("pca", "sech", [1.0], 60, 0, rng)
     with pytest.raises(DomainError):
         power_curve("svd", "sech", [1.0], 60, 5, rng)
-    with pytest.raises(DomainError):
-        power_curve("mixed", "sech", [1.0], 60, 5, rng)
+
+
+@pytest.mark.parametrize("noise", ["sech", "heavy"])
+def test_power_curve_runs_mixed_test_on_any_noise(noise):
+    # the branch-then-test procedure needs no mixed-model instance: on
+    # heavy noise it short-circuits, on sech noise it is the score test
+    (row,) = power_curve("mixed", noise, [1.5], 40, 3, np.random.default_rng(15), alpha=3.0)
+    assert (row.test, row.noise_kind, row.trials) == ("mixed", noise, 3)
+    assert 0.0 <= row.type_i <= 1.0 and 0.0 <= row.type_ii <= 1.0
