@@ -28,6 +28,9 @@ noise kind.
 Memory: an instance is one n x n buffer, built beside the packed noise
 triangle with the spike added row by row, and ``tpca_test`` allocates one
 more for the transformed matrix; no other n x n array is made on the way.
+The eigen-solve reads that buffer in place, one triangle per Lanczos step
+(a symmetric BLAS matvec), so the matrices it is given must be exactly
+symmetric, as every instance and its transform are.
 
 Entrywise-degree-bounded likelihood-ratio mass: with the translation
 polynomials tau_hat of the sech family, the component at a multi-index k
@@ -52,7 +55,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+from scipy.linalg.blas import dsymv
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import DomainError, NumericInstabilityError
 from .families import Family
@@ -67,10 +71,19 @@ _SCORE_SCALE = LAMBDA_STAR**2 * (math.pi / 2.0)
 _SECH = Family.sech()
 
 
+def _check_lambda(lam: float) -> None:
+    if lam < 0:
+        raise DomainError(f"need lambda >= 0, got {lam}")
+
+
+def _check_alpha(alpha: float | None) -> None:
+    if alpha is None or alpha <= 1:
+        raise DomainError(f"heavy noise needs alpha > 1, got {alpha}")
+
+
 def heavy_pdf(alpha: float, x: float) -> float:
     """Normalized density proportional to (1 + x^2)^(-alpha/2)."""
-    if alpha <= 1:
-        raise DomainError(f"heavy noise needs alpha > 1, got {alpha}")
+    _check_alpha(alpha)
     # the Gamma ratio in log space: math.gamma overflows past alpha ~ 343
     c = math.exp(math.lgamma(alpha / 2) - math.lgamma((alpha - 1) / 2)) / math.sqrt(math.pi)
     return c * (1.0 + x * x) ** (-alpha / 2)
@@ -81,8 +94,7 @@ def sample_noise(kind: str, size: int, rng: np.random.Generator,
     if kind == "sech":
         return _SECH.sample(0.0, rng, size)
     if kind == "heavy":
-        if alpha is None or alpha <= 1:
-            raise DomainError(f"heavy noise needs alpha > 1, got {alpha}")
+        _check_alpha(alpha)
         # (1 + x^2)^(-alpha/2) is Student t with alpha-1 dof, scaled
         df = alpha - 1.0
         t = rng.standard_t(df, size=size)
@@ -105,8 +117,7 @@ class WigInstance:
     branch: int | None = None  # mixed null: 1 = sech, 2 = heavy
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise DomainError(f"need lambda >= 0, got {self.lam}")
+        _check_lambda(self.lam)
         # a view, not a copy: an n = 2000 instance keeps a single 32 MB buffer
         Y = self.Y.view()
         Y.flags.writeable = False
@@ -140,8 +151,9 @@ def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
         raise DomainError(f"need n >= 2, got {n}")
     if n > MAX_EIG_SIZE:
         raise DomainError(f"n={n} exceeds size cap {MAX_EIG_SIZE}")
-    if noise_kind in ("heavy", "mixed") and (alpha is None or alpha <= 1):
-        raise DomainError(f"{noise_kind} noise needs alpha > 1, got {alpha}")
+    _check_lambda(lam)  # before any draw: a rejected call leaves rng untouched
+    if noise_kind in ("heavy", "mixed"):
+        _check_alpha(alpha)  # the mixed planted side never reaches the heavy sampler
 
     branch = None
     if noise_kind == "mixed":
@@ -180,19 +192,30 @@ class TestVerdict:
 
 
 def top_eigenvalue(M: np.ndarray) -> float:
-    """Largest (signed) eigenvalue of a symmetric matrix.
+    """Largest (signed) eigenvalue of an exactly symmetric matrix.
 
-    Lanczos iteration on the dense matrix, with a direct dense solve as
-    fallback for the degenerate cases ARPACK rejects (tiny or all-zero
-    matrices) and, with a RuntimeWarning, for Lanczos non-convergence; an
-    unsolvable matrix surfaces as an error."""
+    Lanczos iteration on the dense matrix, each step a symmetric matvec
+    that reads only the lower triangle (the triangle the fallback reads
+    too), with a direct dense solve as fallback for the degenerate cases
+    ARPACK rejects (tiny or all-zero matrices) and, with a RuntimeWarning,
+    for Lanczos non-convergence; an unsolvable matrix surfaces as an error.
+    A float64 C- or Fortran-ordered matrix is read in place; any other
+    input is converted once before the solve."""
     n = M.shape[0]
     if n >= 10:
         # fixed start vector: the default draws from numpy's global RNG,
         # which would break byte-identical reports
         v0 = np.full(n, 1.0 / math.sqrt(n))
+        # each matvec reads M's lower triangle, as the fallback does, from a
+        # Fortran-ordered view: f2py would copy any other layout on every call
+        if M.flags.f_contiguous and M.dtype == np.float64:
+            A, lower = M, 1
+        else:
+            A, lower = np.ascontiguousarray(M, dtype=np.float64).T, 0
+        op = LinearOperator((n, n), matvec=lambda x: dsymv(1.0, A, x, lower=lower),
+                            dtype=np.float64)
         try:
-            return float(eigsh(M, k=1, which="LA", tol=1e-8, v0=v0,
+            return float(eigsh(op, k=1, which="LA", tol=1e-8, v0=v0,
                                return_eigenvectors=False)[0])
         except ArpackNoConvergence:
             warnings.warn(f"Lanczos did not converge at n={n}; "

@@ -162,6 +162,24 @@ def test_wig_instance_rejects_negative_lambda():
 
 
 @pytest.mark.parametrize("noise", ["sech", "heavy", "mixed"])
+def test_sample_wig_rejects_negative_lambda_before_any_draw(noise):
+    rng = np.random.default_rng(9)
+    with pytest.raises(DomainError, match="need lambda >= 0, got -1.0"):
+        sample_wig(50, -1.0, noise, True, rng, alpha=3.0)
+    assert rng.random() == np.random.default_rng(9).random()
+
+
+def test_heavy_alpha_rule_has_one_message():
+    rng = np.random.default_rng(0)
+    for call in (lambda: heavy_pdf(1.0, 0.0),
+                 lambda: sample_noise("heavy", 4, rng, alpha=None),
+                 lambda: sample_wig(10, 1.0, "heavy", False, rng, alpha=0.5),
+                 lambda: sample_wig(10, 1.0, "mixed", True, rng)):
+        with pytest.raises(DomainError, match=r"^heavy noise needs alpha > 1, got "):
+            call()
+
+
+@pytest.mark.parametrize("noise", ["sech", "heavy", "mixed"])
 @pytest.mark.parametrize("planted", [False, True])
 def test_wig_instance_derives_size_and_side(noise, planted):
     inst = sample_wig(7, 1.1, noise, planted, np.random.default_rng(0), alpha=3.0)
@@ -275,6 +293,42 @@ def test_top_eigenvalue_degenerate_matrix_is_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert top_eigenvalue(np.zeros((20, 20))) == 0.0
+
+
+@pytest.mark.parametrize("transform", [lambda y: y, score_transform], ids=["pca", "tpca"])
+@pytest.mark.parametrize("planted", [False, True])
+def test_top_eigenvalue_matches_dense_solve(transform, planted):
+    inst = sample_wig(300, 1.3, "sech", planted, np.random.default_rng(21))
+    M = transform(inst.matrix())
+    assert top_eigenvalue(M) == pytest.approx(np.linalg.eigvalsh(M)[-1], rel=1e-12)
+
+
+def test_top_eigenvalue_reads_any_layout_and_the_fallback_triangle():
+    n = 120
+    B = sample_wig(2 * n, 1.2, "sech", True, np.random.default_rng(22)).matrix()
+    M = np.ascontiguousarray(B[::2, ::2])
+    want = np.linalg.eigvalsh(M)[-1]
+    for layout in (M, np.asfortranarray(M), B[::2, ::2]):
+        assert top_eigenvalue(layout) == pytest.approx(want, rel=1e-12)
+    # garbage above the diagonal: Lanczos reads the lower triangle, as the
+    # dense fallback (eigvalsh, UPLO='L') does
+    skew = M + np.triu(np.full((n, n), 3.0), 1)
+    want = np.linalg.eigvalsh(skew)[-1]
+    for layout in (skew, np.asfortranarray(skew)):
+        assert top_eigenvalue(layout) == pytest.approx(want, rel=1e-12)
+
+
+def test_top_eigenvalue_copies_no_matrix():
+    # f2py copies a non-Fortran-ordered argument on every BLAS call; the
+    # solve's traced peak must stay far below one n x n buffer
+    n = 600
+    M = sample_wig(n, 1.2, "sech", True, np.random.default_rng(23)).matrix()
+    tracemalloc.start()
+    try:
+        peak = _traced_peak(lambda: top_eigenvalue(M))
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * 8 * n * n
 
 
 def test_mixed_test_moderate_size_smoke():
