@@ -429,6 +429,7 @@ def _run_spiked_simulate(config):
             stat, thr, label = verdict.statistic, verdict.threshold, verdict.label
         rows.append((trial, inst.n, inst.lam, inst.noise_kind, inst.alpha,
                      inst.planted, inst.branch, v["test"], stat, thr, label, seed))
+        del inst  # the next trial draws with no other n x n buffer alive
     write_report(config, ["trial", "n", "lambda", "noise", "alpha", "planted",
                           "branch", "test", "statistic", "threshold", "verdict", "seed"], rows)
 

@@ -25,12 +25,20 @@ implausibly large entry null and runs ``tpca_test`` on the rest.  Every
 test takes only the instance and reads lambda from it; each runs on any
 noise kind.
 
-Memory: an instance is one n x n buffer, built beside the packed noise
-triangle with the spike added row by row, and ``tpca_test`` allocates one
+Memory: an instance is one n x n buffer, allocated before the packed
+noise triangle is drawn (so the freed noise leaves no hole under it) and
+filled with the spike added row by row, and ``tpca_test`` allocates one
 more for the transformed matrix; no other n x n array is made on the way.
-The eigen-solve reads that buffer in place, one triangle per Lanczos step
-(a symmetric BLAS matvec), so the matrices it is given must be exactly
-symmetric, as every instance and its transform are.
+``power_curve`` and the CLI keep one instance alive at a time, releasing
+each before the next is drawn.  The eigen-solve reads that buffer in
+place, one triangle per Lanczos step (a symmetric BLAS matvec), so the
+matrices it is given must be exactly symmetric, as every instance and
+its transform are.  scipy, which provides the solver, is imported by the
+first eigenvalue test, before its transform allocates: scipy's long-lived
+objects then sit on the heap just above the instance and the transform's
+buffer at the top, where the next transform reuses it.  Imported after
+it, they would sit above a freed two-matrix hole that small allocations
+split, and a long run's heap grew by one more matrix.
 
 Entrywise-degree-bounded likelihood-ratio mass: with the translation
 polynomials tau_hat of the sech family, the component at a multi-index k
@@ -55,8 +63,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsymv
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import DomainError, NumericInstabilityError
 from .families import Family
@@ -65,7 +71,7 @@ from .translation import build_translation_table
 
 LAMBDA_STAR = 2.0 * math.sqrt(2.0) / math.pi
 MAX_EIG_SIZE = 4000  # largest n an instance may have
-_MIRROR_ROWS = 64  # row block of the triangle mirror in sample_wig
+_MIRROR_ROWS = 64  # row block of the triangle mirror and the max-entry scan
 _SCORE_SCALE = LAMBDA_STAR**2 * (math.pi / 2.0)
 
 _SECH = Family.sech()
@@ -136,7 +142,13 @@ class WigInstance:
         return self.Y
 
     def max_abs_entry(self) -> float:
-        return float(max(self.Y.max(), -self.Y.min()))
+        # symmetric with a zero diagonal: the row blocks Y[r0:r1, :r1] hold
+        # every value, read once and without a temporary
+        hi = lo = 0.0
+        for r0 in range(0, self.n, _MIRROR_ROWS):
+            block = self.Y[r0:r0 + _MIRROR_ROWS, :r0 + _MIRROR_ROWS]
+            hi, lo = max(hi, block.max()), min(lo, block.min())
+        return float(max(hi, -lo))
 
 
 def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
@@ -161,10 +173,12 @@ def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
         entry_kind = "sech" if branch == 1 else "heavy"
     else:
         entry_kind = noise_kind
+    # the matrix before the packed noise: the noise, freed on return, then
+    # leaves no hole under the matrix that a later n x n buffer cannot reuse
+    Y = np.zeros((n, n))
     noise = sample_noise(entry_kind, n * (n - 1) // 2, rng, alpha=alpha)
     spike = rng.choice([-1.0, 1.0], size=n) if planted else None
     c = lam / math.sqrt(n)
-    Y = np.zeros((n, n))
     for i, row in enumerate(np.split(noise, np.cumsum(np.arange(n - 1, 1, -1)))):
         # row-major over i < j; spike[j] * (c * spike[i]) is exactly +-c
         Y[i, i + 1:] = row if spike is None else row + spike[i + 1:] * (c * spike[i])
@@ -191,6 +205,23 @@ class TestVerdict:
     threshold: float
 
 
+def _scipy_solver():
+    """scipy's BLAS and sparse eigen-solver modules, imported on the first call.
+
+    scipy is most of the package's import time and the norm computations
+    never solve an eigenproblem, so nothing imports it earlier."""
+    import scipy.linalg.blas
+    import scipy.sparse.linalg
+
+    return scipy.linalg.blas, scipy.sparse.linalg
+
+
+def eigsh(*args, **kwargs):
+    """scipy's ARPACK Lanczos solver.  ``top_eigenvalue`` calls it through
+    this module attribute, so it can be replaced under this one name."""
+    return _scipy_solver()[1].eigsh(*args, **kwargs)
+
+
 def top_eigenvalue(M: np.ndarray) -> float:
     """Largest (signed) eigenvalue of an exactly symmetric matrix.
 
@@ -203,6 +234,8 @@ def top_eigenvalue(M: np.ndarray) -> float:
     input is converted once before the solve."""
     n = M.shape[0]
     if n >= 10:
+        blas, sparse_linalg = _scipy_solver()
+        dsymv = blas.dsymv
         # fixed start vector: the default draws from numpy's global RNG,
         # which would break byte-identical reports
         v0 = np.full(n, 1.0 / math.sqrt(n))
@@ -212,16 +245,16 @@ def top_eigenvalue(M: np.ndarray) -> float:
             A, lower = M, 1
         else:
             A, lower = np.ascontiguousarray(M, dtype=np.float64).T, 0
-        op = LinearOperator((n, n), matvec=lambda x: dsymv(1.0, A, x, lower=lower),
-                            dtype=np.float64)
+        op = sparse_linalg.LinearOperator(
+            (n, n), matvec=lambda x: dsymv(1.0, A, x, lower=lower), dtype=np.float64)
         try:
             return float(eigsh(op, k=1, which="LA", tol=1e-8, v0=v0,
                                return_eigenvectors=False)[0])
-        except ArpackNoConvergence:
+        except sparse_linalg.ArpackNoConvergence:
             warnings.warn(f"Lanczos did not converge at n={n}; "
                           "falling back to a dense eigen-solve",
                           RuntimeWarning, stacklevel=2)
-        except ArpackError:
+        except sparse_linalg.ArpackError:
             pass
     try:
         return float(np.linalg.eigvalsh(M)[-1])
@@ -234,6 +267,7 @@ def _eigen_test(inst: WigInstance, transform, sigma: float) -> TestVerdict:
 
     Null bulk edge 2*sigma, planted outlier lambda + sigma^2/lambda once
     lambda > sigma; the threshold is their midpoint (infinite at lambda = 0)."""
+    _scipy_solver()  # before the transform allocates; see the module docstring
     lam = inst.lam
     stat = top_eigenvalue(transform(inst.matrix())) / math.sqrt(inst.n)
     thr = math.inf if lam == 0 else 0.5 * (2.0 * sigma + lam + sigma**2 / lam)

@@ -4,6 +4,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,10 @@ def test_layer_tracing_still_sees_the_spiked_layers(bernoulli_model, tmp_path, c
     counts = tracer.summary()
     assert counts.get("spiked.score_transform.entries", 0) > 0
     assert counts.get("spiked.top_eigenvalue.calls", 0) > 0
+    # every solve goes through the patched spiked.eigsh: a solver bound
+    # anywhere else would read as no Lanczos run at all
+    assert counts.get("spiked.eigsh.calls", 0) > 0
+    assert counts.get("spiked.top_eigenvalue.fallbacks", 0) == 0
     assert counts.get("spiked.mixed_test.short_circuits", 0) > 0
     assert counts.get("ldlr.ldlr_exact.calls", 0) > 0
     assert counts.get("ldlr.ldlr_exact_additive.calls", 0) > 0
@@ -426,8 +431,8 @@ def test_provenance_revision_is_the_package_checkout(tmp_path, monkeypatch, caps
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about a second of import time; the package needs
-    # only scipy.sparse.linalg
+    # scipy.stats costs about a second of import time; the package never
+    # uses it
     src = str(Path(nefqvf.__file__).resolve().parents[1])
     res = subprocess.run(
         [sys.executable, "-c",
@@ -436,3 +441,46 @@ def test_import_does_not_load_scipy_stats():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("solve, want", [
+    ("spiked.top_eigenvalue(inst.matrix())", ["True"]),
+    # an eigenvalue test loads the solver before its transform allocates,
+    # so that scipy's long-lived objects sit below the transform's buffer
+    ("spiked.score_transform = lambda y: print('scipy.sparse.linalg' in sys.modules) or y\n"
+     "spiked.tpca_test(inst)", ["True", "True"]),
+], ids=["top_eigenvalue", "before_transform"])
+def test_scipy_loads_on_the_first_eigen_solve(solve, want):
+    # scipy is most of the start-up time and only the eigen-solve needs it:
+    # the CLI imports none of it, and one solve loads the Lanczos solver
+    src = str(Path(nefqvf.__file__).resolve().parents[1])
+    code = ("import sys, numpy as np, nefqvf.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "from nefqvf import spiked\n"
+            "inst = spiked.sample_wig(30, 1.2, 'sech', True, np.random.default_rng(0))\n"
+            f"{solve}\n"
+            "print('scipy.sparse.linalg' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[]", *want]
+
+
+def test_simulate_holds_one_instance_at_a_time(capsys):
+    # a trial's matrix is released before the next trial draws, so the peak
+    # is one matrix and its score transform (2 x 8n^2) plus the solver's
+    # vectors; keeping the last instance alive would add a matrix and the
+    # packed noise triangle (2.5 x).  The parser and ARPACK's 20 Lanczos
+    # vectors add about 0.28 MB, which n = 600 keeps well inside the margin
+    n = 600
+    argv = ["spiked", "simulate", "--n", str(n), "--lambda", "1.2", "--noise", "sech",
+            "--trials", "3", "--test", "tpca", "--seed", "8"]
+    assert main(argv) == 0  # the first solve imports scipy: keep that out of the peak
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 2.2 * 8 * n * n
