@@ -51,6 +51,7 @@ from .ldlr import (
 from .orthopoly import a_const, basis_rows, build_basis
 from .spiked import (
     _TESTS as _TEST_FNS,
+    _check_trials,
     entrywise_ldlr_exact,
     entrywise_ldlr_mc_bound,
     mixed_test,  # noqa: F401  (unused here; perfbench/tracing.py patches it by this name)
@@ -71,8 +72,6 @@ EXIT_NUMERIC = 4
 # ---------------------------------------------------------------------------
 
 def _bool(s) -> bool:
-    if isinstance(s, bool):
-        return s
     if str(s).lower() in ("1", "true", "yes"):
         return True
     if str(s).lower() in ("0", "false", "no"):
@@ -102,12 +101,9 @@ class Flag:
     default: object = None
 
 
-COMMON = [
-    Flag("out", str, "output path (stdout when omitted)"),
-    Flag("seed", int, "random seed", default=0),
-]
+OUT = Flag("out", str, "output path (stdout when omitted)")
 
-OUT = Flag("out", str, "output path")
+COMMON = [OUT, Flag("seed", int, "random seed", default=0)]
 
 
 @dataclass(frozen=True)
@@ -223,15 +219,13 @@ def parse_model_file(path: str) -> dict:
     return out
 
 
-def _model_from(desc: dict):
-    fam = desc["families"][0]
-    if desc["kind"] == "kin":
-        prior = SpikePrior.from_atoms("kin", desc["atoms"])
-        return KinSpikedModel(fam, desc["null_means"], prior)
-    if desc["kind"] == "additive":
-        prior = SpikePrior.from_atoms("additive", desc["atoms"])
-        return AdditiveSpikedModel(fam, desc["null_means"], prior)
-    raise ConfigError("model: kind 'z' is only usable with `ldlr compare`")
+def _load_model(path: str):
+    desc = parse_model_file(path)
+    if desc["kind"] == "z":
+        raise ConfigError("model: kind 'z' is only usable with `ldlr compare`")
+    model = KinSpikedModel if desc["kind"] == "kin" else AdditiveSpikedModel
+    prior = SpikePrior.from_atoms(desc["kind"], desc["atoms"])
+    return model(desc["families"][0], desc["null_means"], prior)
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +347,14 @@ def _dcell(D):
 
 
 def _run_ldlr_exact(config):
-    desc = parse_model_file(config.values["model"])
-    model = _model_from(desc)
+    model = _load_model(config.values["model"])
     D = config.values["degree"]
-    if isinstance(model, AdditiveSpikedModel):
-        res = ldlr_exact_additive(model, D)
-    else:
-        res = ldlr_exact(model, D)
-    write_report(config, HEADER_LDLR, [("exact", D, res.value, None, None, None)])
+    exact = ldlr_exact_additive if isinstance(model, AdditiveSpikedModel) else ldlr_exact
+    write_report(config, HEADER_LDLR, [("exact", D, exact(model, D).value, None, None, None)])
 
 
 def _run_ldlr_mc(config):
-    desc = parse_model_file(config.values["model"])
-    model = _model_from(desc)
+    model = _load_model(config.values["model"])
     if not isinstance(model, KinSpikedModel):
         raise ConfigError("config: `ldlr mc` runs on kin models")
     seed = config.values["seed"]
@@ -416,8 +405,7 @@ def _run_spiked_simulate(config):
     if test is None and v["test"] != "none":
         raise ConfigError(f"config: unknown test {v['test']!r} "
                           f"(expected none or one of {sorted(_TEST_FNS)})")
-    if v["trials"] < 1:
-        raise ConfigError(f"config: trials must be >= 1, got {v['trials']}")
+    _check_trials(v["trials"])
     seed = v["seed"]
     rng = np.random.default_rng(seed)
     rows = []

@@ -36,9 +36,9 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 ALL_KINDS = ("gaussian", "poisson", "gamma", "binomial", "negbinomial", "sech")
-# the tag key and type of each parametrized kind's ``param``; the rest take none
-_PARAM = {"gaussian": ("sigma2", float), "gamma": ("alpha", float),
-          "binomial": ("m", int), "negbinomial": ("m", int)}
+# the tag key, type and range of each parametrized kind's ``param``; the rest take none
+_PARAM = {"gaussian": ("sigma2", float, "sigma2 > 0"), "gamma": ("alpha", float, "shape alpha > 0"),
+          "binomial": ("m", int, "integer m >= 1"), "negbinomial": ("m", int, "integer m >= 1")}
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,32 @@ class Interval:
 class Family:
     """One of the six families, with its shape/size parameter.
 
-    Use the classmethod constructors; ``param`` holds sigma2 for gaussian,
-    alpha for gamma, m for binomial / negbinomial, and is None otherwise.
+    ``param`` holds sigma2 for gaussian, alpha for gamma, m for binomial /
+    negbinomial, and is None otherwise.  Every construction is checked: any
+    ``Family(kind, param)`` is valid or raises :class:`DomainError`.
     """
 
     kind: str
     param: float | int | None = None
 
+    def __post_init__(self) -> None:
+        kind, p = self.kind, self.param
+        if kind not in ALL_KINDS:
+            raise DomainError(f"unknown family {kind!r} (expected one of {ALL_KINDS})")
+        if kind not in _PARAM:
+            if p is not None:
+                raise DomainError(f"{kind} takes no parameters, got {p!r}")
+            return
+        key, cast, rule = _PARAM[kind]
+        if p is None:
+            raise DomainError(f"{kind} requires parameter {key!r}")
+        if not ((isinstance(p, int) and p >= 1) if cast is int else p > 0):  # NaN fails too
+            raise DomainError(f"{kind} needs {rule}, got {p}")
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def gaussian(cls, sigma2: float = 1.0) -> "Family":
-        if sigma2 <= 0:
-            raise DomainError(f"gaussian needs sigma2 > 0, got {sigma2}")
         return cls("gaussian", sigma2)
 
     @classmethod
@@ -80,20 +93,14 @@ class Family:
 
     @classmethod
     def gamma(cls, alpha: float) -> "Family":
-        if alpha <= 0:
-            raise DomainError(f"gamma needs shape alpha > 0, got {alpha}")
         return cls("gamma", alpha)
 
     @classmethod
     def binomial(cls, m: int) -> "Family":
-        if not (isinstance(m, int) and m >= 1):
-            raise DomainError(f"binomial needs integer m >= 1, got {m}")
         return cls("binomial", m)
 
     @classmethod
     def negbinomial(cls, m: int) -> "Family":
-        if not (isinstance(m, int) and m >= 1):
-            raise DomainError(f"negbinomial needs integer m >= 1, got {m}")
         return cls("negbinomial", m)
 
     @classmethod
@@ -360,21 +367,14 @@ def parse_family(tag: str) -> Family:
             key, val = (s.strip() for s in item.split("=", 1))
             params[key] = val
     name = name.strip()
-    if name not in ALL_KINDS:
-        raise ConfigError(f"family: unknown name {name!r} (expected one of {ALL_KINDS})")
-    make = getattr(Family, name)  # the classmethod constructor validates the value
-    if name not in _PARAM:
-        if params:
-            raise ConfigError(f"family: {name} takes no parameters, got {sorted(params)}")
-        return make()
-    key, cast = _PARAM[name]
-    if key not in params:
-        raise ConfigError(f"family: {name} requires parameter {key!r}")
+    key, cast, _ = _PARAM.get(name, (None, None, None))
     extra = set(params) - {key}
     if extra:
         raise ConfigError(f"family: unexpected parameter(s) {sorted(extra)} for {name}")
+    if key not in params:
+        return Family(name)
     try:
         value = cast(params[key])
     except ValueError as exc:
         raise ConfigError(f"family: bad value for {key!r}: {params[key]!r}") from exc
-    return make(value)
+    return Family(name, value)

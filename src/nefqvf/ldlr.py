@@ -34,10 +34,11 @@ the Monte Carlo overlap estimates.  Every atom-only route reads the prior
 through :meth:`SpikePrior.atom_arrays`, the one place that rejects a
 sampler-backed prior.
 
-The overlap of two uniform sign vectors is 2P - n with P ~ Binomial(n, 1/2);
-its law lives here once: exact means over P in log space
-(``_sign_count_mean``), and the CDF table that the block-model scan
-searches to draw P.
+The overlap of two uniform sign vectors is 2P - n with P ~ Binomial(n, 1/2).
+Exact means over P run here in log space (``_sign_count_mean``), and the
+block-model scan draws P from a CDF table.  ``spiked.overlap_chi2_mc`` still
+draws P itself with ``rng.binomial``, because the benchmark's entrywise-bound
+reference CSV pins those draws; ROADMAP item 2 replaces both samplers.
 """
 
 from __future__ import annotations
@@ -486,12 +487,14 @@ def sbm_ks_scan(n: int, D: int, grid, samples: int,
     """
     if n < 1 or D < 0 or samples < 1:
         raise DomainError("need n >= 1, D >= 0, samples >= 1")
+    grid = list(grid)
+    for a, b in grid:  # every point before the first draw: a rejected call leaves rng untouched
+        if a <= 0 or b <= 0:
+            raise DomainError(f"rates must be positive, got a={a}, b={b}")
     series = exp_trunc(D)
     cdf = _symmetric_binomial_cdf(n)
     rows = []
     for a, b in grid:
-        if a <= 0 or b <= 0:
-            raise DomainError(f"rates must be positive, got a={a}, b={b}")
         dot = 2.0 * np.searchsorted(cdf, rng.random(samples)) - n
         r = (a - b) ** 2 / (4.0 * (a + b)) * (dot * dot - n) / n
         estimate, stderr = _mc_summary(series(r))

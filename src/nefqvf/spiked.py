@@ -82,6 +82,11 @@ def _check_lambda(lam: float) -> None:
         raise DomainError(f"need lambda >= 0, got {lam}")
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+
+
 def _check_alpha(alpha: float | None) -> None:
     if alpha is None or alpha <= 1:
         raise DomainError(f"heavy noise needs alpha > 1, got {alpha}")
@@ -433,8 +438,10 @@ def power_curve(test_id: str, noise_kind: str, lams, n: int, trials: int,
     """Empirical type-I/type-II rates of one test across signal strengths."""
     if test_id not in _TESTS:
         raise DomainError(f"unknown test {test_id!r} (expected one of {sorted(_TESTS)})")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
+    lams = list(lams)
+    for lam in lams:  # every point before the first draw: a rejected call leaves rng untouched
+        _check_lambda(lam)
     test = _TESTS[test_id]
     rows = []
     for lam in lams:

@@ -248,6 +248,16 @@ def test_simulate_rejects_test_name_before_drawing(monkeypatch, capsys):
     assert code == 2 and "bogus" in capsys.readouterr().err
 
 
+def test_power_curve_rejects_a_negative_lambda_before_drawing(monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew an instance before checking every lambda")
+
+    monkeypatch.setattr(spiked, "sample_wig", no_draw)
+    code = main(["spiked", "power-curve", "--test", "tpca", "--noise", "sech", "--n", "2000",
+                 "--lambdas", "1.2,-1", "--trials", "5"])
+    assert code == 2 and "need lambda >= 0, got -1" in capsys.readouterr().err
+
+
 def test_cli_and_library_share_one_test_table():
     assert cli._TEST_FNS is spiked._TESTS
     assert set(spiked._TESTS) == {"pca", "tpca", "mixed"}

@@ -193,6 +193,21 @@ def test_tag_round_trip():
     assert parse_family(" poisson ") == Family.poisson()
 
 
+def test_family_construction_is_checked():
+    # an unknown kind, an out-of-range parameter, a non-integer m, an extra
+    # parameter and a missing one: no invalid family is ever built
+    for args, msg in [(("Gamma", 2.0), "unknown family 'Gamma'"),
+                      (("gamma", -1.0), "gamma needs shape alpha > 0"),
+                      (("binomial", 2.5), "binomial needs integer m >= 1"),
+                      (("poisson", 3), "poisson takes no parameters"),
+                      (("gaussian",), "gaussian requires parameter 'sigma2'"),
+                      (("gaussian", math.nan), "gaussian needs sigma2 > 0")]:
+        with pytest.raises(DomainError, match=msg):
+            Family(*args)
+    assert Family("gamma", 2.0) == Family.gamma(2.0)
+    assert Family("sech") == Family.sech()
+
+
 def test_parse_family_rejects_malformed():
     for bad in ["weibull", "gamma", "gamma{alpha=x}", "gamma{beta=2}",
                 "poisson{m=2}", "binomial{m=0}", "gamma{alpha=2"]:

@@ -400,6 +400,17 @@ def test_sbm_scan_rows_and_determinism():
     assert below.estimate > 1.0 and below.stderr > 0.0
 
 
+def test_sbm_scan_checks_every_rate_before_drawing():
+    rng = np.random.default_rng(43)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="a=0, b=1"):
+        sbm_ks_scan(50, 4, iter([(3.0, 1.0), (0, 1)]), 100, rng)
+    assert rng.bit_generator.state == state
+    # a generator grid is read once and still scans every point
+    rows = sbm_ks_scan(50, 4, ((a, 1.0) for a in (3.0, 5.0)), 100, rng)
+    assert [row.a for row in rows] == [3.0, 5.0]
+
+
 def test_sbm_scan_degree_zero_is_one():
     rows = sbm_ks_scan(20, 0, [(3.0, 1.0)], 100, np.random.default_rng(0))
     assert rows[0].estimate == pytest.approx(1.0)

@@ -489,6 +489,17 @@ def test_power_curve_rows():
         power_curve("svd", "sech", [1.0], 60, 5, rng)
 
 
+def test_power_curve_checks_every_lambda_before_drawing():
+    rng = np.random.default_rng(16)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="need lambda >= 0, got -1"):
+        power_curve("pca", "sech", iter([1.2, -1.0]), 60, 3, rng)
+    assert rng.bit_generator.state == state
+    # a generator of lambdas is read once and still runs every point
+    rows = power_curve("pca", "sech", (lam for lam in [0.5, 2.0]), 30, 2, rng)
+    assert [row.lam for row in rows] == [0.5, 2.0]
+
+
 @pytest.mark.parametrize("noise", ["sech", "heavy"])
 def test_power_curve_runs_mixed_test_on_any_noise(noise):
     # the branch-then-test procedure needs no mixed-model instance: on
