@@ -342,27 +342,23 @@ def _run_tau_dump(config):
 HEADER_LDLR = ["mode", "D", "value", "stderr", "samples", "seed"]
 
 
-def _dcell(D):
-    return "inf" if D is None else D
-
-
 def _run_ldlr_exact(config):
     model = _load_model(config.values["model"])
     D = config.values["degree"]
     exact = ldlr_exact_additive if isinstance(model, AdditiveSpikedModel) else ldlr_exact
-    write_report(config, HEADER_LDLR, [("exact", D, exact(model, D).value, None, None, None)])
+    write_report(config, HEADER_LDLR, [("exact", D, exact(model, D), None, None, None)])
 
 
 def _run_ldlr_mc(config):
     model = _load_model(config.values["model"])
     if not isinstance(model, KinSpikedModel):
         raise ConfigError("config: `ldlr mc` runs on kin models")
-    seed = config.values["seed"]
-    rng = np.random.default_rng(seed)
-    res = overlap_bound_mc(model, config.values["degree"], config.values["samples"], rng)
-    rows = [("monte-carlo", _dcell(res.degree), res.value, res.stderr, res.samples, seed)]
+    D, seed = config.values["degree"], config.values["seed"]
+    res = overlap_bound_mc(model, D, config.values["samples"], np.random.default_rng(seed))
+    D = "inf" if D is None else D
+    rows = [("monte-carlo", D, res.value, res.stderr, res.samples, seed)]
     if res.upper_value is not None:
-        rows.append(("monte-carlo-exp-upper", _dcell(res.degree), res.upper_value,
+        rows.append(("monte-carlo-exp-upper", D, res.upper_value,
                      res.upper_stderr, res.samples, seed))
     write_report(config, HEADER_LDLR, rows)
 
@@ -378,7 +374,7 @@ def _run_ldlr_compare(config):
     write_report(
         config,
         ["family", "v2", "mode", "D", "value"],
-        [(r.family.tag(), r.family.v2, "exact", D, r.result.value) for r in rows],
+        [(r.family.tag(), r.family.v2, "exact", D, r.value) for r in rows],
     )
 
 

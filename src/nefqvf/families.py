@@ -28,6 +28,7 @@ All operations are pure; ``sample`` mutates only the generator passed in.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +38,8 @@ from .errors import ConfigError, DomainError
 
 ALL_KINDS = ("gaussian", "poisson", "gamma", "binomial", "negbinomial", "sech")
 # the tag key, type and range of each parametrized kind's ``param``; the rest take none
-_PARAM = {"gaussian": ("sigma2", float, "sigma2 > 0"), "gamma": ("alpha", float, "shape alpha > 0"),
+_PARAM = {"gaussian": ("sigma2", float, "sigma2 > 0 and finite"),
+          "gamma": ("alpha", float, "shape alpha > 0 and finite"),
           "binomial": ("m", int, "integer m >= 1"), "negbinomial": ("m", int, "integer m >= 1")}
 
 
@@ -59,8 +61,9 @@ class Interval:
 class Family:
     """One of the six families, with its shape/size parameter.
 
-    ``param`` holds sigma2 for gaussian, alpha for gamma, m for binomial /
-    negbinomial, and is None otherwise.  Every construction is checked: any
+    ``param`` holds sigma2 for gaussian or alpha for gamma, finite and > 0;
+    m for binomial / negbinomial, an integer >= 1 (not a bool), stored as
+    ``int``; None otherwise.  Every construction is checked: any
     ``Family(kind, param)`` is valid or raises :class:`DomainError`.
     """
 
@@ -78,8 +81,10 @@ class Family:
         key, cast, rule = _PARAM[kind]
         if p is None:
             raise DomainError(f"{kind} requires parameter {key!r}")
-        if not ((isinstance(p, int) and p >= 1) if cast is int else p > 0):  # NaN fails too
+        integral = isinstance(p, numbers.Integral) and not isinstance(p, bool)
+        if not ((integral and p >= 1) if cast is int else 0 < p < math.inf):  # NaN fails too
             raise DomainError(f"{kind} needs {rule}, got {p}")
+        object.__setattr__(self, "param", int(p) if cast is int else p)  # e.g. np.int64 -> int
 
     # -- constructors -------------------------------------------------
 

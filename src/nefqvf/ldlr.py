@@ -140,32 +140,10 @@ class KinSpikedModel(_SpikedModel):
             raise DomainError(f"mean vectors of shape {x.shape} do not have length N={self.N}")
         return self.family.z_score(np.array(self.null_means), x)
 
-    def z_matrix(self) -> np.ndarray:
-        """Row a = z-score vector of atom a against the null means."""
-        return self.z_scores(self.prior.atom_arrays()[0])
-
 
 @dataclass(frozen=True)
 class AdditiveSpikedModel(_SpikedModel):
     prior_kind: ClassVar[str] = "additive"
-
-
-@dataclass(frozen=True)
-class LdlrResult:
-    """A computed norm (or bound) of the degree-D likelihood-ratio projection.
-
-    ``degree`` None means no truncation; ``upper_value`` carries the
-    exp-series upper bound reported alongside Monte Carlo estimates for
-    negative v2.
-    """
-
-    value: float
-    mode: str  # "exact" | "monte-carlo"
-    degree: int | None
-    stderr: float | None = None
-    samples: int | None = None
-    upper_value: float | None = None
-    upper_stderr: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +208,7 @@ def component(model: KinSpikedModel, k) -> float:
     return float(math.sqrt(coef) * expect)
 
 
-def ldlr_exact(model: KinSpikedModel, D: int) -> LdlrResult:
+def ldlr_exact(model: KinSpikedModel, D: int) -> float:
     """Exact squared norm of the degree-D projection, as a truncated
     generating-function product over coordinates."""
     vecs, probs = _check_work(model, D)
@@ -246,10 +224,10 @@ def ldlr_exact(model: KinSpikedModel, D: int) -> LdlrResult:
         np.concatenate([ones, np.cumprod(np.outer(z, z)[:, :, None] * ratios, axis=2)], axis=2)
         for z in Z.T
     )
-    return LdlrResult(value=_pair_gf_sum(probs, factors, D), mode="exact", degree=D)
+    return _pair_gf_sum(probs, factors, D)
 
 
-def full_norm_exact(model: KinSpikedModel) -> LdlrResult:
+def full_norm_exact(model: KinSpikedModel) -> float:
     """Untruncated squared norm: E over prior pairs of prod_i f(z_i^1 z_i^2; v2).
 
     May be +inf for v2 > 0 when an overlap reaches the singularity."""
@@ -258,7 +236,7 @@ def full_norm_exact(model: KinSpikedModel) -> LdlrResult:
     Z = model.z_scores(vecs)
     # one (atoms, N) slab per atom a, never an atoms x atoms x N array
     g = np.array([np.prod(f_eval(z * Z, v2), axis=1) for z in Z])
-    return LdlrResult(value=float(probs @ g @ probs), mode="exact", degree=None)
+    return float(probs @ g @ probs)
 
 
 def overlap_bound_exact(model: KinSpikedModel, D: int | None, v: float | None = None) -> float:
@@ -281,7 +259,7 @@ def overlap_bound_exact(model: KinSpikedModel, D: int | None, v: float | None = 
 # exact component sums (additive, sech at mean zero)
 # ---------------------------------------------------------------------------
 
-def ldlr_exact_additive(model: AdditiveSpikedModel, D: int) -> LdlrResult:
+def ldlr_exact_additive(model: AdditiveSpikedModel, D: int) -> float:
     """Exact degree-D squared norm for additive spiking of mean-zero sech noise.
 
     The generating-function product of :func:`ldlr_exact` with coefficients
@@ -295,7 +273,7 @@ def ldlr_exact_additive(model: AdditiveSpikedModel, D: int) -> LdlrResult:
     # tau[a, i, k] = tau_hat_k at coordinate i of atom a
     tau = np.stack([table.eval(k, X) for k in range(D + 1)], axis=2)
     factors = (t[:, None, :] * t[None, :, :] for t in tau.transpose(1, 0, 2))
-    return LdlrResult(value=_pair_gf_sum(probs, factors, D), mode="exact", degree=D)
+    return _pair_gf_sum(probs, factors, D)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +305,20 @@ def _pair_overlaps(model: KinSpikedModel, samples: int,
     return np.einsum("ij,ij->i", Z[0::2], Z[1::2])
 
 
+@dataclass(frozen=True)
+class LdlrResult:
+    """A Monte Carlo estimate of the overlap bound and its standard error
+    (the exact routes return plain floats); ``upper_value`` carries the
+    exp-series upper bound reported alongside the estimate for negative v2.
+    """
+
+    value: float
+    stderr: float
+    samples: int
+    upper_value: float | None = None
+    upper_stderr: float | None = None
+
+
 def overlap_bound_mc(model: KinSpikedModel, D: int | None, samples: int,
                      rng: np.random.Generator) -> LdlrResult:
     """Monte Carlo estimate of E[f_trunc(D, v2)(r)] over prior pairs.
@@ -346,10 +338,7 @@ def overlap_bound_mc(model: KinSpikedModel, D: int | None, samples: int,
 
     value, stderr = summary(v2)
     upper_value, upper_stderr = summary(0.0) if v2 < 0 else (None, None)
-    return LdlrResult(
-        value=value, mode="monte-carlo", degree=D, stderr=stderr,
-        samples=samples, upper_value=upper_value, upper_stderr=upper_stderr,
-    )
+    return LdlrResult(value, stderr, samples, upper_value, upper_stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +347,10 @@ def overlap_bound_mc(model: KinSpikedModel, D: int | None, samples: int,
 
 @dataclass(frozen=True)
 class ChannelNorm:
+    """One channel's exact degree-D norm."""
+
     family: Family
-    result: LdlrResult
+    value: float
 
 
 def kin_model_from_z(family: Family, null_means, z_prior: SpikePrior) -> KinSpikedModel:
@@ -400,10 +391,10 @@ def channel_compare(families: list[Family], null_means, z_prior: SpikePrior,
         key=lambda row: row.family.v2,
     )
     for lo, hi in zip(rows, rows[1:]):
-        if hi.result.value < lo.result.value - 1e-9 * max(1.0, abs(lo.result.value)):
+        if hi.value < lo.value - 1e-9 * max(1.0, abs(lo.value)):
             raise NumericInstabilityError(
-                f"channel norms not monotone: v2={lo.family.v2} gives {lo.result.value}, "
-                f"v2={hi.family.v2} gives {hi.result.value}"
+                f"channel norms not monotone: v2={lo.family.v2} gives {lo.value}, "
+                f"v2={hi.family.v2} gives {hi.value}"
             )
     return rows
 
@@ -489,8 +480,8 @@ def sbm_ks_scan(n: int, D: int, grid, samples: int,
         raise DomainError("need n >= 1, D >= 0, samples >= 1")
     grid = list(grid)
     for a, b in grid:  # every point before the first draw: a rejected call leaves rng untouched
-        if a <= 0 or b <= 0:
-            raise DomainError(f"rates must be positive, got a={a}, b={b}")
+        if not (0 < a < math.inf and 0 < b < math.inf):  # NaN fails too
+            raise DomainError(f"rates must be positive and finite, got a={a}, b={b}")
     series = exp_trunc(D)
     cdf = _symmetric_binomial_cdf(n)
     rows = []

@@ -78,8 +78,13 @@ _SECH = Family.sech()
 
 
 def _check_lambda(lam: float) -> None:
-    if lam < 0:
+    if not 0 <= lam < math.inf:  # NaN and inf fail too
         raise DomainError(f"need lambda >= 0, got {lam}")
+
+
+def _check_finite_lambda(lam: float) -> None:
+    if not -math.inf < lam < math.inf:  # NaN fails too
+        raise DomainError(f"need finite lambda, got {lam}")
 
 
 def _check_trials(trials: int) -> None:
@@ -88,7 +93,7 @@ def _check_trials(trials: int) -> None:
 
 
 def _check_alpha(alpha: float | None) -> None:
-    if alpha is None or alpha <= 1:
+    if alpha is None or not 1 < alpha < math.inf:  # NaN and inf fail too
         raise DomainError(f"heavy noise needs alpha > 1, got {alpha}")
 
 
@@ -339,6 +344,7 @@ def entrywise_ldlr_exact(n: int, lam: float, D: int) -> float:
     """
     if not 2 <= n <= MAX_EXACT_N:
         raise DomainError(f"need 2 <= n <= {MAX_EXACT_N}, got {n}")
+    _check_finite_lambda(lam)
     table = build_translation_table(D)
     s = lam / math.sqrt(n)
     tau_sq = [float(table.eval(k, s)) ** 2 for k in range(D + 1)]
@@ -387,6 +393,7 @@ def entrywise_coefficient(n: int, lam: float, D: int) -> float:
     """The explicit constant c multiplying <x1,x2>^2/(2n) in the bound."""
     if D < 1:
         raise DomainError(f"need D >= 1, got {D}")
+    _check_finite_lambda(lam)
     return (math.e * D) ** (2.0 * lam / math.sqrt(n)) * lam * lam * (
         1.0 / LAMBDA_STAR**2 - 1.0 / (3.0 * D)
     )

@@ -230,8 +230,8 @@ def iter_multi_indices(N: int, D: int, max_coord: int | None = None):
 def ldlr_exact_enum(model, D: int) -> float:
     """Kin degree-D norm as the sum of squared components over |k| <= D."""
     v2 = model.family.v2
-    Z = model.z_matrix()
-    probs = np.array([p for _, p in model.prior.atoms])
+    vecs, probs = model.prior.atom_arrays()
+    Z = model.z_scores(vecs)
     ahat = [float(a_hat(k, v2)) for k in range(D + 1)]
     total = 0.0
     for k in iter_multi_indices(model.N, D, max_coord=neg_v_order(v2)):

@@ -114,7 +114,7 @@ def test_acc03_overlap_equality_and_bounds():
         D = int(rng.integers(0, 5))
         for family in (Family.gaussian(1.0), Family.poisson()):
             model = KinSpikedModel(family, means, prior)
-            diff = abs(ldlr_exact(model, D).value - overlap_bound_exact(model, D))
+            diff = abs(ldlr_exact(model, D) - overlap_bound_exact(model, D))
             worst_eq = max(worst_eq, diff)
     ok_pos, ok_neg = True, True
     for _ in range(50):
@@ -122,9 +122,9 @@ def test_acc03_overlap_equality_and_bounds():
         prior = SpikePrior.from_atoms("kin", atoms)
         D = int(rng.integers(0, 5))
         pos = KinSpikedModel(Family.gamma(1.0), means, prior)
-        ok_pos &= ldlr_exact(pos, D).value <= overlap_bound_exact(pos, D) + 1e-10
+        ok_pos &= ldlr_exact(pos, D) <= overlap_bound_exact(pos, D) + 1e-10
         neg = KinSpikedModel(Family.binomial(1), means, prior)
-        val = ldlr_exact(neg, D).value
+        val = ldlr_exact(neg, D)
         ok_neg &= overlap_bound_exact(neg, D) - 1e-10 <= val
         ok_neg &= val <= overlap_bound_exact(neg, D, v=0.0) + 1e-10
     ok = worst_eq < 1e-10 and ok_pos and ok_neg
@@ -139,14 +139,14 @@ def test_acc04_full_norm_fixtures():
         Family.binomial(1), (0.5,),
         SpikePrior.from_atoms("kin", [((0.75,), 1.0)]),
     )
-    err_b = abs(full_norm_exact(bern).value - 1.25)
+    err_b = abs(full_norm_exact(bern) - 1.25)
     errs_g = []
     for s in (0.3, 1.0):
         model = KinSpikedModel(
             Family.gaussian(1.0), (0.0,),
             SpikePrior.from_atoms("kin", [((s,), 1.0)]),
         )
-        errs_g.append(abs(full_norm_exact(model).value - math.exp(s * s)))
+        errs_g.append(abs(full_norm_exact(model) - math.exp(s * s)))
     ok = err_b < 1e-12 and all(e < 1e-8 for e in errs_g)
     check("ACC-04 full norm fixtures", ok,
           f"two-point fixture err {err_b:.2e}; shift fixtures errs "
@@ -165,7 +165,7 @@ def test_acc05_channel_monotonicity():
         prior = SpikePrior.from_atoms("kin", z_atoms)
         D = int(rng.integers(0, 4))
         rows = channel_compare(families, means, prior, D)
-        vals = [r.result.value for r in rows]
+        vals = [r.value for r in rows]
         if not all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])):
             violations += 1
     check("ACC-05 channel monotonicity", violations == 0,

@@ -13,7 +13,6 @@ import pytest
 import nefqvf
 from nefqvf import cli, ldlr, spiked
 from nefqvf.cli import main, parse_model_file
-from nefqvf.ldlr import LdlrResult
 
 BERNOULLI_MODEL = """\
 # one-coordinate fixture
@@ -162,7 +161,7 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
 def test_numeric_instability_exit_code(tmp_path, monkeypatch, capsys):
     # norms that fall as v2 rises trip the monotonicity guard of channel_compare
     def decreasing(model, D):
-        return LdlrResult(value=-model.family.v2, mode="exact", degree=D)
+        return -model.family.v2
 
     monkeypatch.setattr(ldlr, "ldlr_exact", decreasing)
     path = tmp_path / "cmp.model"
@@ -170,6 +169,9 @@ def test_numeric_instability_exit_code(tmp_path, monkeypatch, capsys):
     code = main(["ldlr", "compare", "--model", str(path), "--degree", "3"])
     err = capsys.readouterr().err
     assert code == 4 and "not monotone" in err
+
+
+SIMULATE = ["spiked", "simulate", "--n", "50", "--planted", "true", "--test", "pca"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -186,6 +188,21 @@ def test_numeric_instability_exit_code(tmp_path, monkeypatch, capsys):
     (["spiked", "power-curve", "--test", "pca", "--noise", "sech", "--n", "20",
       "--lambdas", "", "--trials", "2"], "'lambdas'"),
     (["ldlr", "sbm", "--n", "20", "--a", "", "--b", "", "--samples", "10"], "'a'"),
+    # NaN and inf are rejected before any draw
+    (SIMULATE + ["--lambda", "nan", "--noise", "sech"], "need lambda >= 0, got nan"),
+    (SIMULATE + ["--lambda", "inf", "--noise", "sech"], "need lambda >= 0, got inf"),
+    (SIMULATE + ["--lambda", "1", "--noise", "heavy", "--alpha", "nan"],
+     "heavy noise needs alpha > 1, got nan"),
+    (SIMULATE + ["--lambda", "1", "--noise", "heavy", "--alpha", "inf"],
+     "heavy noise needs alpha > 1, got inf"),
+    (["ldlr", "sbm", "--n", "20", "--a", "nan", "--b", "1", "--samples", "10"],
+     "rates must be positive and finite, got a=nan"),
+    (["ldlr", "sbm", "--n", "20", "--a", "inf", "--b", "1", "--samples", "10"],
+     "rates must be positive and finite, got a=inf"),
+    (["spiked", "entrywise-bound", "--n", "50", "--lambda", "nan", "--degree", "2",
+      "--samples", "30", "--exact", "true"], "need finite lambda, got nan"),
+    (["orthopoly", "build", "--family", "gamma{alpha=inf}", "--mu0", "1", "--degree", "2"],
+     "gamma needs shape alpha > 0 and finite, got inf"),
 ])
 def test_bad_input_exits_config_code(argv, message, capsys):
     code = main(argv)

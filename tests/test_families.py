@@ -194,16 +194,23 @@ def test_tag_round_trip():
 
 
 def test_family_construction_is_checked():
-    # an unknown kind, an out-of-range parameter, a non-integer m, an extra
-    # parameter and a missing one: no invalid family is ever built
+    # an unknown kind, an out-of-range or infinite parameter, a non-integer
+    # or bool m, an extra parameter and a missing one: no invalid family is
+    # ever built
     for args, msg in [(("Gamma", 2.0), "unknown family 'Gamma'"),
                       (("gamma", -1.0), "gamma needs shape alpha > 0"),
                       (("binomial", 2.5), "binomial needs integer m >= 1"),
                       (("poisson", 3), "poisson takes no parameters"),
                       (("gaussian",), "gaussian requires parameter 'sigma2'"),
-                      (("gaussian", math.nan), "gaussian needs sigma2 > 0")]:
+                      (("gaussian", math.nan), "gaussian needs sigma2 > 0"),
+                      (("gaussian", math.inf), "gaussian needs sigma2 > 0 and finite, got inf"),
+                      (("gamma", math.inf), "gamma needs shape alpha > 0 and finite, got inf"),
+                      (("binomial", True), "binomial needs integer m >= 1, got True")]:
         with pytest.raises(DomainError, match=msg):
             Family(*args)
+    # any integer type gives m, stored as a plain int
+    m = Family.binomial(np.int64(3))
+    assert m == Family.binomial(3) and type(m.param) is int and m.tag() == "binomial{m=3}"
     assert Family("gamma", 2.0) == Family.gamma(2.0)
     assert Family("sech") == Family.sech()
 

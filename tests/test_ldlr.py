@@ -98,8 +98,7 @@ def test_degenerate_degree_with_inexact_v2():
     with pytest.raises(DegenerateDegreeError):
         component(model, (4,))
     assert component(model, (3,)) != 0.0
-    res = ldlr_exact(model, 6)  # prunes degrees past 3 instead of raising
-    assert res.value >= 1.0
+    assert ldlr_exact(model, 6) >= 1.0  # prunes degrees past 3 instead of raising
 
 
 def test_multi_index_enumeration():
@@ -114,26 +113,27 @@ def test_multi_index_enumeration():
 def test_gaussian_point_mass_reaches_closed_form():
     # closed-form likelihood-ratio integral: E_null[L^2] = exp(s^2)
     for s in (0.3, 1.0):
-        val = ldlr_exact(gaussian_point_model(s), 40).value
+        val = ldlr_exact(gaussian_point_model(s), 40)
         assert val == pytest.approx(math.exp(s * s), rel=1e-12)
 
 
 def test_bernoulli_fixture_value():
-    res = ldlr_exact(BERNOULLI_FIXTURE, 1)
-    assert res.value == pytest.approx(1.25, abs=1e-14)
+    # an exact norm is a plain float
+    val = ldlr_exact(BERNOULLI_FIXTURE, 1)
+    assert type(val) is float and val == pytest.approx(1.25, abs=1e-14)
     # saturates: degrees beyond the basis contribute nothing
-    assert ldlr_exact(BERNOULLI_FIXTURE, 5).value == pytest.approx(1.25, abs=1e-14)
+    assert ldlr_exact(BERNOULLI_FIXTURE, 5) == pytest.approx(1.25, abs=1e-14)
     # direct two-point second moment of the likelihood ratio
     direct = direct_l2_norm_discrete(Family.binomial(1), 0.5, BERNOULLI_FIXTURE.prior.atoms)
-    assert res.value == pytest.approx(direct, abs=1e-14)
+    assert val == pytest.approx(direct, abs=1e-14)
 
 
 def test_degree_zero_is_one_and_monotone_in_degree():
     rng = np.random.default_rng(5)
     means, atoms = random_shared_instance(rng, 2, 3)
     model = KinSpikedModel(Family.gamma(1.0), means, SpikePrior.from_atoms("kin", atoms))
-    assert ldlr_exact(model, 0).value == pytest.approx(1.0)
-    vals = [ldlr_exact(model, D).value for D in range(5)]
+    assert ldlr_exact(model, 0) == pytest.approx(1.0)
+    vals = [ldlr_exact(model, D) for D in range(5)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -146,7 +146,7 @@ def test_enumeration_cap():
         ldlr_exact(model, 600)
     # 30 * 501^2 stays under the bound, and D = 500 reaches the full norm
     # exp(sum_i z_i^2) with z_i = 0.1 (v2 = 0)
-    assert ldlr_exact(model, 500).value == pytest.approx(math.exp(0.3), rel=1e-12)
+    assert ldlr_exact(model, 500) == pytest.approx(math.exp(0.3), rel=1e-12)
     additive = AdditiveSpikedModel(Family.sech(), (0.0,) * 30,
                                    point_mass("additive", (0.5,) * 30))
     with pytest.raises(CapExceededError):
@@ -160,7 +160,7 @@ def test_equality_case_v2_zero():
             means, atoms = random_shared_instance(rng)
             model = KinSpikedModel(family, means, SpikePrior.from_atoms("kin", atoms))
             D = int(rng.integers(0, 5))
-            assert ldlr_exact(model, D).value == pytest.approx(
+            assert ldlr_exact(model, D) == pytest.approx(
                 overlap_bound_exact(model, D), abs=1e-10
             )
 
@@ -173,18 +173,19 @@ def test_bound_directions():
         D = int(rng.integers(0, 5))
         # v2 = 1 > 0: overlap functional dominates
         pos = KinSpikedModel(Family.gamma(1.0), means, prior)
-        assert ldlr_exact(pos, D).value <= overlap_bound_exact(pos, D) + 1e-10
+        assert ldlr_exact(pos, D) <= overlap_bound_exact(pos, D) + 1e-10
         # v2 = -1 < 0: sandwiched between f-series and exp-series values
         neg = KinSpikedModel(Family.binomial(1), means, prior)
-        val = ldlr_exact(neg, D).value
+        val = ldlr_exact(neg, D)
         assert overlap_bound_exact(neg, D) - 1e-10 <= val
         assert val <= overlap_bound_exact(neg, D, v=0.0) + 1e-10
 
 
 def test_full_norm_fixtures():
-    assert full_norm_exact(BERNOULLI_FIXTURE).value == pytest.approx(1.25, abs=1e-14)
+    val = full_norm_exact(BERNOULLI_FIXTURE)
+    assert type(val) is float and val == pytest.approx(1.25, abs=1e-14)
     for s in (0.3, 1.0):
-        got = full_norm_exact(gaussian_point_model(s)).value
+        got = full_norm_exact(gaussian_point_model(s))
         assert got == pytest.approx(math.exp(s * s), rel=1e-12)
 
 
@@ -199,7 +200,7 @@ def test_full_norm_matches_direct_discrete_sum():
             atoms = [((float(v),), float(p)) for v, p in zip(vecs, probs)]
             model = KinSpikedModel(family, (mu0,), SpikePrior.from_atoms("kin", atoms))
             direct = direct_l2_norm_discrete(family, mu0, atoms)
-            assert full_norm_exact(model).value == pytest.approx(direct, abs=1e-8)
+            assert full_norm_exact(model) == pytest.approx(direct, abs=1e-8)
 
 
 def test_overlap_mc_point_mass_deterministic():
@@ -215,7 +216,7 @@ def test_overlap_mc_matches_exact_for_gaussian():
     rng = np.random.default_rng(23)
     means, atoms = random_shared_instance(rng, 2, 3)
     model = KinSpikedModel(Family.gaussian(1.0), means, SpikePrior.from_atoms("kin", atoms))
-    exact = ldlr_exact(model, 3).value
+    exact = ldlr_exact(model, 3)
     res = overlap_bound_mc(model, 3, 40_000, rng)
     assert abs(res.value - exact) < 4 * res.stderr
 
@@ -310,7 +311,6 @@ def test_atom_only_routes_reject_a_sampler_prior():
     additive = AdditiveSpikedModel(Family.sech(), (0.0, 0.0), SpikePrior.from_sampler(
         "additive", lambda rng: np.array([0.5, 0.5])))
     routes = [
-        kin.z_matrix,
         lambda: component(kin, (1, 0)),
         lambda: ldlr_exact(kin, 2),
         lambda: full_norm_exact(kin),
@@ -327,10 +327,11 @@ def test_additive_fixtures():
     fam = Family.sech()
     m0 = AdditiveSpikedModel(fam, (0.0,), point_mass("additive", (0.0,)))
     for D in (0, 3, 6):
-        assert ldlr_exact_additive(m0, D).value == pytest.approx(1.0)
+        assert ldlr_exact_additive(m0, D) == pytest.approx(1.0)
     m = AdditiveSpikedModel(fam, (0.0,), point_mass("additive", (0.5,)))
     want = 1.0 + 0.25 + 0.125**2
-    assert ldlr_exact_additive(m, 2).value == pytest.approx(want, abs=1e-14)
+    val = ldlr_exact_additive(m, 2)
+    assert type(val) is float and val == pytest.approx(want, abs=1e-14)
     with pytest.raises(DomainError):
         ldlr_exact_additive(
             AdditiveSpikedModel(Family.gaussian(1.0), (0.0,), point_mass("additive", (0.5,))), 2
@@ -356,10 +357,11 @@ def test_channel_compare_ordering():
     rows = channel_compare(families, means, prior, D=3)
     v2s = [row.family.v2 for row in rows]
     assert v2s == sorted(v2s)
-    vals = [row.result.value for row in rows]
+    vals = [row.value for row in rows]
+    assert all(type(v) is float for v in vals)
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     # equal v2 gives equal norms: the gaussian/poisson pair
-    zero_vals = [row.result.value for row in rows if row.family.v2 == 0.0]
+    zero_vals = [row.value for row in rows if row.family.v2 == 0.0]
     assert zero_vals[0] == pytest.approx(zero_vals[1], abs=1e-10)
 
 
