@@ -1,7 +1,8 @@
 """Rank-one spiked matrix simulation and entrywise-degree norm bounds.
 
-An observation is a symmetric n x n matrix Y with zero diagonal, built
-once per instance and read-only.  Under the planted distribution its
+An observation is a symmetric n x n matrix Y with zero diagonal.  An
+instance holds its strictly upper triangle, packed row-major over i < j
+exactly as drawn, and is read-only.  Under the planted distribution the
 off-diagonal entries are (lambda/sqrt(n)) x_i x_j plus noise with x uniform
 over sign vectors; under the null they are pure noise.  Noise kinds:
 
@@ -25,20 +26,16 @@ implausibly large entry null and runs ``tpca_test`` on the rest.  Every
 test takes only the instance and reads lambda from it; each runs on any
 noise kind.
 
-Memory: an instance is one n x n buffer, allocated before the packed
-noise triangle is drawn (so the freed noise leaves no hole under it) and
-filled with the spike added row by row, and ``tpca_test`` allocates one
-more for the transformed matrix; no other n x n array is made on the way.
-``power_curve`` and the CLI keep one instance alive at a time, releasing
-each before the next is drawn.  The eigen-solve reads that buffer in
-place, one triangle per Lanczos step (a symmetric BLAS matvec), so the
-matrices it is given must be exactly symmetric, as every instance and
-its transform are.  scipy, which provides the solver, is imported by the
-first eigenvalue test, before its transform allocates: scipy's long-lived
-objects then sit on the heap just above the instance and the transform's
-buffer at the top, where the next transform reuses it.  Imported after
-it, they would sit above a freed two-matrix hole that small allocations
-split, and a long run's heap grew by one more matrix.
+Memory: an instance is its packed triangle (half an n x n buffer), the
+noise as drawn with the spike added in place row by row; sampling makes no
+n x n array.  An eigenvalue test builds the one n x n buffer it solves,
+``WigInstance.matrix(transform)``, whose strictly lower triangle the
+eigen-solve reads in place, one symmetric BLAS matvec per Lanczos step.
+A short-circuited ``mixed_test`` reads only the triangle.  ``power_curve``
+and the CLI keep one instance alive at a time.  scipy, which provides the
+solver, is imported by the first eigenvalue test before its matrix
+allocates, so scipy's long-lived objects sit below that buffer, not above
+a freed hole that small allocations would split.
 
 Entrywise-degree-bounded likelihood-ratio mass: with the translation
 polynomials tau_hat of the sech family, the component at a multi-index k
@@ -71,7 +68,6 @@ from .translation import build_translation_table
 
 LAMBDA_STAR = 2.0 * math.sqrt(2.0) / math.pi
 MAX_EIG_SIZE = 4000  # largest n an instance may have
-_MIRROR_ROWS = 64  # row block of the triangle mirror and the max-entry scan
 _SCORE_SCALE = LAMBDA_STAR**2 * (math.pi / 2.0)
 
 _SECH = Family.sech()
@@ -119,62 +115,70 @@ def sample_noise(kind: str, size: int, rng: np.random.Generator,
     raise DomainError(f"unknown noise kind {kind!r}")
 
 
+def _rows(entries: np.ndarray, n: int) -> list[np.ndarray]:
+    """Views of the packed triangle's rows: row i holds the entries (i, j), j > i."""
+    return np.split(entries, np.cumsum(np.arange(n - 1, 1, -1)))
+
+
 @dataclass(frozen=True)
 class WigInstance:
-    """One observation matrix, read-only from construction on, with hidden
-    truth kept for scoring: the spike signs of a planted instance, None
-    under the null."""
+    """One observation, read-only from construction on, with hidden truth
+    kept for scoring: the spike signs of a planted instance, None under
+    the null."""
 
     lam: float
     noise_kind: str
     alpha: float | None
-    Y: np.ndarray  # symmetric n x n, zero diagonal
+    entries: np.ndarray  # strictly upper triangle, packed row-major over i < j
     spike: np.ndarray | None = None
     branch: int | None = None  # mixed null: 1 = sech, 2 = heavy
 
     def __post_init__(self):
         _check_lambda(self.lam)
-        # a view, not a copy: an n = 2000 instance keeps a single 32 MB buffer
-        Y = self.Y.view()
-        Y.flags.writeable = False
-        object.__setattr__(self, "Y", Y)
+        # a view, not a copy: an n = 2000 instance keeps a single 16 MB buffer
+        entries = self.entries.view()
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
+        if entries.ndim != 1 or self.n * (self.n - 1) // 2 != entries.size:
+            raise DomainError(f"need n(n-1)/2 packed entries, got shape {entries.shape}")
 
     @property
     def n(self) -> int:
-        return self.Y.shape[0]
+        return (math.isqrt(8 * self.entries.size + 1) + 1) // 2
 
     @property
     def planted(self) -> bool:
         return self.spike is not None
 
-    def matrix(self) -> np.ndarray:
-        """Symmetric matrix with zero diagonal: the instance's own read-only buffer."""
-        return self.Y
+    def matrix(self, transform=None) -> np.ndarray:
+        """A fresh Fortran-ordered n x n buffer whose strictly lower triangle
+        holds transform(Y) (Y itself for None); its diagonal and upper
+        triangle are zero.  Column j is written from packed row j, so no
+        packed-size or n x n temporary is made."""
+        M = np.zeros((self.n, self.n), order="F")
+        for j, row in enumerate(_rows(self.entries, self.n)):
+            M[j + 1:, j] = row if transform is None else transform(row)
+        return M
 
     def max_abs_entry(self) -> float:
-        # symmetric with a zero diagonal: the row blocks Y[r0:r1, :r1] hold
-        # every value, read once and without a temporary
-        hi = lo = 0.0
-        for r0 in range(0, self.n, _MIRROR_ROWS):
-            block = self.Y[r0:r0 + _MIRROR_ROWS, :r0 + _MIRROR_ROWS]
-            hi, lo = max(hi, block.max()), min(lo, block.min())
-        return float(max(hi, -lo))
+        return float(max(self.entries.max(), -self.entries.min()))
 
 
 def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
                rng: np.random.Generator, alpha: float | None = None) -> WigInstance:
-    """Draw one read-only matrix instance, 2 <= n <= MAX_EIG_SIZE.
+    """Draw one read-only instance, 2 <= n <= MAX_EIG_SIZE.
 
     The mixed model's planted side uses sech noise, its null a fair branch
     between sech and heavy.  The noise triangle is drawn before the spike
-    signs, so ``lam=0`` planted instances equal null instances.
+    signs, so ``lam=0`` planted instances equal null instances.  A given
+    alpha is checked for every noise kind, though sech noise does not use it.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     if n > MAX_EIG_SIZE:
         raise DomainError(f"n={n} exceeds size cap {MAX_EIG_SIZE}")
     _check_lambda(lam)  # before any draw: a rejected call leaves rng untouched
-    if noise_kind in ("heavy", "mixed"):
+    if alpha is not None or noise_kind in ("heavy", "mixed"):
         _check_alpha(alpha)  # the mixed planted side never reaches the heavy sampler
 
     branch = None
@@ -183,24 +187,15 @@ def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
         entry_kind = "sech" if branch == 1 else "heavy"
     else:
         entry_kind = noise_kind
-    # the matrix before the packed noise: the noise, freed on return, then
-    # leaves no hole under the matrix that a later n x n buffer cannot reuse
-    Y = np.zeros((n, n))
-    noise = sample_noise(entry_kind, n * (n - 1) // 2, rng, alpha=alpha)
-    spike = rng.choice([-1.0, 1.0], size=n) if planted else None
-    c = lam / math.sqrt(n)
-    for i, row in enumerate(np.split(noise, np.cumsum(np.arange(n - 1, 1, -1)))):
-        # row-major over i < j; spike[j] * (c * spike[i]) is exactly +-c
-        Y[i, i + 1:] = row if spike is None else row + spike[i + 1:] * (c * spike[i])
-    # mirror the upper triangle a block of rows at a time: each block reads
-    # a narrow column strip above the diagonal, which stays in cache
-    for r0 in range(0, n, _MIRROR_ROWS):
-        r1 = min(r0 + _MIRROR_ROWS, n)
-        Y[r0:r1, :r0] = Y[:r0, r0:r1].T
-        block = Y[r0:r1, r0:r1]
-        lower = np.tril_indices(r1 - r0, -1)
-        block[lower] = block.T[lower]
-    return WigInstance(lam=lam, noise_kind=noise_kind, alpha=alpha, Y=Y,
+    entries = sample_noise(entry_kind, n * (n - 1) // 2, rng, alpha=alpha)
+    spike = None
+    if planted:
+        spike = rng.choice([-1.0, 1.0], size=n)
+        c = lam / math.sqrt(n)
+        for i, row in enumerate(_rows(entries, n)):
+            # spike[j] * (c * spike[i]) is exactly +-c
+            row += spike[i + 1:] * (c * spike[i])
+    return WigInstance(lam=lam, noise_kind=noise_kind, alpha=alpha, entries=entries,
                        spike=spike, branch=branch)
 
 
@@ -233,15 +228,16 @@ def eigsh(*args, **kwargs):
 
 
 def top_eigenvalue(M: np.ndarray) -> float:
-    """Largest (signed) eigenvalue of an exactly symmetric matrix.
+    """Largest (signed) eigenvalue of the symmetric matrix whose lower
+    triangle M holds; M's upper triangle is never read.
 
     Lanczos iteration on the dense matrix, each step a symmetric matvec
-    that reads only the lower triangle (the triangle the fallback reads
-    too), with a direct dense solve as fallback for the degenerate cases
-    ARPACK rejects (tiny or all-zero matrices) and, with a RuntimeWarning,
-    for Lanczos non-convergence; an unsolvable matrix surfaces as an error.
-    A float64 C- or Fortran-ordered matrix is read in place; any other
-    input is converted once before the solve."""
+    over the lower triangle, with a direct dense solve (which reads that
+    triangle too) as fallback for the degenerate cases ARPACK rejects (tiny
+    or all-zero matrices) and, with a RuntimeWarning, for Lanczos
+    non-convergence; an unsolvable matrix surfaces as an error.  A float64
+    C- or Fortran-ordered matrix is read in place; any other input is
+    converted once before the solve."""
     n = M.shape[0]
     if n >= 10:
         blas, sparse_linalg = _scipy_solver()
@@ -273,20 +269,20 @@ def top_eigenvalue(M: np.ndarray) -> float:
 
 
 def _eigen_test(inst: WigInstance, transform, sigma: float) -> TestVerdict:
-    """Threshold the top eigenvalue of transform(Y) / sqrt(n).
+    """Threshold the top eigenvalue of transform(Y) / sqrt(n), transform entrywise.
 
     Null bulk edge 2*sigma, planted outlier lambda + sigma^2/lambda once
     lambda > sigma; the threshold is their midpoint (infinite at lambda = 0)."""
-    _scipy_solver()  # before the transform allocates; see the module docstring
+    _scipy_solver()  # before the matrix allocates; see the module docstring
     lam = inst.lam
-    stat = top_eigenvalue(transform(inst.matrix())) / math.sqrt(inst.n)
+    stat = top_eigenvalue(inst.matrix(transform)) / math.sqrt(inst.n)
     thr = math.inf if lam == 0 else 0.5 * (2.0 * sigma + lam + sigma**2 / lam)
     return TestVerdict("p" if stat >= thr else "q", stat, thr)
 
 
 def pca_test(inst: WigInstance) -> TestVerdict:
-    """The eigenvalue test on Y itself (no copy): edge 2, outlier lambda + 1/lambda."""
-    return _eigen_test(inst, lambda y: y, 1.0)
+    """The eigenvalue test on Y itself: edge 2, outlier lambda + 1/lambda."""
+    return _eigen_test(inst, None, 1.0)
 
 
 def score_transform(y):
@@ -390,11 +386,11 @@ def overlap_chi2_exact(c: float, n: int) -> float:
 
 
 def entrywise_coefficient(n: int, lam: float, D: int) -> float:
-    """The explicit constant c multiplying <x1,x2>^2/(2n) in the bound."""
+    """The constant c multiplying <x1,x2>^2/(2n) in the bound; even in lambda."""
     if D < 1:
         raise DomainError(f"need D >= 1, got {D}")
     _check_finite_lambda(lam)
-    return (math.e * D) ** (2.0 * lam / math.sqrt(n)) * lam * lam * (
+    return (math.e * D) ** (2.0 * abs(lam) / math.sqrt(n)) * lam * lam * (
         1.0 / LAMBDA_STAR**2 - 1.0 / (3.0 * D)
     )
 
@@ -405,9 +401,9 @@ def entrywise_ldlr_mc_bound(n: int, lam: float, D: int, samples: int,
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     c = entrywise_coefficient(n, lam, D)  # checks D >= 1 before the regime test divides by D
-    if lam >= LAMBDA_STAR + 1.0 / (20.0 * D):
+    if abs(lam) >= LAMBDA_STAR + 1.0 / (20.0 * D):
         warnings.warn(
-            f"lambda={lam} is at or above the bounded regime "
+            f"|lambda|={abs(lam)} is at or above the bounded regime "
             f"lambda_star + 1/(20 D) = {LAMBDA_STAR + 1 / (20 * D):.4f}; "
             "the estimate may diverge",
             stacklevel=2,

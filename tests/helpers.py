@@ -284,7 +284,7 @@ def entrywise_parity_dp(n: int, lam: float, D: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# spiked observation matrix from its strict upper triangle
+# spiked observation: its strict upper triangle, packed
 # ---------------------------------------------------------------------------
 
 def noise_from_expressions(kind, size, rng, alpha=None):
@@ -304,24 +304,22 @@ def noise_from_expressions(kind, size, rng, alpha=None):
 
 
 def wig_matrix_from_triangle(n, lam, noise_kind, planted, rng, alpha=None):
-    """The matrix ``sample_wig`` must build for the same generator state.
+    """The packed triangle ``sample_wig`` must hold for the same generator state.
 
     Draws the mixed branch, the triangle of noise in row-major i < j order
-    and the spike signs, adds the spike on the triangle and scatters it
-    into a symmetric matrix with zero diagonal.
+    and the spike signs, and adds the spike x_i x_j lambda / sqrt(n) to
+    entry (i, j) with whole-array indexing.
     """
     entry_kind = noise_kind
     if noise_kind == "mixed":
         branch = 1 if planted else int(rng.integers(1, 3))
         entry_kind = "sech" if branch == 1 else "heavy"
     upper = noise_from_expressions(entry_kind, n * (n - 1) // 2, rng, alpha=alpha)
-    iu, ju = np.triu_indices(n, k=1)
     if planted:
+        iu, ju = np.triu_indices(n, k=1)
         spike = rng.choice([-1.0, 1.0], size=n)
         upper = upper + (lam / math.sqrt(n)) * spike[iu] * spike[ju]
-    Y = np.zeros((n, n))
-    Y[iu, ju] = upper
-    return Y + Y.T
+    return upper
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,16 @@ SIMULATE = ["spiked", "simulate", "--n", "50", "--planted", "true", "--test", "p
      "heavy noise needs alpha > 1, got nan"),
     (SIMULATE + ["--lambda", "1", "--noise", "heavy", "--alpha", "inf"],
      "heavy noise needs alpha > 1, got inf"),
+    # a given alpha is checked for every noise kind, sech included
+    (SIMULATE + ["--lambda", "1", "--noise", "sech", "--alpha", "nan"],
+     "heavy noise needs alpha > 1, got nan"),
+    (SIMULATE + ["--lambda", "1", "--noise", "sech", "--alpha", "inf"],
+     "heavy noise needs alpha > 1, got inf"),
+    (SIMULATE + ["--lambda", "1", "--noise", "sech", "--alpha", "0.5"],
+     "heavy noise needs alpha > 1, got 0.5"),
+    (["spiked", "power-curve", "--test", "tpca", "--noise", "sech", "--n", "20",
+      "--lambdas", "1", "--trials", "2", "--alpha", "nan"],
+     "heavy noise needs alpha > 1, got nan"),
     (["ldlr", "sbm", "--n", "20", "--a", "nan", "--b", "1", "--samples", "10"],
      "rates must be positive and finite, got a=nan"),
     (["ldlr", "sbm", "--n", "20", "--a", "inf", "--b", "1", "--samples", "10"],
@@ -238,21 +248,64 @@ def test_mixed_test_runs_on_any_noise_in_both_commands(capsys):
     assert code == 0 and body(out)[1][0].startswith("mixed,sech,30,1.5,2,")
 
 
-def test_benchmark_operations_pass_their_checks(tmp_path, monkeypatch, capsys):
-    # perfbench/workloads.py drives the CLI and the library by name; load it
-    # from its file and run every operation once at its smallest size, so
-    # that a change which breaks a benchmark operation fails here
+@pytest.fixture
+def workloads(monkeypatch):
+    """perfbench/workloads.py, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("nefqvf_bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_operations_pass_their_checks(workloads, tmp_path, capsys):
+    # perfbench/workloads.py drives the CLI and the library by name; run
+    # every operation once at its smallest size, so that a change which
+    # breaks a benchmark operation fails here
     for name in workloads.WORKLOADS:
         ops = workloads.make_ops(name, 0, "tiny", tmp_path / name)
         assert ops
         for op in ops:
             op.check(op.run())
     capsys.readouterr()
+
+
+# seed-0 reports of the spiked commands, stored in tests/reference/<name>.csv
+REFERENCE_RUNS = {
+    **{f"simulate-{test}-{noise}-{side}": [
+        "spiked", "simulate", "--n", "60", "--lambda", "1.5", "--noise", noise,
+        "--alpha", "3", "--planted", str(side == "planted"), "--trials", "3",
+        "--test", test, "--seed", "0"]
+       for test in ("pca", "tpca", "mixed")
+       for noise in ("sech", "heavy", "mixed")
+       for side in ("null", "planted")},
+    "power-curve-tpca-sech": ["spiked", "power-curve", "--test", "tpca", "--noise", "sech",
+                              "--n", "60", "--lambdas", "0.5,1.2,2", "--trials", "3",
+                              "--seed", "0"],
+    "mix-test": ["mix", "test", "--n", "60", "--lambda", "1.3", "--alpha", "3",
+                 "--trials", "4", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_RUNS))
+def test_spiked_reports_match_their_references(name, workloads, capsys):
+    # every cell byte for byte, except an eigenvalue statistic: its last
+    # bits follow the order in which the BLAS matvec sums, so it may move
+    # by a rounding error
+    code, out = run_cli(REFERENCE_RUNS[name], capsys)
+    assert code == 0
+    reference = (Path(__file__).resolve().parent / "reference" / f"{name}.csv").read_text()
+    got, want = (workloads.strip_provenance(text).splitlines() for text in (out, reference))
+    assert len(got) == len(want)
+    header = want[0].split(",")
+    for got_line, want_line in zip(got, want):
+        cells = list(zip(header, got_line.split(","), want_line.split(","), strict=True))
+        for column, g, w in cells:
+            if column == "statistic" and g != w:
+                assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0), want_line
+            else:
+                assert g == w, (column, want_line)
 
 
 def test_simulate_rejects_test_name_before_drawing(monkeypatch, capsys):
@@ -472,10 +525,11 @@ def test_import_does_not_load_scipy_stats():
 
 @pytest.mark.parametrize("solve, want", [
     ("spiked.top_eigenvalue(inst.matrix())", ["True"]),
-    # an eigenvalue test loads the solver before its transform allocates,
-    # so that scipy's long-lived objects sit below the transform's buffer
+    # an eigenvalue test loads the solver before its matrix allocates, so
+    # that scipy's long-lived objects sit below the matrix; the transform
+    # prints once per packed row (29 at n = 30), the script once at the end
     ("spiked.score_transform = lambda y: print('scipy.sparse.linalg' in sys.modules) or y\n"
-     "spiked.tpca_test(inst)", ["True", "True"]),
+     "spiked.tpca_test(inst)", ["True"] * 29 + ["True"]),
 ], ids=["top_eigenvalue", "before_transform"])
 def test_scipy_loads_on_the_first_eigen_solve(solve, want):
     # scipy is most of the start-up time and only the eigen-solve needs it:
@@ -494,10 +548,10 @@ def test_scipy_loads_on_the_first_eigen_solve(solve, want):
 
 
 def test_simulate_holds_one_instance_at_a_time(capsys):
-    # a trial's matrix is released before the next trial draws, so the peak
-    # is one matrix and its score transform (2 x 8n^2) plus the solver's
-    # vectors; keeping the last instance alive would add a matrix and the
-    # packed noise triangle (2.5 x).  The parser and ARPACK's 20 Lanczos
+    # a trial's instance is released before the next trial draws, so the
+    # peak is one packed instance (0.5 x 8n^2) and the matrix its test
+    # solves (1 x) plus the solver's vectors; keeping the last instance
+    # alive would add another 0.5 x.  The parser and ARPACK's 20 Lanczos
     # vectors add about 0.28 MB, which n = 600 keeps well inside the margin
     n = 600
     argv = ["spiked", "simulate", "--n", str(n), "--lambda", "1.2", "--noise", "sech",
@@ -510,4 +564,4 @@ def test_simulate_holds_one_instance_at_a_time(capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak <= 2.2 * 8 * n * n
+    assert peak <= 1.8 * 8 * n * n

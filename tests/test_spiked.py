@@ -72,7 +72,7 @@ def test_heavy_density_and_tail_mass():
 def test_sech_entries_variance():
     rng = np.random.default_rng(21)
     inst = sample_wig(500, 0.0, "sech", planted=False, rng=rng)
-    off = inst.matrix()[np.triu_indices(500, k=1)]
+    off = inst.entries
     v = off.var()
     se = math.sqrt(np.mean(off**4) / off.size)
     assert abs(v - 1.0) < 4 * se
@@ -81,31 +81,32 @@ def test_sech_entries_variance():
 def test_zero_signal_matches_null_draws():
     a = sample_wig(40, 0.0, "sech", planted=True, rng=np.random.default_rng(5))
     b = sample_wig(40, 0.0, "sech", planted=False, rng=np.random.default_rng(5))
-    np.testing.assert_array_equal(a.matrix(), b.matrix())
+    np.testing.assert_array_equal(a.entries, b.entries)
 
 
 @pytest.mark.parametrize("n", [2, 3, 57, 300])
 @pytest.mark.parametrize("noise", ["sech", "heavy", "mixed"])
 @pytest.mark.parametrize("planted", [False, True])
 def test_sample_wig_matches_triangle_construction(n, noise, planted):
-    # the same generator state gives the same matrix bit for bit, so the
+    # the same generator state gives the same triangle bit for bit, so the
     # reports' eigenvalue statistics keep their values for a fixed seed
     for seed in (0, 1, 2, 3):
         args = (n, 1.3, noise, planted)
         inst = sample_wig(*args, np.random.default_rng(seed), alpha=3.0)
         want = wig_matrix_from_triangle(*args, np.random.default_rng(seed), alpha=3.0)
-        assert inst.matrix().tobytes() == want.tobytes(), seed
+        assert inst.entries.tobytes() == want.tobytes(), seed
         assert inst.max_abs_entry() == np.max(np.abs(want))
 
 
 def test_sample_wig_matrix_is_read_only():
     inst = sample_wig(10, 1.0, "sech", True, np.random.default_rng(0))
-    Y = inst.matrix()
+    entries = inst.entries
     with pytest.raises(ValueError):
-        Y[0, 1] = 5.0
+        entries[0] = 5.0
     with pytest.raises(ValueError):
-        Y += 1.0
-    assert Y[0, 1] == Y[1, 0] and Y[0, 0] == 0.0
+        entries += 1.0
+    # each test gets a fresh buffer of its own
+    assert inst.matrix().flags.writeable and not np.shares_memory(inst.matrix(), entries)
 
 
 def test_sample_wig_validation():
@@ -127,11 +128,17 @@ def test_sample_wig_validation():
 def test_matrix_assembly_and_permutation_invariance():
     rng = np.random.default_rng(3)
     inst = sample_wig(60, 1.2, "sech", planted=True, rng=rng)
-    Y = inst.matrix()
-    assert np.allclose(Y, Y.T) and np.all(np.diag(Y) == 0.0)
+    M = inst.matrix()
+    # Fortran-ordered, entry (i, j) of the triangle at M[j, i], zero on and
+    # above the diagonal
+    assert M.flags.f_contiguous and not np.triu(M).any()
+    assert M.T[np.triu_indices(60, k=1)].tobytes() == inst.entries.tobytes()
+    t = inst.matrix(score_transform)
+    assert t.T[np.triu_indices(60, k=1)].tobytes() == score_transform(inst.entries).tobytes()
+    Y = M + M.T
     perm = rng.permutation(60)
     assert top_eigenvalue(Y[np.ix_(perm, perm)]) == pytest.approx(
-        top_eigenvalue(Y), abs=1e-7
+        top_eigenvalue(M), abs=1e-7
     )
 
 
@@ -151,14 +158,21 @@ def test_pca_threshold_values():
     v = pca_test(inst)
     assert v.threshold == pytest.approx(0.5 * (2 + 1.5 + 1 / 1.5))
     # the tests read lambda from the instance alone
-    Y = inst.matrix()
-    assert pca_test(WigInstance(1.0, "sech", None, Y)).threshold == pytest.approx(2.0)
-    assert pca_test(WigInstance(0.0, "sech", None, Y)).label == "q"  # infinite threshold
+    e = inst.entries
+    assert pca_test(WigInstance(1.0, "sech", None, e)).threshold == pytest.approx(2.0)
+    assert pca_test(WigInstance(0.0, "sech", None, e)).label == "q"  # infinite threshold
 
 
 def test_wig_instance_rejects_negative_lambda():
     with pytest.raises(DomainError, match="need lambda >= 0, got -1.0"):
-        WigInstance(lam=-1.0, noise_kind="sech", alpha=None, Y=np.zeros((4, 4)))
+        WigInstance(lam=-1.0, noise_kind="sech", alpha=None, entries=np.zeros(6))
+
+
+@pytest.mark.parametrize("entries", [np.zeros(5), np.zeros(7), np.zeros((2, 3)),
+                                     np.zeros((4, 4))])
+def test_wig_instance_needs_a_packed_triangle(entries):
+    with pytest.raises(DomainError, match="n\\(n-1\\)/2 packed entries"):
+        WigInstance(lam=1.0, noise_kind="sech", alpha=None, entries=entries)
 
 
 @pytest.mark.parametrize("noise", ["sech", "heavy", "mixed"])
@@ -183,7 +197,7 @@ def test_heavy_alpha_rule_has_one_message():
 @pytest.mark.parametrize("planted", [False, True])
 def test_wig_instance_derives_size_and_side(noise, planted):
     inst = sample_wig(7, 1.1, noise, planted, np.random.default_rng(0), alpha=3.0)
-    assert inst.n == inst.matrix().shape[0] == 7
+    assert inst.n == inst.matrix().shape[0] == 7 and inst.entries.shape == (21,)
     assert inst.planted == (inst.spike is not None) == planted
 
 
@@ -215,9 +229,10 @@ def _traced_peak(fn) -> int:
 
 
 def test_spiked_path_holds_one_matrix_per_stage():
-    # numpy reports its buffers to tracemalloc; a planted instance needs its
-    # matrix plus the packed noise triangle (1.5 x 8n^2), and the score
-    # test one transformed matrix beyond what the eigen-solve itself takes
+    # numpy reports its buffers to tracemalloc; a planted instance is its
+    # packed triangle (0.5 x 8n^2), each eigen test adds the one matrix it
+    # solves plus the solver's vectors, and a heavy null that the mixed
+    # test labels from its largest entry builds no matrix at all
     n = 400
     matrix_bytes = 8 * n * n
     tracemalloc.start()
@@ -226,11 +241,16 @@ def test_spiked_path_holds_one_matrix_per_stage():
         inst = sample_wig(n, 1.5, "sech", True, np.random.default_rng(0))
         solve = _traced_peak(lambda: pca_test(inst))
         scored = _traced_peak(lambda: tpca_test(inst))
+        heavy = sample_wig(n, 1.5, "heavy", False, np.random.default_rng(0), alpha=3.0)
+        verdict = mixed_test(heavy)
+        short_circuit = _traced_peak(lambda: mixed_test(heavy))
     finally:
         tracemalloc.stop()
-    assert sample <= 1.6 * matrix_bytes
-    assert solve <= 0.2 * matrix_bytes
-    assert scored - solve <= 1.05 * matrix_bytes
+    assert sample <= 0.6 * matrix_bytes
+    assert solve <= 1.15 * matrix_bytes
+    assert scored <= 1.15 * matrix_bytes
+    assert verdict.statistic > verdict.threshold  # labeled without a solve
+    assert short_circuit <= 0.05 * matrix_bytes
 
 
 def test_tpca_threshold_matches_pinned_value():
@@ -259,19 +279,19 @@ def test_eigen_tests_separate_at_moderate_size():
 
 
 def test_wig_instance_is_read_only_from_construction():
-    Y = np.zeros((10, 10))
-    inst = WigInstance(lam=1.0, noise_kind="sech", alpha=None, Y=Y)
+    entries = np.zeros(45)
+    inst = WigInstance(lam=1.0, noise_kind="sech", alpha=None, entries=entries)
     with pytest.raises(ValueError):
-        inst.matrix()[0, 1] = 1.0
-    assert np.shares_memory(inst.matrix(), Y)  # a view, not a copy
+        inst.entries[0] = 1.0
+    assert inst.n == 10 and np.shares_memory(inst.entries, entries)  # a view, not a copy
 
 
 def test_mixed_test_branch_cases():
-    zero = WigInstance(lam=1.0, noise_kind="mixed", alpha=3.0, Y=np.zeros((50, 50)))
+    zero = WigInstance(lam=1.0, noise_kind="mixed", alpha=3.0, entries=np.zeros(50 * 49 // 2))
     assert mixed_test(zero).label == "q"  # eigenvalue 0 under the threshold
-    big = np.zeros((100, 100))
-    big[0, 1] = big[1, 0] = 100.0  # exceeds 10 log(100) = 46.05
-    spiky = WigInstance(lam=1.0, noise_kind="mixed", alpha=3.0, Y=big)
+    big = np.zeros(100 * 99 // 2)
+    big[0] = -100.0  # entry (0, 1); |-100| exceeds 10 log(100) = 46.05
+    spiky = WigInstance(lam=1.0, noise_kind="mixed", alpha=3.0, entries=big)
     v = mixed_test(spiky)
     assert v.label == "q" and v.threshold == pytest.approx(10 * math.log(100))
 
@@ -295,11 +315,11 @@ def test_top_eigenvalue_degenerate_matrix_is_silent():
         assert top_eigenvalue(np.zeros((20, 20))) == 0.0
 
 
-@pytest.mark.parametrize("transform", [lambda y: y, score_transform], ids=["pca", "tpca"])
+@pytest.mark.parametrize("transform", [None, score_transform], ids=["pca", "tpca"])
 @pytest.mark.parametrize("planted", [False, True])
 def test_top_eigenvalue_matches_dense_solve(transform, planted):
     inst = sample_wig(300, 1.3, "sech", planted, np.random.default_rng(21))
-    M = transform(inst.matrix())
+    M = inst.matrix(transform)
     assert top_eigenvalue(M) == pytest.approx(np.linalg.eigvalsh(M)[-1], rel=1e-12)
 
 
@@ -446,12 +466,13 @@ def test_entrywise_exact_at_large_n():
 
 
 def test_entrywise_bound_dominates_exact_sum():
-    for n in (4, 6, 8):
-        for D in (2, 3):
-            for lam in (0.3, 0.5, 0.9):
-                ex = entrywise_ldlr_exact(n, lam, D)
-                ub = overlap_chi2_exact(entrywise_coefficient(n, lam, D), n)
-                assert ex <= ub + 1e-8, (n, D, lam)
+    # for either sign of lambda: the exact sum is even in lambda
+    cases = [(n, D, lam) for n in (4, 6, 8) for D in (2, 3) for lam in (0.3, 0.5, 0.9)]
+    for n, D, lam in cases + [(50, 6, 0.85), (50, 6, 0.88)]:
+        for signed in (lam, -lam):
+            ex = entrywise_ldlr_exact(n, signed, D)
+            ub = overlap_chi2_exact(entrywise_coefficient(n, signed, D), n)
+            assert ex <= ub + 1e-8, (n, D, signed)
 
 
 def test_entrywise_mc_bound_reports_coefficient():
@@ -464,8 +485,9 @@ def test_entrywise_mc_bound_reports_coefficient():
 
 def test_entrywise_mc_bound_warns_above_regime():
     rng = np.random.default_rng(10)
-    with pytest.warns(UserWarning, match="bounded regime"):
-        entrywise_ldlr_mc_bound(100, 1.5, 2, 100, rng)
+    for lam in (1.5, -1.5):
+        with pytest.warns(UserWarning, match="bounded regime"):
+            entrywise_ldlr_mc_bound(100, lam, 2, 100, rng)
 
 
 def test_entrywise_mc_bound_rejects_degree_below_one():
