@@ -195,6 +195,14 @@ SIMULATE = ["spiked", "simulate", "--n", "50", "--planted", "true", "--test", "p
      "heavy noise needs alpha > 1, got nan"),
     (SIMULATE + ["--lambda", "1", "--noise", "heavy", "--alpha", "inf"],
      "heavy noise needs alpha > 1, got inf"),
+    (["ldlr", "sbm", "--n", "20", "--a", "nan", "--b", "1", "--samples", "10"],
+     "rates must be positive and finite, got a=nan"),
+    (["ldlr", "sbm", "--n", "20", "--a", "inf", "--b", "1", "--samples", "10"],
+     "rates must be positive and finite, got a=inf"),
+    (["spiked", "entrywise-bound", "--n", "50", "--lambda", "nan", "--degree", "2",
+      "--samples", "30", "--exact", "true"], "need finite lambda, got nan"),
+    (["orthopoly", "build", "--family", "gamma{alpha=inf}", "--mu0", "1", "--degree", "2"],
+     "gamma needs shape alpha > 0 and finite, got inf"),
     # a given alpha is checked for every noise kind, sech included
     (SIMULATE + ["--lambda", "1", "--noise", "sech", "--alpha", "nan"],
      "heavy noise needs alpha > 1, got nan"),
@@ -205,14 +213,6 @@ SIMULATE = ["spiked", "simulate", "--n", "50", "--planted", "true", "--test", "p
     (["spiked", "power-curve", "--test", "tpca", "--noise", "sech", "--n", "20",
       "--lambdas", "1", "--trials", "2", "--alpha", "nan"],
      "heavy noise needs alpha > 1, got nan"),
-    (["ldlr", "sbm", "--n", "20", "--a", "nan", "--b", "1", "--samples", "10"],
-     "rates must be positive and finite, got a=nan"),
-    (["ldlr", "sbm", "--n", "20", "--a", "inf", "--b", "1", "--samples", "10"],
-     "rates must be positive and finite, got a=inf"),
-    (["spiked", "entrywise-bound", "--n", "50", "--lambda", "nan", "--degree", "2",
-      "--samples", "30", "--exact", "true"], "need finite lambda, got nan"),
-    (["orthopoly", "build", "--family", "gamma{alpha=inf}", "--mu0", "1", "--degree", "2"],
-     "gamma needs shape alpha > 0 and finite, got inf"),
 ])
 def test_bad_input_exits_config_code(argv, message, capsys):
     code = main(argv)
@@ -300,8 +300,7 @@ def test_spiked_reports_match_their_references(name, workloads, capsys):
     assert len(got) == len(want)
     header = want[0].split(",")
     for got_line, want_line in zip(got, want):
-        cells = list(zip(header, got_line.split(","), want_line.split(","), strict=True))
-        for column, g, w in cells:
+        for column, g, w in zip(header, got_line.split(","), want_line.split(","), strict=True):
             if column == "statistic" and g != w:
                 assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0), want_line
             else:
