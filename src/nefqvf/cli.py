@@ -21,6 +21,9 @@ Model files are plain text, one ``key = value`` per line, ``#`` comments:
     kind = kin                    # kin | additive | z  (z: offsets in
     null_means = 0.5              #   z-score units, used by `ldlr compare`)
     atom = 0.75 : 1.0             # coordinates, colon, probability
+
+Each key but ``atom`` is given once; ``family = X`` is the one-entry
+spelling of ``families``, and a kin or additive model has exactly one.
 """
 
 from __future__ import annotations
@@ -180,6 +183,7 @@ def parse_model_file(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"model: cannot read file {path!r}: {exc}") from exc
     out: dict = {"atoms": []}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -187,9 +191,12 @@ def parse_model_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"model: line {lineno} is not 'key = value'")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key == "family":
-            out["families"] = [parse_family(val)]
-        elif key == "families":
+        key = "families" if key == "family" else key
+        if key != "atom":
+            if key in seen:
+                raise ConfigError(f"model: line {lineno} repeats {key!r} of line {seen[key]}")
+            seen[key] = lineno
+        if key == "families":
             out["families"] = [parse_family(tok) for tok in val.split(";") if tok.strip()]
         elif key == "kind":
             if val not in ("kin", "additive", "z"):
@@ -219,12 +226,20 @@ def parse_model_file(path: str) -> dict:
     return out
 
 
-def _load_model(path: str):
+def _load_model(path: str, *kinds: str):
+    """The model file at ``path``, whose kind must be one of ``kinds``: a
+    kin or additive model, or the parsed description of a z model."""
     desc = parse_model_file(path)
-    if desc["kind"] == "z":
-        raise ConfigError("model: kind 'z' is only usable with `ldlr compare`")
-    model = KinSpikedModel if desc["kind"] == "kin" else AdditiveSpikedModel
-    prior = SpikePrior.from_atoms(desc["kind"], desc["atoms"])
+    kind = desc["kind"]
+    if kind not in kinds:
+        raise ConfigError(f"model: kind {kind!r} is not usable here; "
+                          f"this command takes kind {' or '.join(kinds)}")
+    if kind == "z":
+        return desc
+    if len(desc["families"]) != 1:
+        raise ConfigError(f"model: a {kind} model has one family, got {len(desc['families'])}")
+    model = KinSpikedModel if kind == "kin" else AdditiveSpikedModel
+    prior = SpikePrior.from_atoms(kind, desc["atoms"])
     return model(desc["families"][0], desc["null_means"], prior)
 
 
@@ -343,16 +358,14 @@ HEADER_LDLR = ["mode", "D", "value", "stderr", "samples", "seed"]
 
 
 def _run_ldlr_exact(config):
-    model = _load_model(config.values["model"])
+    model = _load_model(config.values["model"], "kin", "additive")
     D = config.values["degree"]
     exact = ldlr_exact_additive if isinstance(model, AdditiveSpikedModel) else ldlr_exact
     write_report(config, HEADER_LDLR, [("exact", D, exact(model, D), None, None, None)])
 
 
 def _run_ldlr_mc(config):
-    model = _load_model(config.values["model"])
-    if not isinstance(model, KinSpikedModel):
-        raise ConfigError("config: `ldlr mc` runs on kin models")
+    model = _load_model(config.values["model"], "kin")
     D, seed = config.values["degree"], config.values["seed"]
     res = overlap_bound_mc(model, D, config.values["samples"], np.random.default_rng(seed))
     D = "inf" if D is None else D
@@ -364,10 +377,7 @@ def _run_ldlr_mc(config):
 
 
 def _run_ldlr_compare(config):
-    desc = parse_model_file(config.values["model"])
-    if desc["kind"] != "z":
-        raise ConfigError("config: `ldlr compare` needs a model with kind = z "
-                          "(prior offsets in z-score units)")
+    desc = _load_model(config.values["model"], "z")
     prior = SpikePrior.from_atoms("kin", desc["atoms"])
     D = config.values["degree"]
     rows = channel_compare(desc["families"], desc["null_means"], prior, D)

@@ -66,8 +66,8 @@ class SpikePrior:
     """Finitely-supported or sampler-backed distribution of the hidden vector.
 
     ``kind`` is "kin" (vectors are mean vectors) or "additive" (shifts).
-    Exactly one of ``atoms`` / ``sampler`` is set; atom probabilities must
-    sum to one within 1e-12.
+    Exactly one of ``atoms`` / ``sampler`` is set; atom coordinates must be
+    finite and atom probabilities must sum to one within 1e-12.
     """
 
     kind: str
@@ -81,10 +81,12 @@ class SpikePrior:
             raise DomainError("exactly one of atoms/sampler must be given")
         if self.atoms is not None:
             total = sum(p for _, p in self.atoms)
-            if abs(total - 1.0) > 1e-12:
+            if not abs(total - 1.0) <= 1e-12:  # NaN fails too
                 raise DomainError(f"atom probabilities sum to {total}, not 1")
             if any(p < 0 for _, p in self.atoms):
                 raise DomainError("atom probabilities must be non-negative")
+            if not all(math.isfinite(c) for vec, _ in self.atoms for c in vec):
+                raise DomainError("atom coordinates must be finite")
 
     @classmethod
     def from_atoms(cls, kind: str, atoms) -> "SpikePrior":

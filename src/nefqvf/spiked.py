@@ -236,8 +236,8 @@ def top_eigenvalue(M: np.ndarray) -> float:
     triangle too) as fallback for the degenerate cases ARPACK rejects (tiny
     or all-zero matrices) and, with a RuntimeWarning, for Lanczos
     non-convergence; an unsolvable matrix surfaces as an error.  A float64
-    C- or Fortran-ordered matrix is read in place; any other input is
-    converted once before the solve."""
+    Fortran-ordered matrix is read in place; any other input is copied once
+    into that layout before the solve."""
     n = M.shape[0]
     if n >= 10:
         blas, sparse_linalg = _scipy_solver()
@@ -246,13 +246,10 @@ def top_eigenvalue(M: np.ndarray) -> float:
         # which would break byte-identical reports
         v0 = np.full(n, 1.0 / math.sqrt(n))
         # each matvec reads M's lower triangle, as the fallback does, from a
-        # Fortran-ordered view: f2py would copy any other layout on every call
-        if M.flags.f_contiguous and M.dtype == np.float64:
-            A, lower = M, 1
-        else:
-            A, lower = np.ascontiguousarray(M, dtype=np.float64).T, 0
+        # Fortran-ordered array: f2py would copy any other layout on every call
+        A = np.asfortranarray(M, dtype=np.float64)
         op = sparse_linalg.LinearOperator(
-            (n, n), matvec=lambda x: dsymv(1.0, A, x, lower=lower), dtype=np.float64)
+            (n, n), matvec=lambda x: dsymv(1.0, A, x, lower=1), dtype=np.float64)
         try:
             return float(eigsh(op, k=1, which="LA", tol=1e-8, v0=v0,
                                return_eigenvectors=False)[0])

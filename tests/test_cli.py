@@ -174,6 +174,19 @@ def test_numeric_instability_exit_code(tmp_path, monkeypatch, capsys):
 SIMULATE = ["spiked", "simulate", "--n", "50", "--planted", "true", "--test", "pca"]
 
 
+class Model(str):
+    """A model file's text in an argv; the test writes it to a file and
+    passes the file's path in its place."""
+
+
+def model_argv(command, text):
+    return ["ldlr", command, "--model", Model(text), "--degree", "2"] + (
+        ["--samples", "20"] if command == "mc" else [])
+
+
+KIN_MEANS = "kind = kin\nnull_means = 1.0\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["spiked", "entrywise-bound", "--n", "50", "--lambda", "0.5", "--degree", "0",
       "--samples", "30"], "D >= 1"),
@@ -213,8 +226,42 @@ SIMULATE = ["spiked", "simulate", "--n", "50", "--planted", "true", "--test", "p
     (["spiked", "power-curve", "--test", "tpca", "--noise", "sech", "--n", "20",
       "--lambdas", "1", "--trials", "2", "--alpha", "nan"],
      "heavy noise needs alpha > 1, got nan"),
+    # a kin or additive model has one family, and each key but atom comes once
+    *[(model_argv(command, "families = poisson; gamma{alpha=2}\n" + KIN_MEANS
+                  + "atom = 1.5 : 1.0\n"), "a kin model has one family, got 2")
+      for command in ("exact", "mc")],
+    (model_argv("exact", "families =\n" + KIN_MEANS + "atom = 1.5 : 1.0\n"),
+     "a kin model has one family, got 0"),
+    (model_argv("exact", "family = poisson\nkind = kin\nkind = additive\n"
+                         "null_means = 1.0\natom = 1.5 : 1.0\n"),
+     "line 3 repeats 'kind' of line 2"),
+    (model_argv("exact", "family = poisson\n" + KIN_MEANS + "null_means = 2.0\n"
+                         "atom = 1.5 : 1.0\n"),
+     "line 4 repeats 'null_means' of line 3"),
+    (model_argv("exact", "family = poisson\n" + KIN_MEANS + "family = sech\n"
+                         "atom = 1.5 : 1.0\n"),
+     "line 4 repeats 'families' of line 1"),
+    (model_argv("exact", COMPARE_MODEL), "kind 'z' is not usable here"),
+    (["ldlr", "compare", "--model", Model(BERNOULLI_MODEL), "--degree", "2"],
+     "this command takes kind z"),
+    (model_argv("mc", "family = sech\nkind = additive\nnull_means = 0\natom = 1 : 1\n"),
+     "this command takes kind kin"),
+    # priors hold finite numbers only
+    *[(model_argv(command, "family = poisson\n" + KIN_MEANS + "atom = 1.5 : nan\n"),
+       "atom probabilities sum to nan, not 1") for command in ("exact", "mc")],
+    (["ldlr", "compare", "--model",
+      Model(COMPARE_MODEL.replace("0.6", "nan")), "--degree", "2"],
+     "atom probabilities sum to nan, not 1"),
+    *[(model_argv("exact", f"family = sech\nkind = additive\nnull_means = 0\n"
+                           f"atom = {x} : 1.0\n"), "atom coordinates must be finite")
+      for x in ("nan", "inf")],
 ])
-def test_bad_input_exits_config_code(argv, message, capsys):
+def test_bad_input_exits_config_code(argv, message, tmp_path, capsys):
+    for i, arg in enumerate(argv):
+        if isinstance(arg, Model):
+            path = tmp_path / f"{i}.model"
+            path.write_text(arg)
+            argv = [*argv[:i], str(path), *argv[i + 1:]]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -259,16 +306,57 @@ def workloads(monkeypatch):
     return module
 
 
+REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
+
+
+def assert_matches_reference(text, name, workloads):
+    """Compare a report with REFERENCE_DIR/<name>.csv, provenance aside:
+    every cell byte for byte, except an eigenvalue statistic, whose last
+    bits follow the order in which the BLAS matvec sums, so it may move by
+    a rounding error."""
+    reference = (REFERENCE_DIR / f"{name}.csv").read_text()
+    got, want = (workloads.strip_provenance(t).splitlines() for t in (text, reference))
+    assert len(got) == len(want), name
+    header = want[0].split(",")
+    for got_line, want_line in zip(got, want):
+        for column, g, w in zip(header, got_line.split(","), want_line.split(","), strict=True):
+            if column == "statistic" and g != w:
+                assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0), (name, want_line)
+            else:
+                assert g == w, (name, column, want_line)
+
+
 def test_benchmark_operations_pass_their_checks(workloads, tmp_path, capsys):
     # perfbench/workloads.py drives the CLI and the library by name; run
     # every operation once at its smallest size, so that a change which
-    # breaks a benchmark operation fails here
+    # breaks a benchmark operation, or moves a byte of its seed-0 output
+    # (tests/reference/tiny/<op>.csv), fails here
     for name in workloads.WORKLOADS:
         ops = workloads.make_ops(name, 0, "tiny", tmp_path / name)
         assert ops
         for op in ops:
-            op.check(op.run())
+            text = op.run()
+            op.check(text)
+            assert_matches_reference(text, f"tiny/{op.name}", workloads)
     capsys.readouterr()
+
+
+def test_unbenchmarked_commands_match_their_references(bernoulli_model, workloads,
+                                                        tmp_path, capsys):
+    # the commands and the config-file path that no benchmark operation runs
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[ldlr.exact]\nmodel = {bernoulli_model}\ndegree = 3\n")
+    runs = {
+        "families-list": ["families", "list"],
+        "families-check": ["families", "check"],
+        "orthopoly-dump-gamma": ["orthopoly", "dump", "--family", "gamma{alpha=2.5}",
+                                 "--mu0", "1.8", "--degree", "6"],
+        "ldlr-exact-config": ["--config", str(config), "ldlr", "exact"],
+    }
+    for name, argv in runs.items():
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert_matches_reference(out, f"tiny/{name}", workloads)
 
 
 # seed-0 reports of the spiked commands, stored in tests/reference/<name>.csv
@@ -290,21 +378,9 @@ REFERENCE_RUNS = {
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_RUNS))
 def test_spiked_reports_match_their_references(name, workloads, capsys):
-    # every cell byte for byte, except an eigenvalue statistic: its last
-    # bits follow the order in which the BLAS matvec sums, so it may move
-    # by a rounding error
     code, out = run_cli(REFERENCE_RUNS[name], capsys)
     assert code == 0
-    reference = (Path(__file__).resolve().parent / "reference" / f"{name}.csv").read_text()
-    got, want = (workloads.strip_provenance(text).splitlines() for text in (out, reference))
-    assert len(got) == len(want)
-    header = want[0].split(",")
-    for got_line, want_line in zip(got, want):
-        for column, g, w in zip(header, got_line.split(","), want_line.split(","), strict=True):
-            if column == "statistic" and g != w:
-                assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0), want_line
-            else:
-                assert g == w, (column, want_line)
+    assert_matches_reference(out, name, workloads)
 
 
 def test_simulate_rejects_test_name_before_drawing(monkeypatch, capsys):
@@ -520,6 +596,23 @@ def test_import_does_not_load_scipy_stats():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_package_root_holds_only_its_version():
+    # every name is imported from the module that defines it: the root
+    # re-exports nothing, so importing one module loads only what it needs
+    src = str(Path(nefqvf.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nefqvf\n"
+         "print([n for n in dir(nefqvf) if not n.startswith('_')], nefqvf.__version__)\n"
+         "import nefqvf.families\n"
+         "print(sorted(m for m in sys.modules if m.startswith('nefqvf')))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "[] 0.1.0", "['nefqvf', 'nefqvf.errors', 'nefqvf.families']"]
 
 
 @pytest.mark.parametrize("solve, want", [

@@ -62,6 +62,22 @@ def test_prior_validation():
         KinSpikedModel(Family.poisson(), (1.0,), point_mass("additive", (0.5,)))
 
 
+@pytest.mark.parametrize("atoms, message", [
+    ([((1.5,), math.nan)], "sum to nan, not 1"),
+    ([((1.5,), 0.5), ((1.0,), math.nan)], "sum to nan, not 1"),
+    ([((1.5,), math.inf)], "sum to inf, not 1"),
+    ([((1.5,), 1.5), ((1.0,), -0.5)], "must be non-negative"),
+    ([((math.nan, 0.5), 1.0)], "coordinates must be finite"),
+    ([((0.5, 0.5), 0.5), ((0.5, math.inf), 0.5)], "coordinates must be finite"),
+    ([((-math.inf,), 1.0)], "coordinates must be finite"),
+])
+def test_prior_holds_finite_numbers_only(atoms, message):
+    # NaN fails every comparison, so each check is written to fail on it
+    for kind in ("kin", "additive"):
+        with pytest.raises(DomainError, match=message):
+            SpikePrior.from_atoms(kind, atoms)
+
+
 def test_model_domain_errors_name_the_value():
     # one array check per model; the error names the first offending value
     bern = Family.binomial(1)
