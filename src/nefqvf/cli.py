@@ -17,7 +17,7 @@ byte-identical outputs.
 
 Model files are plain text, one ``key = value`` per line, ``#`` comments:
 
-    family = binomial{m=1}        # or: families = binomial{m=1}; poisson
+    family = binomial{m=1}        # kind = z takes a list: families = poisson; sech
     kind = kin                    # kin | additive | z  (z: offsets in
     null_means = 0.5              #   z-score units, used by `ldlr compare`)
     atom = 0.75 : 1.0             # coordinates, colon, probability
