@@ -27,15 +27,15 @@ test takes only the instance and reads lambda from it; each runs on any
 noise kind.
 
 Memory: an instance is its packed triangle (half an n x n buffer), the
-noise as drawn with the spike added in place row by row; sampling makes no
-n x n array.  An eigenvalue test builds the one n x n buffer it solves,
-``WigInstance.matrix(transform)``, whose strictly lower triangle the
-eigen-solve reads in place, one symmetric BLAS matvec per Lanczos step.
-A short-circuited ``mixed_test`` reads only the triangle.  ``power_curve``
-and the CLI keep one instance alive at a time.  scipy, which provides the
-solver, is imported by the first eigenvalue test before its matrix
-allocates, so scipy's long-lived objects sit below that buffer, not above
-a freed hole that small allocations would split.
+noise as drawn with the spike added in place; sampling makes no n x n
+array.  An eigenvalue test builds the one n x n buffer it solves,
+``WigInstance.matrix(transform)``, whose lower triangle the eigen-solve
+reads in place.  Both loop over plain row slices and allocate nothing
+that outlives a row.  A short-circuited ``mixed_test`` reads only the
+triangle; ``power_curve`` and the CLI keep one instance alive at a time.
+The first eigenvalue test imports scipy before its matrix allocates, so
+no long-lived object lands between freed buffers, and repeated runs in
+one process keep the peak of the first.
 
 Entrywise-degree-bounded likelihood-ratio mass: with the translation
 polynomials tau_hat of the sech family, the component at a multi-index k
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,9 +116,13 @@ def sample_noise(kind: str, size: int, rng: np.random.Generator,
     raise DomainError(f"unknown noise kind {kind!r}")
 
 
-def _rows(entries: np.ndarray, n: int) -> list[np.ndarray]:
-    """Views of the packed triangle's rows: row i holds the entries (i, j), j > i."""
-    return np.split(entries, np.cumsum(np.arange(n - 1, 1, -1)))
+def _rows(entries: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """Views of the packed triangle's rows: row i holds the entries (i, j), j > i.
+    Plain slices made one at a time, so nothing outlives its row."""
+    start = 0
+    for length in range(n - 1, 0, -1):
+        yield entries[start:start + length]
+        start += length
 
 
 @dataclass(frozen=True)
@@ -141,6 +146,8 @@ class WigInstance:
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 1 or self.n * (self.n - 1) // 2 != entries.size:
             raise DomainError(f"need n(n-1)/2 packed entries, got shape {entries.shape}")
+        if self.n < 2:
+            raise DomainError(f"need n >= 2, got {self.n}")
 
     @property
     def n(self) -> int:
@@ -191,10 +198,13 @@ def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
     spike = None
     if planted:
         spike = rng.choice([-1.0, 1.0], size=n)
-        c = lam / math.sqrt(n)
+        cs = (lam / math.sqrt(n)) * spike
         for i, row in enumerate(_rows(entries, n)):
-            # spike[j] * (c * spike[i]) is exactly +-c
-            row += spike[i + 1:] * (c * spike[i])
+            # spike[j] * spike[i] * c is exactly +-cs[j]
+            if spike[i] > 0:
+                row += cs[i + 1:]
+            else:
+                row -= cs[i + 1:]
     return WigInstance(lam=lam, noise_kind=noise_kind, alpha=alpha, entries=entries,
                        spike=spike, branch=branch)
 

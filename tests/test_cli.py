@@ -657,3 +657,31 @@ def test_simulate_holds_one_instance_at_a_time(capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert peak <= 1.8 * 8 * n * n
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KB, as Linux reports it")
+def test_repeated_power_curves_keep_their_peak():
+    # one instance (0.5 x 8n^2) and one matrix (1 x) are live at a time, and
+    # no small object outlives a row loop to pin a freed buffer's place in
+    # the heap, so six curves in one process peak where the first one does
+    # (an np.split row list read 2.6 x 8n^2 here, its peak growing on later
+    # runs into a hole the size of a matrix)
+    n = 1000
+    src = str(Path(nefqvf.__file__).resolve().parents[1])
+    code = (
+        "import resource, sys, numpy as np\n"
+        "from nefqvf import cli, spiked\n"
+        "spiked.tpca_test(spiked.sample_wig(30, 1.2, 'sech', True, np.random.default_rng(0)))\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "for test in ('tpca', 'pca'):\n"
+        "    for seed in ('0', '1', '2'):\n"
+        "        cli.main(['spiked', 'power-curve', '--test', test, '--noise', 'sech',\n"
+        f"                  '--n', '{n}', '--lambdas', '0.8,1.5', '--trials', '1',\n"
+        "                  '--seed', seed])\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base\n"
+        "print(grown * 1024, file=sys.stderr)"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert int(res.stderr.splitlines()[-1]) <= 2.0 * 8 * n * n

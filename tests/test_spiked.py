@@ -98,6 +98,17 @@ def test_sample_wig_matches_triangle_construction(n, noise, planted):
         assert inst.max_abs_entry() == np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 300])
+def test_rows_are_slices_of_the_packed_triangle(n):
+    # row i holds the entries (i, j), j > i, as a plain slice of the triangle
+    # itself: no copy, and no intermediate view that could outlive the row
+    entries = np.arange(n * (n - 1) // 2, dtype=np.float64)
+    rows = list(spiked._rows(entries, n))
+    assert [row.size for row in rows] == [n - 1 - i for i in range(n - 1)]
+    assert all(row.base is entries for row in rows)
+    assert np.concatenate(rows).tobytes() == entries.tobytes()
+
+
 def test_sample_wig_matrix_is_read_only():
     inst = sample_wig(10, 1.0, "sech", True, np.random.default_rng(0))
     entries = inst.entries
@@ -169,9 +180,11 @@ def test_wig_instance_rejects_negative_lambda():
 
 
 @pytest.mark.parametrize("entries", [np.zeros(5), np.zeros(7), np.zeros((2, 3)),
-                                     np.zeros((4, 4))])
+                                     np.zeros((4, 4)), np.array([])])
 def test_wig_instance_needs_a_packed_triangle(entries):
-    with pytest.raises(DomainError, match="n\\(n-1\\)/2 packed entries"):
+    # the empty triangle is a one-vertex instance, which sample_wig rejects too
+    message = "need n >= 2, got 1" if entries.size == 0 else "n\\(n-1\\)/2 packed entries"
+    with pytest.raises(DomainError, match=message):
         WigInstance(lam=1.0, noise_kind="sech", alpha=None, entries=entries)
 
 
