@@ -30,12 +30,12 @@ Memory: an instance is its packed triangle (half an n x n buffer), the
 noise as drawn with the spike added in place; sampling makes no n x n
 array.  An eigenvalue test builds the one n x n buffer it solves,
 ``WigInstance.matrix(transform)``, whose lower triangle the eigen-solve
-reads in place.  Both loop over plain row slices and allocate nothing
-that outlives a row.  A short-circuited ``mixed_test`` reads only the
-triangle; ``power_curve`` and the CLI keep one instance alive at a time.
-The first eigenvalue test imports scipy before its matrix allocates, so
-no long-lived object lands between freed buffers, and repeated runs in
-one process keep the peak of the first.
+reads in place.  The spike add and the matrix fill loop over plain row
+slices and allocate nothing that outlives a row.  A short-circuited
+``mixed_test`` reads only the triangle; ``power_curve`` and the CLI keep
+one instance alive at a time.  The first eigenvalue test imports scipy
+before its matrix allocates, so no long-lived object lands between freed
+buffers, and repeated runs in one process keep the peak of the first.
 
 Entrywise-degree-bounded likelihood-ratio mass: with the translation
 polynomials tau_hat of the sech family, the component at a multi-index k

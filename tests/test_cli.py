@@ -662,10 +662,9 @@ def test_simulate_holds_one_instance_at_a_time(capsys):
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KB, as Linux reports it")
 def test_repeated_power_curves_keep_their_peak():
     # one instance (0.5 x 8n^2) and one matrix (1 x) are live at a time, and
-    # no small object outlives a row loop to pin a freed buffer's place in
-    # the heap, so six curves in one process peak where the first one does
-    # (an np.split row list read 2.6 x 8n^2 here, its peak growing on later
-    # runs into a hole the size of a matrix)
+    # no small object outlives a row loop to pin a freed buffer in place on
+    # the heap, so six curves in one process peak where the first one does;
+    # objects left between freed buffers cost one more matrix (2.6 x)
     n = 1000
     src = str(Path(nefqvf.__file__).resolve().parents[1])
     code = (

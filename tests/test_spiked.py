@@ -100,8 +100,7 @@ def test_sample_wig_matches_triangle_construction(n, noise, planted):
 
 @pytest.mark.parametrize("n", [2, 3, 7, 300])
 def test_rows_are_slices_of_the_packed_triangle(n):
-    # row i holds the entries (i, j), j > i, as a plain slice of the triangle
-    # itself: no copy, and no intermediate view that could outlive the row
+    # row i holds the entries (i, j), j > i, as a view of the triangle, not a copy
     entries = np.arange(n * (n - 1) // 2, dtype=np.float64)
     rows = list(spiked._rows(entries, n))
     assert [row.size for row in rows] == [n - 1 - i for i in range(n - 1)]
