@@ -24,6 +24,7 @@ Model files are plain text, one ``key = value`` per line, ``#`` comments:
 
 Each key but ``atom`` is given once; ``family = X`` is the one-entry
 spelling of ``families``, and a kin or additive model has exactly one.
+``null_means`` holds at least one value.
 """
 
 from __future__ import annotations
@@ -145,7 +146,10 @@ def merge_config(args: argparse.Namespace) -> ExperimentConfig:
     file_vals: dict[str, str] = {}
     if args.config:
         ini = configparser.ConfigParser()
-        read = ini.read(args.config)
+        try:
+            read = ini.read(args.config)
+        except configparser.Error as exc:
+            raise ConfigError(f"config: cannot parse file {args.config!r}: {exc}") from exc
         if not read:
             raise ConfigError(f"config: cannot read file {args.config!r}")
         section = f"{command[0]}.{command[1]}"
@@ -207,6 +211,8 @@ def parse_model_file(path: str) -> dict:
                 out["null_means"] = tuple(float(tok) for tok in val.split())
             except ValueError as exc:
                 raise ConfigError(f"model: bad null_means {val!r}") from exc
+            if not out["null_means"]:
+                raise ConfigError("model: null_means needs at least one value")
         elif key == "atom":
             if ":" not in val:
                 raise ConfigError(f"model: atom needs 'coords : prob', got {val!r}")

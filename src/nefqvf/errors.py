@@ -9,10 +9,6 @@ class DomainError(NefqvfError, ValueError):
     """An argument lies outside the valid mean/natural-parameter domain."""
 
 
-class DegenerateDegreeError(NefqvfError, ValueError):
-    """A polynomial degree was requested past the point where the basis stops."""
-
-
 class CapExceededError(NefqvfError):
     """An exact computation would exceed its documented work bound."""
 

@@ -16,8 +16,8 @@ sech                  (1/2) sech(pi x / 2)   mu^2 + 1            1
 
 The "sech" family is the generalized hyperbolic secant family at shape 1;
 other shapes are not supported.  Every family exposes its cumulant function
-``psi``, the mean map ``psi'`` with closed-form inverse, z-scores, densities,
-and an exact sampler for the measure with a given mean.  Exact draws for the
+``psi``, the mean map ``psi'`` with closed-form inverse, z-scores, and an
+exact sampler for the measure with a given mean.  Exact draws for the
 tilted sech law use the representation ``x = log(S / (1 - S)) / pi`` with
 ``S ~ Beta(1/2 + theta/pi, 1/2 - theta/pi)``; at ``theta = 0`` the sampler
 reduces to the closed-form inverse CDF ``(2/pi) * log(tan(pi*u/2))``.
@@ -113,10 +113,6 @@ class Family:
         return cls("sech")
 
     # -- structure -----------------------------------------------------
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.kind in ("poisson", "binomial", "negbinomial")
 
     @property
     def mean_domain(self) -> Interval:
@@ -244,54 +240,6 @@ class Family:
             return -self.param * math.log(2.0 - math.exp(theta))
         return -math.log(math.cos(theta))  # sech
 
-    # -- densities ------------------------------------------------------
-
-    def log_pdf(self, mu: float, x: float) -> float:
-        """Log density (or log pmf) of the member with mean mu, at x."""
-        self._check_mean(mu)
-        k = self.kind
-        if k == "gaussian":
-            s2 = self.param
-            return -0.5 * math.log(2 * math.pi * s2) - (x - mu) ** 2 / (2 * s2)
-        if k == "poisson":
-            if x < 0 or x != int(x):
-                return -math.inf
-            return x * math.log(mu) - mu - math.lgamma(x + 1)
-        if k == "gamma":
-            a = self.param
-            if x <= 0:
-                return -math.inf
-            rate = a / mu
-            return a * math.log(rate) + (a - 1) * math.log(x) - rate * x - math.lgamma(a)
-        if k == "binomial":
-            m = self.param
-            if x < 0 or x > m or x != int(x):
-                return -math.inf
-            p = mu / m
-            return (
-                math.lgamma(m + 1) - math.lgamma(x + 1) - math.lgamma(m - x + 1)
-                + x * math.log(p) + (m - x) * math.log1p(-p)
-            )
-        if k == "negbinomial":
-            m = self.param
-            if x < 0 or x != int(x):
-                return -math.inf
-            q = mu / (m + mu)  # per-trial failure probability
-            return (
-                math.lgamma(x + m) - math.lgamma(x + 1) - math.lgamma(m)
-                + x * math.log(q) + m * math.log1p(-q)
-            )
-        # sech: tilt of (1/2) sech(pi x / 2) by theta = atan(mu),
-        # normalizer exp(-psi(theta)) = cos(theta) = 1/sqrt(1 + mu^2)
-        theta = math.atan(mu)
-        return (
-            math.log(0.5) - _log_cosh(math.pi * x / 2)
-            + theta * x - 0.5 * math.log1p(mu * mu)
-        )
-
-    def pdf(self, mu: float, x: float) -> float:
-        return math.exp(self.log_pdf(mu, x))
-
     # -- sampling ---------------------------------------------------------
 
     def sample(self, mu: float, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -347,11 +295,6 @@ def _fmt(x) -> str:
     return repr(int(x)) if x == int(x) else repr(float(x))
 
 
-def _log_cosh(t: float) -> float:
-    t = abs(t)
-    return t + math.log1p(math.exp(-2.0 * t)) - math.log(2.0)
-
-
 def parse_family(tag: str) -> Family:
     """Parse a family tag.
 
@@ -370,6 +313,8 @@ def parse_family(tag: str) -> Family:
             if "=" not in item:
                 raise ConfigError(f"family: malformed parameter {item!r} in {tag!r}")
             key, val = (s.strip() for s in item.split("=", 1))
+            if key in params:
+                raise ConfigError(f"family: parameter {key!r} repeated in {tag!r}")
             params[key] = val
     name = name.strip()
     key, cast, _ = _PARAM.get(name, (None, None, None))

@@ -49,9 +49,9 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import CapExceededError, DegenerateDegreeError, DomainError, NumericInstabilityError
+from .errors import CapExceededError, DomainError, NumericInstabilityError
 from .families import Family
-from .orthopoly import a_hat, exp_trunc, f_eval, f_trunc, neg_v_order
+from .orthopoly import exp_trunc, f_eval, f_trunc, neg_v_order
 from .translation import build_translation_table
 
 ENUM_CAP = 10**7  # documented bound on atoms^2 * N * (D+1)^2 for exact norms
@@ -186,30 +186,6 @@ def _pair_gf_sum(probs: np.ndarray, factors, D: int) -> float:
 # exact component sums (kin)
 # ---------------------------------------------------------------------------
 
-def component(model: KinSpikedModel, k) -> float:
-    """Projection of the likelihood ratio on the product basis element k."""
-    vecs, probs = model.prior.atom_arrays()
-    k = tuple(int(v) for v in k)
-    if len(k) != model.N:
-        raise DomainError(f"multi-index length {len(k)} != N={model.N}")
-    v2 = model.family.v2
-    m_stop = neg_v_order(v2)
-    coef = 1.0
-    for ki in k:
-        # exact-zero test on the rational form: float a_hat(k, -1/m) for
-        # k > m can be a tiny nonzero of either sign
-        if m_stop is not None and ki > m_stop:
-            raise DegenerateDegreeError(
-                f"degree {ki} is degenerate for {model.family.tag()}"
-            )
-        coef *= a_hat(ki, v2) / math.factorial(ki)
-    expect = sum(
-        p * math.prod(zi ** ki for zi, ki in zip(z, k))
-        for z, p in zip(model.z_scores(vecs), probs)
-    )
-    return float(math.sqrt(coef) * expect)
-
-
 def ldlr_exact(model: KinSpikedModel, D: int) -> float:
     """Exact squared norm of the degree-D projection, as a truncated
     generating-function product over coordinates."""
@@ -227,18 +203,6 @@ def ldlr_exact(model: KinSpikedModel, D: int) -> float:
         for z in Z.T
     )
     return _pair_gf_sum(probs, factors, D)
-
-
-def full_norm_exact(model: KinSpikedModel) -> float:
-    """Untruncated squared norm: E over prior pairs of prod_i f(z_i^1 z_i^2; v2).
-
-    May be +inf for v2 > 0 when an overlap reaches the singularity."""
-    vecs, probs = model.prior.atom_arrays()
-    v2 = model.family.v2
-    Z = model.z_scores(vecs)
-    # one (atoms, N) slab per atom a, never an atoms x atoms x N array
-    g = np.array([np.prod(f_eval(z * Z, v2), axis=1) for z in Z])
-    return float(probs @ g @ probs)
 
 
 def overlap_bound_exact(model: KinSpikedModel, D: int | None, v: float | None = None) -> float:
@@ -402,24 +366,8 @@ def channel_compare(families: list[Family], null_means, z_prior: SpikePrior,
 
 
 # ---------------------------------------------------------------------------
-# two-community block model overlap and threshold scan
+# two-community block model threshold scan
 # ---------------------------------------------------------------------------
-
-def sbm_overlap(n: int, a: float, b: float, sigma1, sigma2) -> float:
-    """Closed-form z-score overlap of two community labelings.
-
-    Edge means (a+b)/2n null vs (a +- (a-b) sign)/2n planted give
-    r = ((a-b)^2 / (4(a+b))) * (<s1, s2>^2 - n) / n.
-    """
-    s1 = np.asarray(sigma1, dtype=float)
-    s2 = np.asarray(sigma2, dtype=float)
-    if s1.shape != (n,) or s2.shape != (n,):
-        raise DomainError(f"labelings must have shape ({n},)")
-    if not (np.all(np.abs(s1) == 1.0) and np.all(np.abs(s2) == 1.0)):
-        raise DomainError("labelings must be +-1 valued")
-    dot = float(np.dot(s1, s2))
-    return (a - b) ** 2 / (4.0 * (a + b)) * (dot * dot - n) / n
-
 
 @dataclass(frozen=True)
 class SbmScanRow:

@@ -29,13 +29,12 @@ evaluated elementwise over arrays of t, whose Taylor coefficients are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .errors import DegenerateDegreeError, DomainError
+from .errors import DomainError
 from .families import Family
 
 MAX_BASIS_DEGREE = 40  # documented cap for build_basis
@@ -152,24 +151,6 @@ class OrthoPolyBasis:
     max_degree: int
     monic: tuple
     norm_sq: tuple
-    _normalized_np: tuple = field(repr=False, default=())
-
-    def normalized_eval(self, k: int, y):
-        """Orthonormal polynomial value: p_k / sqrt(a_k(v2) V(mu0)^k)."""
-        self._check_degree(k)
-        return npoly.polyval(y, self._normalized_np[k])
-
-    def _check_degree(self, k: int) -> None:
-        if not 0 <= k <= self.max_degree:
-            m = neg_v_order(self.family.v2)
-            if m is not None and k > m:
-                raise DegenerateDegreeError(
-                    f"degree {k} is degenerate for {self.family.tag()}: "
-                    f"the basis stops at degree {m}"
-                )
-            raise DomainError(
-                f"degree {k} outside built range 0..{self.max_degree}"
-            )
 
 
 def build_basis(family: Family, mu0: float, K: int) -> OrthoPolyBasis:
@@ -201,18 +182,12 @@ def build_basis(family: Family, mu0: float, K: int) -> OrthoPolyBasis:
         prev = p
         monic.append(nxt)
     norm_sq = [a_const(k, v2) * vmu**k for k in range(k_max + 1)]
-
-    normalized_np = tuple(
-        np.array([float(c) for c in monic[k]]) / math.sqrt(float(norm_sq[k]))
-        for k in range(k_max + 1)
-    )
     return OrthoPolyBasis(
         family=family,
         mu0=float(mu0),
         max_degree=k_max,
         monic=tuple(tuple(p) for p in monic),
         norm_sq=tuple(norm_sq),
-        _normalized_np=normalized_np,
     )
 
 

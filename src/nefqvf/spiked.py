@@ -94,14 +94,6 @@ def _check_alpha(alpha: float | None) -> None:
         raise DomainError(f"heavy noise needs alpha > 1, got {alpha}")
 
 
-def heavy_pdf(alpha: float, x: float) -> float:
-    """Normalized density proportional to (1 + x^2)^(-alpha/2)."""
-    _check_alpha(alpha)
-    # the Gamma ratio in log space: math.gamma overflows past alpha ~ 343
-    c = math.exp(math.lgamma(alpha / 2) - math.lgamma((alpha - 1) / 2)) / math.sqrt(math.pi)
-    return c * (1.0 + x * x) ** (-alpha / 2)
-
-
 def sample_noise(kind: str, size: int, rng: np.random.Generator,
                  alpha: float | None = None) -> np.ndarray:
     if kind == "sech":
@@ -384,12 +376,6 @@ def overlap_chi2_mc(c: float, n: int, samples: int,
     with np.errstate(over="ignore"):
         vals = np.exp(c * h * h / (2.0 * n))
     return _mc_summary(vals)
-
-
-def overlap_chi2_exact(c: float, n: int) -> float:
-    """Exact E exp(c <x1,x2>^2 / 2n) by summation over the overlap law."""
-    h = 2.0 * np.arange(n + 1) - n
-    return _sign_count_mean(c * h * h / (2.0 * n))
 
 
 def entrywise_coefficient(n: int, lam: float, D: int) -> float:

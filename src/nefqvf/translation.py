@@ -16,11 +16,11 @@ coefficients obey
 
     |[y^l] tau_hat_k| <= (2 log(e k))^(l-1) / (k * l!),
 
-which integrates to the pointwise bound implemented by
-:func:`tau_value_bound`.  The table is built once in exact integer
-arithmetic (so float cancellation in the alternating sums never enters),
-divided by k! into exact rationals, and converted to floats only for
-evaluation.
+which integrates to a pointwise bound on |tau_hat_k(x)| for x > 0; the
+test suite checks both bounds against the table.  The table is built once
+in exact integer arithmetic (so float cancellation in the alternating sums
+never enters), divided by k! into exact rationals, and converted to floats
+only for evaluation.
 """
 
 from __future__ import annotations
@@ -52,13 +52,6 @@ class TranslationPolyTable:
             raise DomainError(f"k={k} outside table range 0..{self.max_degree}")
         return npoly.polyval(x, self._np[k])
 
-    def coefficient(self, k: int, l: int) -> Fraction:
-        if not 0 <= k <= self.max_degree:
-            raise DomainError(f"k={k} outside table range 0..{self.max_degree}")
-        if not 0 <= l <= k:
-            return Fraction(0)
-        return self.coeffs[k][l]
-
 
 def build_translation_table(K: int = DEFAULT_TABLE_DEGREE) -> TranslationPolyTable:
     """Exact table of tau_hat_0 .. tau_hat_K from the integer recurrence
@@ -80,18 +73,6 @@ def build_translation_table(K: int = DEFAULT_TABLE_DEGREE) -> TranslationPolyTab
         coeffs=tuple(tuple(row) for row in coeffs),
         _np=arrays,
     )
-
-
-def tau_value_bound(k: int, x: float) -> float:
-    """Upper bound on |tau_hat_k(x)| for k >= 1 and x > 0."""
-    if k < 1:
-        raise DomainError(f"bound requires k >= 1, got {k}")
-    if x <= 0:
-        raise DomainError(f"bound requires x > 0, got {x}")
-    growth = (math.e * k) ** (2 * x)
-    if k % 2 == 1:
-        return x * growth / k
-    return x * x * (2 * math.log(math.e * k) / k) * growth
 
 
 def table_rows(table: TranslationPolyTable) -> list[tuple[int, int, int, int]]:

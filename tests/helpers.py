@@ -16,17 +16,30 @@ Per-scalar z-scores, the scalar generating function and a per-draw Monte
 Carlo loop pin the array forms of the overlap route.  The translation table
 by convolving powers of the arctan series pins the integer recurrence, and
 gathering both z-score rows of every drawn atom pair pins the pair table.
+
+Quantities the CLI and the benchmark never compute live only here: the
+families' densities and the heavy-noise density, orthonormal polynomial
+values from a basis's exact coefficients, single likelihood-ratio
+components (which the enumeration oracle sums), the untruncated
+product-form norm, the block-model overlap of two labelings, the exact
+chi-square functional of the sign overlap, and the pointwise bound on the
+translation polynomials.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
+from nefqvf.errors import DomainError
 from nefqvf.families import Family
-from nefqvf.orthopoly import a_hat, f_trunc, neg_v_order
+from nefqvf.ldlr import _sign_count_mean
+from nefqvf.orthopoly import a_hat, f_eval, f_trunc, neg_v_order
 from nefqvf.translation import TranslationPolyTable, build_translation_table
+
+DISCRETE_KINDS = ("poisson", "binomial", "negbinomial")
 
 
 def random_shared_instance(rng, n_coords=None, n_atoms=None):
@@ -61,6 +74,69 @@ def random_z_instance(rng, n_coords=None, n_atoms=None):
     return means, atoms
 
 
+# ---------------------------------------------------------------------------
+# densities
+# ---------------------------------------------------------------------------
+
+def _log_cosh(t: float) -> float:
+    t = abs(t)
+    return t + math.log1p(math.exp(-2.0 * t)) - math.log(2.0)
+
+
+def log_pdf(family: Family, mu: float, x: float) -> float:
+    """Log density (or log pmf) of the family member with mean mu, at x."""
+    k = family.kind
+    if k == "gaussian":
+        s2 = family.param
+        return -0.5 * math.log(2 * math.pi * s2) - (x - mu) ** 2 / (2 * s2)
+    if k == "poisson":
+        if x < 0 or x != int(x):
+            return -math.inf
+        return x * math.log(mu) - mu - math.lgamma(x + 1)
+    if k == "gamma":
+        a = family.param
+        if x <= 0:
+            return -math.inf
+        rate = a / mu
+        return a * math.log(rate) + (a - 1) * math.log(x) - rate * x - math.lgamma(a)
+    if k == "binomial":
+        m = family.param
+        if x < 0 or x > m or x != int(x):
+            return -math.inf
+        p = mu / m
+        return (
+            math.lgamma(m + 1) - math.lgamma(x + 1) - math.lgamma(m - x + 1)
+            + x * math.log(p) + (m - x) * math.log1p(-p)
+        )
+    if k == "negbinomial":
+        m = family.param
+        if x < 0 or x != int(x):
+            return -math.inf
+        q = mu / (m + mu)  # per-trial failure probability
+        return (
+            math.lgamma(x + m) - math.lgamma(x + 1) - math.lgamma(m)
+            + x * math.log(q) + m * math.log1p(-q)
+        )
+    # sech: tilt of (1/2) sech(pi x / 2) by theta = atan(mu),
+    # normalizer exp(-psi(theta)) = cos(theta) = 1/sqrt(1 + mu^2)
+    theta = math.atan(mu)
+    return (
+        math.log(0.5) - _log_cosh(math.pi * x / 2)
+        + theta * x - 0.5 * math.log1p(mu * mu)
+    )
+
+
+def pdf(family: Family, mu: float, x: float) -> float:
+    return math.exp(log_pdf(family, mu, x))
+
+
+def heavy_pdf(alpha: float, x: float) -> float:
+    """Normalized density proportional to (1 + x^2)^(-alpha/2), alpha > 1."""
+    # the Gamma ratio in log space: math.gamma overflows past alpha ~ 343
+    c = math.exp(math.lgamma(alpha / 2) - math.lgamma((alpha - 1) / 2)) / math.sqrt(math.pi)
+    return c * (1.0 + x * x) ** (-alpha / 2)
+
+
 def direct_l2_norm_discrete(family: Family, mu0: float, atoms) -> float:
     """E_null[L^2] for a one-coordinate discrete model, by direct summation.
 
@@ -70,10 +146,10 @@ def direct_l2_norm_discrete(family: Family, mu0: float, atoms) -> float:
     hi = family.param + 1 if family.kind == "binomial" else 100_000
     total, acc = 0.0, 0.0
     for y in range(hi):
-        q = family.pdf(mu0, float(y))
+        q = pdf(family, mu0, float(y))
         if q == 0.0:
             continue
-        ell = sum(p * family.pdf(x[0], float(y)) for x, p in atoms) / q
+        ell = sum(p * pdf(family, x[0], float(y)) for x, p in atoms) / q
         acc += q * ell * ell
         total += q
         if family.kind != "binomial" and total >= 1.0 - 1e-16 and y > 4 * mu0 + 40:
@@ -83,13 +159,13 @@ def direct_l2_norm_discrete(family: Family, mu0: float, atoms) -> float:
 
 def expectation_under(family: Family, mu: float, fn):
     """E[fn(y)] for y drawn from the family member with mean mu."""
-    if family.is_discrete:
+    if family.kind in DISCRETE_KINDS:
         if family.kind == "binomial":
             xs = range(0, family.param + 1)
-            return sum(family.pdf(mu, float(x)) * fn(float(x)) for x in xs)
+            return sum(pdf(family, mu, float(x)) * fn(float(x)) for x in xs)
         total, acc, x, tiny = 0.0, 0.0, 0, 0
         while True:
-            w = family.pdf(mu, float(x))
+            w = pdf(family, mu, float(x))
             term = w * fn(float(x))
             total += w
             acc += term
@@ -106,7 +182,7 @@ def expectation_under(family: Family, mu: float, fn):
                 raise RuntimeError("discrete tail did not close")
     lo, hi = (0.0, np.inf) if family.kind == "gamma" else (-np.inf, np.inf)
     opts = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
-    integrand = lambda x: family.pdf(mu, x) * fn(x)
+    integrand = lambda x: pdf(family, mu, x) * fn(x)
     left, _ = quad(integrand, lo, mu, **opts)
     right, _ = quad(integrand, mu, hi, **opts)
     return left + right
@@ -201,6 +277,16 @@ def gram_schmidt_basis(family: Family, mu0, K: int) -> tuple[list, list]:
     return monic, norm_sq
 
 
+def normalized_eval(basis, k: int, y):
+    """Orthonormal polynomial value p_k(y) / sqrt(a_k(v2) V(mu0)^k), from the
+    basis's exact monic coefficients and norms; ValueError past max_degree
+    (for a binomial basis, every degree past m)."""
+    if not 0 <= k <= basis.max_degree:
+        raise ValueError(f"degree {k} outside built range 0..{basis.max_degree}")
+    coeffs = np.array([float(c) for c in basis.monic[k]])
+    return npoly.polyval(y, coeffs / math.sqrt(float(basis.norm_sq[k])))
+
+
 # ---------------------------------------------------------------------------
 # exact norms by multi-index enumeration
 # ---------------------------------------------------------------------------
@@ -227,18 +313,26 @@ def iter_multi_indices(N: int, D: int, max_coord: int | None = None):
         yield from compositions(d, N)
 
 
+def component(model, k) -> float:
+    """Projection of a kin model's likelihood ratio on the product basis
+    element k: sqrt(prod_i a_hat_{k_i}(v2) / k_i!) E_x[prod_i z_i^{k_i}]."""
+    vecs, probs = model.prior.atom_arrays()
+    v2 = model.family.v2
+    m_stop = neg_v_order(v2)
+    # exact-zero test on the rational form: float a_hat(k, -1/m) for k > m
+    # can be a tiny nonzero of either sign
+    if m_stop is not None and max(k) > m_stop:
+        raise ValueError(f"degree {max(k)} is degenerate for {model.family.tag()}")
+    coef = math.prod(a_hat(ki, v2) / math.factorial(ki) for ki in k)
+    expect = float(np.dot(probs, np.prod(model.z_scores(vecs) ** np.array(k), axis=1)))
+    return math.sqrt(coef) * expect
+
+
 def ldlr_exact_enum(model, D: int) -> float:
     """Kin degree-D norm as the sum of squared components over |k| <= D."""
-    v2 = model.family.v2
-    vecs, probs = model.prior.atom_arrays()
-    Z = model.z_scores(vecs)
-    ahat = [float(a_hat(k, v2)) for k in range(D + 1)]
-    total = 0.0
-    for k in iter_multi_indices(model.N, D, max_coord=neg_v_order(v2)):
-        coef = math.prod(ahat[ki] / math.factorial(ki) for ki in k)
-        expect = float(np.dot(probs, np.prod(Z ** np.array(k), axis=1)))
-        total += coef * expect * expect
-    return total
+    max_coord = neg_v_order(model.family.v2)
+    return sum(component(model, k) ** 2
+               for k in iter_multi_indices(model.N, D, max_coord=max_coord))
 
 
 def ldlr_exact_additive_enum(model, D: int) -> float:
@@ -257,6 +351,56 @@ def ldlr_exact_additive_enum(model, D: int) -> float:
         )
         total += comp * comp
     return total
+
+
+# ---------------------------------------------------------------------------
+# closed forms the CLI does not report
+# ---------------------------------------------------------------------------
+
+def full_norm_exact(model) -> float:
+    """Untruncated squared norm: E over prior pairs of prod_i f(z_i^1 z_i^2; v2).
+
+    May be +inf for v2 > 0 when an overlap reaches the singularity."""
+    vecs, probs = model.prior.atom_arrays()
+    v2 = model.family.v2
+    Z = model.z_scores(vecs)
+    # one (atoms, N) slab per atom a, never an atoms x atoms x N array
+    g = np.array([np.prod(f_eval(z * Z, v2), axis=1) for z in Z])
+    return float(probs @ g @ probs)
+
+
+def sbm_overlap(n: int, a: float, b: float, sigma1, sigma2) -> float:
+    """Closed-form z-score overlap of two community labelings.
+
+    Edge means (a+b)/2n null vs (a +- (a-b) sign)/2n planted give
+    r = ((a-b)^2 / (4(a+b))) * (<s1, s2>^2 - n) / n.
+    """
+    s1 = np.asarray(sigma1, dtype=float)
+    s2 = np.asarray(sigma2, dtype=float)
+    if s1.shape != (n,) or s2.shape != (n,):
+        raise DomainError(f"labelings must have shape ({n},)")
+    if not (np.all(np.abs(s1) == 1.0) and np.all(np.abs(s2) == 1.0)):
+        raise DomainError("labelings must be +-1 valued")
+    dot = float(np.dot(s1, s2))
+    return (a - b) ** 2 / (4.0 * (a + b)) * (dot * dot - n) / n
+
+
+def overlap_chi2_exact(c: float, n: int) -> float:
+    """Exact E exp(c <x1,x2>^2 / 2n) by summation over the overlap law."""
+    h = 2.0 * np.arange(n + 1) - n
+    return _sign_count_mean(c * h * h / (2.0 * n))
+
+
+def tau_value_bound(k: int, x: float) -> float:
+    """Upper bound on |tau_hat_k(x)| for k >= 1 and x > 0."""
+    if k < 1:
+        raise DomainError(f"bound requires k >= 1, got {k}")
+    if x <= 0:
+        raise DomainError(f"bound requires x > 0, got {x}")
+    growth = (math.e * k) ** (2 * x)
+    if k % 2 == 1:
+        return x * growth / k
+    return x * x * (2 * math.log(math.e * k) / k) * growth
 
 
 # ---------------------------------------------------------------------------

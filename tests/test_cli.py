@@ -141,12 +141,18 @@ def test_config_file_defaults_and_override(bernoulli_model, tmp_path, capsys):
     assert rows[0].split(",")[1] == "2"
 
 
-def test_config_file_unknown_key(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ("[ldlr.exact]\nmodle = x\n", "unknown key 'modle' in [ldlr.exact]"),
+    # configparser's own errors exit 2 as well, not with a traceback
+    ("[ldlr.exact]\ndegree = 3\ndegree = 3\n", "cannot parse file"),
+    ("degree = 3\n", "cannot parse file"),
+], ids=["unknown-key", "repeated-option", "no-section-header"])
+def test_config_file_unknown_key(text, message, tmp_path, capsys):
     cfg = tmp_path / "exp.ini"
-    cfg.write_text("[ldlr.exact]\nmodle = x\n")
+    cfg.write_text(text)
     code = main(["--config", str(cfg), "ldlr", "exact", "--degree", "1"])
-    err = capsys.readouterr().err
-    assert code == 2 and "modle" in err
+    captured = capsys.readouterr()
+    assert code == 2 and message in captured.err and captured.out == ""
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys):
@@ -255,6 +261,15 @@ KIN_MEANS = "kind = kin\nnull_means = 1.0\n"
     *[(model_argv("exact", f"family = sech\nkind = additive\nnull_means = 0\n"
                            f"atom = {x} : 1.0\n"), "atom coordinates must be finite")
       for x in ("nan", "inf")],
+    # a family tag gives each parameter once
+    (["orthopoly", "build", "--family", "gamma{alpha=2,alpha=3}", "--mu0", "1",
+      "--degree", "2"], "parameter 'alpha' repeated in 'gamma{alpha=2,alpha=3}'"),
+    # a model has at least one coordinate
+    *[(model_argv(command, "family = poisson\nkind = kin\nnull_means =\natom = : 1.0\n"),
+       "null_means needs at least one value") for command in ("exact", "mc")],
+    (["ldlr", "compare", "--model",
+      Model("families = poisson\nkind = z\nnull_means =\natom = : 1.0\n"), "--degree", "2"],
+     "null_means needs at least one value"),
 ])
 def test_bad_input_exits_config_code(argv, message, tmp_path, capsys):
     for i, arg in enumerate(argv):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import expectation_under, gram_schmidt_basis, moments_at
-from nefqvf.errors import DegenerateDegreeError, DomainError
+from helpers import expectation_under, gram_schmidt_basis, moments_at, normalized_eval
+from nefqvf.errors import DomainError
 from nefqvf.families import Family
 from nefqvf.orthopoly import (
     OrthoPolyBasis,
@@ -104,8 +104,8 @@ def test_hermite_case():
     basis = build_basis(Family.gaussian(1.0), 0.0, 4)
     assert basis.monic[2] == (-1, 0, 1)  # y^2 - 1
     assert basis.monic[3] == (0, -3, 0, 1)  # y^3 - 3y
-    assert basis.normalized_eval(2, 0.0) == pytest.approx(-1 / math.sqrt(2))
-    assert basis.normalized_eval(0, 123.0) == 1.0
+    assert normalized_eval(basis, 2, 0.0) == pytest.approx(-1 / math.sqrt(2))
+    assert normalized_eval(basis, 0, 123.0) == 1.0
 
 
 def test_poisson_first_polynomial_is_centering():
@@ -125,8 +125,8 @@ def test_bernoulli_two_point_norm():
 def test_binomial_basis_stops_and_degenerate_degree():
     basis = build_basis(Family.binomial(1), 0.5, 5)
     assert basis.max_degree == 1
-    with pytest.raises(DegenerateDegreeError):
-        basis.normalized_eval(2, 0.0)
+    with pytest.raises(ValueError, match="outside built range 0..1"):
+        normalized_eval(basis, 2, 0.0)
     longer = build_basis(Family.binomial(3), 1.1, 8)
     assert longer.max_degree == 3
 
@@ -137,8 +137,8 @@ def test_build_rejects_bad_inputs():
     with pytest.raises(DomainError):
         build_basis(Family.poisson(), 1.0, 41)
     basis = build_basis(Family.poisson(), 1.0, 3)
-    with pytest.raises(DomainError):
-        basis.normalized_eval(7, 0.0)
+    with pytest.raises(ValueError, match="outside built range 0..3"):
+        normalized_eval(basis, 7, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -157,7 +157,7 @@ def test_orthonormality_spot_check(family, mu0):
         for l in range(k, K + 1):
             val = expectation_under(
                 family, mu0,
-                lambda y: basis.normalized_eval(k, y) * basis.normalized_eval(l, y),
+                lambda y: normalized_eval(basis, k, y) * normalized_eval(basis, l, y),
             )
             assert val == pytest.approx(1.0 if k == l else 0.0, abs=1e-8), (k, l)
 
@@ -174,7 +174,7 @@ def test_kin_spike_expectation_spot_check():
         v2 = family.v2
         z = family.z_score(mu, x)
         for k in range(min(6, basis.max_degree) + 1):
-            got = expectation_under(family, x, lambda y: basis.normalized_eval(k, y))
+            got = expectation_under(family, x, lambda y: normalized_eval(basis, k, y))
             want = math.sqrt(a_hat(k, v2) / math.factorial(k)) * z**k
             assert got == pytest.approx(want, rel=1e-6, abs=1e-9), (family.kind, k)
 

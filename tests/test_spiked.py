@@ -20,9 +20,7 @@ from nefqvf.spiked import (
     entrywise_coefficient,
     entrywise_ldlr_exact,
     entrywise_ldlr_mc_bound,
-    heavy_pdf,
     mixed_test,
-    overlap_chi2_exact,
     overlap_chi2_mc,
     pca_test,
     power_curve,
@@ -34,7 +32,7 @@ from nefqvf.spiked import (
 )
 from nefqvf.translation import MAX_TABLE_DEGREE, build_translation_table
 
-from helpers import wig_matrix_from_triangle
+from helpers import heavy_pdf, overlap_chi2_exact, wig_matrix_from_triangle
 
 
 def test_lambda_star_value():
@@ -197,8 +195,7 @@ def test_sample_wig_rejects_negative_lambda_before_any_draw(noise):
 
 def test_heavy_alpha_rule_has_one_message():
     rng = np.random.default_rng(0)
-    for call in (lambda: heavy_pdf(1.0, 0.0),
-                 lambda: sample_noise("heavy", 4, rng, alpha=None),
+    for call in (lambda: sample_noise("heavy", 4, rng, alpha=None),
                  lambda: sample_wig(10, 1.0, "heavy", False, rng, alpha=0.5),
                  lambda: sample_wig(10, 1.0, "mixed", True, rng)):
         with pytest.raises(DomainError, match=r"^heavy noise needs alpha > 1, got "):

@@ -7,15 +7,11 @@ import numpy as np
 import pytest
 import sympy
 
-from helpers import translation_table_by_powers
+from helpers import normalized_eval, tau_value_bound, translation_table_by_powers
 from nefqvf.errors import DomainError
 from nefqvf.families import Family
 from nefqvf.orthopoly import build_basis
-from nefqvf.translation import (
-    build_translation_table,
-    table_rows,
-    tau_value_bound,
-)
+from nefqvf.translation import build_translation_table, table_rows
 
 TABLE = build_translation_table(60)
 
@@ -47,7 +43,7 @@ def test_degree_three_against_symbolic_oracle():
         poly = sympy.Poly(series.coeff(t, k), y)
         for l in range(k + 1):
             want = Fraction(str(poly.coeff_monomial(y**l)))
-            assert TABLE.coefficient(k, l) == want, (k, l)
+            assert TABLE.coeffs[k][l] == want, (k, l)
 
 
 def test_eval_values():
@@ -80,7 +76,7 @@ def test_value_bound_formulas():
 def test_parity_structure():
     for k in range(1, 51):
         for l in range(k + 1):
-            c = TABLE.coefficient(k, l)
+            c = TABLE.coeffs[k][l]
             if l % 2 != k % 2 or l == 0:
                 assert c == 0, (k, l)
 
@@ -88,7 +84,7 @@ def test_parity_structure():
 def test_coefficient_bound():
     for k in range(1, 51):
         for l in range(1, k + 1):
-            c = abs(float(TABLE.coefficient(k, l)))
+            c = abs(float(TABLE.coeffs[k][l]))
             bound = (2 * math.log(math.e * k)) ** (l - 1) / (k * math.factorial(l))
             assert c <= bound * (1 + 1e-12), (k, l)
 
@@ -113,6 +109,6 @@ def test_shift_expectation_matches_table():
     noise = Family.sech().sample(0.0, rng, 1_000_000)
     for x in (0.1, 0.5):
         for k in range(7):
-            vals = basis.normalized_eval(k, x + noise)
+            vals = normalized_eval(basis, k, x + noise)
             got, se = vals.mean(), vals.std() / math.sqrt(vals.size)
             assert abs(got - TABLE.eval(k, x)) <= 4 * se + 1e-15, (k, x)
