@@ -354,7 +354,7 @@ def ldlr_exact_additive_enum(model, D: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed forms the CLI does not report
+# closed forms and bounds the CLI does not report
 # ---------------------------------------------------------------------------
 
 def full_norm_exact(model) -> float:
