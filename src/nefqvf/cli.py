@@ -89,6 +89,13 @@ def _degree(s) -> int | None:
     return int(s)
 
 
+def _seed(s) -> int:
+    value = int(s)
+    if value < 0:
+        raise ValueError(f"negative seed: {s!r}")
+    return value
+
+
 def _float_list(s) -> tuple[float, ...]:
     values = tuple(float(tok) for tok in str(s).split(",") if tok.strip())
     if not values:
@@ -107,7 +114,7 @@ class Flag:
 
 OUT = Flag("out", str, "output path (stdout when omitted)")
 
-COMMON = [OUT, Flag("seed", int, "random seed", default=0)]
+COMMON = [OUT, Flag("seed", _seed, "random seed, >= 0", default=0)]
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,7 @@ def merge_config(args: argparse.Namespace) -> ExperimentConfig:
         ini = configparser.ConfigParser()
         try:
             read = ini.read(args.config)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"config: cannot parse file {args.config!r}: {exc}") from exc
         if not read:
             raise ConfigError(f"config: cannot read file {args.config!r}")
@@ -184,7 +191,7 @@ def parse_model_file(path: str) -> dict:
     """Parse the documented key-value model format (see module docstring)."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"model: cannot read file {path!r}: {exc}") from exc
     out: dict = {"atoms": []}
     seen: dict[str, int] = {}
@@ -450,12 +457,13 @@ def _run_spiked_power_curve(config):
 
 def _run_spiked_entrywise(config):
     v = config.values
+    # the exact sum runs first, so that its caps reject the input before the Monte Carlo work
+    exact = entrywise_ldlr_exact(v["n"], v["lam"], v["degree"]) if v["exact"] else None
     rng = np.random.default_rng(v["seed"])
     res = entrywise_ldlr_mc_bound(v["n"], v["lam"], v["degree"], v["samples"], rng)
     rows = [("mc-bound", v["n"], v["lam"], v["degree"], res.c, res.value,
              res.stderr, res.samples, v["seed"])]
     if v["exact"]:
-        exact = entrywise_ldlr_exact(v["n"], v["lam"], v["degree"])
         rows.append(("exact", v["n"], v["lam"], v["degree"], None, exact, None, None, v["seed"]))
     write_report(config, ["method", "n", "lambda", "D", "c", "value",
                           "stderr", "samples", "seed"], rows)

@@ -14,13 +14,12 @@ negbinomial (m)       NegBinomial(m, 1/2)    mu^2/m + mu         1/m
 sech                  (1/2) sech(pi x / 2)   mu^2 + 1            1
 ====================  =====================  ==================  ==========
 
-The "sech" family is the generalized hyperbolic secant family at shape 1;
-other shapes are not supported.  Every family exposes its cumulant function
-``psi``, the mean map ``psi'`` with closed-form inverse, z-scores, and an
-exact sampler for the measure with a given mean.  Exact draws for the
-tilted sech law use the representation ``x = log(S / (1 - S)) / pi`` with
-``S ~ Beta(1/2 + theta/pi, 1/2 - theta/pi)``; at ``theta = 0`` the sampler
-reduces to the closed-form inverse CDF ``(2/pi) * log(tan(pi*u/2))``.
+Each row is one ``_KINDS`` record: tag parameter, ``(v0, v1, v2)``, mean and
+natural domains, cumulant ``psi``, mean map ``psi'`` and its inverse, and an
+exact sampler.  The "sech" row is the generalized hyperbolic secant family at
+shape 1 only; its draws use ``x = log(S / (1 - S)) / pi`` with
+``S ~ Beta(1/2 + theta/pi, 1/2 - theta/pi)``, which at ``theta = 0`` reduces
+to the closed-form inverse CDF ``(2/pi) * log(tan(pi*u/2))``.
 
 All operations are pure; ``sample`` mutates only the generator passed in.
 """
@@ -29,18 +28,13 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-
-ALL_KINDS = ("gaussian", "poisson", "gamma", "binomial", "negbinomial", "sech")
-# the tag key, type and range of each parametrized kind's ``param``; the rest take none
-_PARAM = {"gaussian": ("sigma2", float, "sigma2 > 0 and finite"),
-          "gamma": ("alpha", float, "shape alpha > 0 and finite"),
-          "binomial": ("m", int, "integer m >= 1"), "negbinomial": ("m", int, "integer m >= 1")}
 
 
 @dataclass(frozen=True)
@@ -72,13 +66,13 @@ class Family:
 
     def __post_init__(self) -> None:
         kind, p = self.kind, self.param
-        if kind not in ALL_KINDS:
+        if kind not in _KINDS:
             raise DomainError(f"unknown family {kind!r} (expected one of {ALL_KINDS})")
-        if kind not in _PARAM:
+        if _KINDS[kind].param is None:
             if p is not None:
                 raise DomainError(f"{kind} takes no parameters, got {p!r}")
             return
-        key, cast, rule = _PARAM[kind]
+        key, cast, rule = _KINDS[kind].param
         if p is None:
             raise DomainError(f"{kind} requires parameter {key!r}")
         integral = isinstance(p, numbers.Integral) and not isinstance(p, bool)
@@ -116,22 +110,11 @@ class Family:
 
     @property
     def mean_domain(self) -> Interval:
-        if self.kind == "gaussian" or self.kind == "sech":
-            return Interval(-math.inf, math.inf)
-        if self.kind == "binomial":
-            return Interval(0.0, float(self.param))
-        # poisson, gamma, negbinomial
-        return Interval(0.0, math.inf)
+        return _KINDS[self.kind].mean_domain(self.param)
 
     @property
     def natural_domain(self) -> Interval:
-        if self.kind in ("gaussian", "poisson", "binomial"):
-            return Interval(-math.inf, math.inf)
-        if self.kind == "gamma":
-            return Interval(-math.inf, 1.0)
-        if self.kind == "negbinomial":
-            return Interval(-math.inf, math.log(2.0))
-        return Interval(-math.pi / 2, math.pi / 2)  # sech
+        return _KINDS[self.kind].natural_domain
 
     def variance_coeffs(self) -> tuple[float, float, float]:
         """(v0, v1, v2) of V(mu) = v0 + v1 mu + v2 mu^2, as floats."""
@@ -141,18 +124,7 @@ class Family:
     def variance_coeffs_exact(self) -> tuple[Fraction, Fraction, Fraction]:
         """(v0, v1, v2) as exact rationals (params are taken at their
         exact binary-float values, which are themselves rational)."""
-        one, zero = Fraction(1), Fraction(0)
-        if self.kind == "gaussian":
-            return Fraction(self.param), zero, zero
-        if self.kind == "poisson":
-            return zero, one, zero
-        if self.kind == "gamma":
-            return zero, zero, 1 / Fraction(self.param)
-        if self.kind == "binomial":
-            return zero, one, Fraction(-1, self.param)
-        if self.kind == "negbinomial":
-            return zero, one, Fraction(1, self.param)
-        return one, zero, one  # sech
+        return _KINDS[self.kind].coeffs(self.param)
 
     @property
     def v2(self) -> float:
@@ -189,33 +161,12 @@ class Family:
     def mean_to_natural(self, mu: float) -> float:
         """Inverse of psi': the natural parameter theta with mean mu."""
         self._check_mean(mu)
-        if self.kind == "gaussian":
-            return mu / self.param
-        if self.kind == "poisson":
-            return math.log(mu)
-        if self.kind == "gamma":
-            return 1.0 - self.param / mu
-        if self.kind == "binomial":
-            return math.log(mu / (self.param - mu))
-        if self.kind == "negbinomial":
-            return math.log(2.0 * mu / (self.param + mu))
-        return math.atan(mu)  # sech
+        return _KINDS[self.kind].mean_to_natural(self.param, mu)
 
     def natural_to_mean(self, theta: float) -> float:
         """psi'(theta)."""
         self._check_theta(theta)
-        if self.kind == "gaussian":
-            return theta * self.param
-        if self.kind == "poisson":
-            return math.exp(theta)
-        if self.kind == "gamma":
-            return self.param / (1.0 - theta)
-        if self.kind == "binomial":
-            return self.param / (1.0 + math.exp(-theta))
-        if self.kind == "negbinomial":
-            e = math.exp(theta)
-            return self.param * e / (2.0 - e)
-        return math.tan(theta)  # sech
+        return _KINDS[self.kind].natural_to_mean(self.param, theta)
 
     def _check_theta(self, theta: float) -> None:
         if theta not in self.natural_domain:
@@ -227,18 +178,7 @@ class Family:
     def cumulant(self, theta: float) -> float:
         """psi(theta) = log E exp(theta x) under the base measure."""
         self._check_theta(theta)
-        if self.kind == "gaussian":
-            return 0.5 * theta * theta * self.param
-        if self.kind == "poisson":
-            return math.expm1(theta)
-        if self.kind == "gamma":
-            return -self.param * math.log1p(-theta)
-        if self.kind == "binomial":
-            # m * log((1 + e^theta)/2), stable for large |theta|
-            return self.param * (np.logaddexp(0.0, theta) - math.log(2.0))
-        if self.kind == "negbinomial":
-            return -self.param * math.log(2.0 - math.exp(theta))
-        return -math.log(math.cos(theta))  # sech
+        return _KINDS[self.kind].cumulant(self.param, theta)
 
     # -- sampling ---------------------------------------------------------
 
@@ -247,48 +187,106 @@ class Family:
         self._check_mean(mu)
         if count < 0:
             raise DomainError(f"count must be >= 0, got {count}")
-        k = self.kind
-        if k == "gaussian":
-            return rng.normal(mu, math.sqrt(self.param), size=count)
-        if k == "poisson":
-            return rng.poisson(mu, size=count).astype(float)
-        if k == "gamma":
-            return rng.gamma(self.param, mu / self.param, size=count)
-        if k == "binomial":
-            return rng.binomial(self.param, mu / self.param, size=count).astype(float)
-        if k == "negbinomial":
-            m = self.param
-            return rng.negative_binomial(m, m / (m + mu), size=count).astype(float)
-        # sech
-        if mu == 0.0:
-            u = rng.random(count)
-            while not u.all():  # u = 0 maps to -inf: redraw just those entries
-                zero = u == 0.0
-                u[zero] = rng.random(int(zero.sum()))
-            # (2/pi) log tan(pi u / 2), computed in place in the draw buffer
-            u *= math.pi
-            u /= 2.0
-            np.tan(u, out=u)
-            np.log(u, out=u)
-            u *= 2.0 / math.pi
-            return u
-        # logit(S)/pi with S ~ Beta(1/2 + theta/pi, 1/2 - theta/pi); drawing
-        # the logit as a log-ratio of Gammas keeps the extreme tails finite
-        theta = math.atan(mu)
-        ga = rng.gamma(0.5 + theta / math.pi, size=count)
-        gb = rng.gamma(0.5 - theta / math.pi, size=count)
-        np.log(ga, out=ga)
-        ga -= np.log(gb, out=gb)
-        ga /= math.pi
-        return ga
+        return _KINDS[self.kind].sample(self.param, mu, rng, count)
 
     # -- serialization ------------------------------------------------------
 
     def tag(self) -> str:
         """Short string form, e.g. ``gamma{alpha=2}``; see :func:`parse_family`."""
-        if self.kind not in _PARAM:
-            return self.kind
-        return f"{self.kind}{{{_PARAM[self.kind][0]}={_fmt(self.param)}}}"
+        spec = _KINDS[self.kind].param
+        return self.kind if spec is None else f"{self.kind}{{{spec[0]}={_fmt(self.param)}}}"
+
+
+def _sample_sech(_, mu: float, rng: np.random.Generator, count: int) -> np.ndarray:
+    if mu == 0.0:
+        u = rng.random(count)
+        while not u.all():  # u = 0 maps to -inf: redraw just those entries
+            zero = u == 0.0
+            u[zero] = rng.random(int(zero.sum()))
+        # (2/pi) log tan(pi u / 2), computed in place in the draw buffer
+        u *= math.pi
+        u /= 2.0
+        np.tan(u, out=u)
+        np.log(u, out=u)
+        u *= 2.0 / math.pi
+        return u
+    # logit(S)/pi with S ~ Beta(1/2 + theta/pi, 1/2 - theta/pi); drawing
+    # the logit as a log-ratio of Gammas keeps the extreme tails finite
+    theta = math.atan(mu)
+    ga = rng.gamma(0.5 + theta / math.pi, size=count)
+    gb = rng.gamma(0.5 - theta / math.pi, size=count)
+    np.log(ga, out=ga)
+    ga -= np.log(gb, out=gb)
+    ga /= math.pi
+    return ga
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Kind:
+    """The facts of one family kind; each function takes ``Family.param`` first."""
+
+    coeffs: Callable  # exact (v0, v1, v2)
+    mean_domain: Callable  # -> Interval
+    natural_domain: Interval
+    mean_to_natural: Callable
+    natural_to_mean: Callable
+    cumulant: Callable
+    sample: Callable  # (param, mu, rng, count) -> float draws
+    param: tuple[str, type, str] | None = None  # tag key, type and rule; None: takes none
+
+
+_REAL, _POSITIVE = Interval(-math.inf, math.inf), Interval(0.0, math.inf)
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_KINDS = {
+    "gaussian": _Kind(
+        param=("sigma2", float, "sigma2 > 0 and finite"),
+        coeffs=lambda s: (Fraction(s), _ZERO, _ZERO),
+        mean_domain=lambda s: _REAL, natural_domain=_REAL,
+        mean_to_natural=lambda s, mu: mu / s,
+        natural_to_mean=lambda s, theta: theta * s,
+        cumulant=lambda s, theta: 0.5 * theta * theta * s,
+        sample=lambda s, mu, rng, n: rng.normal(mu, math.sqrt(s), size=n)),
+    "poisson": _Kind(
+        coeffs=lambda _: (_ZERO, _ONE, _ZERO),
+        mean_domain=lambda _: _POSITIVE, natural_domain=_REAL,
+        mean_to_natural=lambda _, mu: math.log(mu),
+        natural_to_mean=lambda _, theta: math.exp(theta),
+        cumulant=lambda _, theta: math.expm1(theta),
+        sample=lambda _, mu, rng, n: rng.poisson(mu, size=n).astype(float)),
+    "gamma": _Kind(
+        param=("alpha", float, "shape alpha > 0 and finite"),
+        coeffs=lambda a: (_ZERO, _ZERO, 1 / Fraction(a)),
+        mean_domain=lambda a: _POSITIVE, natural_domain=Interval(-math.inf, 1.0),
+        mean_to_natural=lambda a, mu: 1.0 - a / mu,
+        natural_to_mean=lambda a, theta: a / (1.0 - theta),
+        cumulant=lambda a, theta: -a * math.log1p(-theta),
+        sample=lambda a, mu, rng, n: rng.gamma(a, mu / a, size=n)),
+    "binomial": _Kind(
+        param=("m", int, "integer m >= 1"),
+        coeffs=lambda m: (_ZERO, _ONE, Fraction(-1, m)),
+        mean_domain=lambda m: Interval(0.0, float(m)), natural_domain=_REAL,
+        mean_to_natural=lambda m, mu: math.log(mu / (m - mu)),
+        natural_to_mean=lambda m, theta: m / (1.0 + math.exp(-theta)),
+        # m * log((1 + e^theta)/2), stable for large |theta|
+        cumulant=lambda m, theta: m * (np.logaddexp(0.0, theta) - math.log(2.0)),
+        sample=lambda m, mu, rng, n: rng.binomial(m, mu / m, size=n).astype(float)),
+    "negbinomial": _Kind(
+        param=("m", int, "integer m >= 1"),
+        coeffs=lambda m: (_ZERO, _ONE, Fraction(1, m)),
+        mean_domain=lambda m: _POSITIVE, natural_domain=Interval(-math.inf, math.log(2.0)),
+        mean_to_natural=lambda m, mu: math.log(2.0 * mu / (m + mu)),
+        natural_to_mean=lambda m, theta: m * math.exp(theta) / (2.0 - math.exp(theta)),
+        cumulant=lambda m, theta: -m * math.log(2.0 - math.exp(theta)),
+        sample=lambda m, mu, rng, n: rng.negative_binomial(m, m / (m + mu), size=n).astype(float)),
+    "sech": _Kind(
+        coeffs=lambda _: (_ONE, _ZERO, _ONE),
+        mean_domain=lambda _: _REAL, natural_domain=Interval(-math.pi / 2, math.pi / 2),
+        mean_to_natural=lambda _, mu: math.atan(mu),
+        natural_to_mean=lambda _, theta: math.tan(theta),
+        cumulant=lambda _, theta: -math.log(math.cos(theta)),
+        sample=_sample_sech),
+}
+ALL_KINDS = tuple(_KINDS)
 
 
 def _fmt(x) -> str:
@@ -317,7 +315,8 @@ def parse_family(tag: str) -> Family:
                 raise ConfigError(f"family: parameter {key!r} repeated in {tag!r}")
             params[key] = val
     name = name.strip()
-    key, cast, _ = _PARAM.get(name, (None, None, None))
+    kind = _KINDS.get(name)
+    key, cast, _ = kind.param if kind and kind.param else (None, None, None)
     extra = set(params) - {key}
     if extra:
         raise ConfigError(f"family: unexpected parameter(s) {sorted(extra)} for {name}")

@@ -296,6 +296,8 @@ def overlap_bound_mc(model: KinSpikedModel, D: int | None, samples: int,
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    if D is not None and D < 0:
+        raise DomainError(f"degree bound D must be >= 0, got {D}")
     v2 = model.family.v2
     r = _pair_overlaps(model, samples, rng)
 

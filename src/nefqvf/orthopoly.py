@@ -157,8 +157,7 @@ def build_basis(family: Family, mu0: float, K: int) -> OrthoPolyBasis:
     """Exact monic basis up to degree K by the Morris recurrence."""
     if not 0 <= K <= MAX_BASIS_DEGREE:
         raise DomainError(f"K must be in 0..{MAX_BASIS_DEGREE}, got {K}")
-    if mu0 not in family.mean_domain:
-        raise DomainError(f"mu0={mu0} outside {family.mean_domain} for {family.tag()}")
+    family._check_mean(mu0, "mu0")
 
     m_stop = neg_v_order(family.v2)
     k_max = min(K, m_stop) if m_stop is not None else K

@@ -146,13 +146,22 @@ def test_config_file_defaults_and_override(bernoulli_model, tmp_path, capsys):
     # configparser's own errors exit 2 as well, not with a traceback
     ("[ldlr.exact]\ndegree = 3\ndegree = 3\n", "cannot parse file"),
     ("degree = 3\n", "cannot parse file"),
-], ids=["unknown-key", "repeated-option", "no-section-header"])
+    ("[ldlr.exact]\ndegree = 3\xff\n", "cannot parse file"),
+], ids=["unknown-key", "repeated-option", "no-section-header", "not-utf8"])
 def test_config_file_unknown_key(text, message, tmp_path, capsys):
     cfg = tmp_path / "exp.ini"
-    cfg.write_text(text)
+    cfg.write_bytes(text.encode("latin-1"))  # "\xff" is the byte 0xff, which UTF-8 rejects
     code = main(["--config", str(cfg), "ldlr", "exact", "--degree", "1"])
     captured = capsys.readouterr()
     assert code == 2 and message in captured.err and captured.out == ""
+
+
+def test_model_file_not_utf8_exits_config_code(tmp_path, capsys):
+    path = tmp_path / "bad.model"
+    path.write_bytes(BERNOULLI_MODEL.encode() + b"atom = 0.5 : 1.0\xff\n")
+    code = main(["ldlr", "exact", "--model", str(path), "--degree", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and "model: cannot read file" in captured.err and captured.out == ""
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys):
@@ -270,6 +279,10 @@ KIN_MEANS = "kind = kin\nnull_means = 1.0\n"
     (["ldlr", "compare", "--model",
       Model("families = poisson\nkind = z\nnull_means =\natom = : 1.0\n"), "--degree", "2"],
      "null_means needs at least one value"),
+    # a seed is a non-negative integer
+    (SIMULATE + ["--lambda", "1", "--noise", "sech", "--seed", "-1"],
+     "config: bad value for 'seed': '-1'"),
+    (model_argv("mc", BERNOULLI_MODEL) + ["--seed", "-1"], "config: bad value for 'seed': '-1'"),
 ])
 def test_bad_input_exits_config_code(argv, message, tmp_path, capsys):
     for i, arg in enumerate(argv):
@@ -554,6 +567,17 @@ def test_spiked_simulate_and_entrywise(capsys):
     mc_val = float(rows[0].split(",")[5])
     exact_val = float(rows[1].split(",")[5])
     assert exact_val <= mc_val * 1.5 + 1.0  # loose consistency of scales
+
+
+def test_entrywise_exact_caps_reject_before_the_monte_carlo_bound(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("the Monte Carlo bound ran on an input the exact sum rejects")
+
+    monkeypatch.setattr(cli, "entrywise_ldlr_mc_bound", never)
+    code = main(["spiked", "entrywise-bound", "--n", "6", "--lambda", "0.5", "--degree", "500",
+                 "--samples", "500", "--exact", "true"])
+    captured = capsys.readouterr()
+    assert code == 2 and "must be in 0..200, got 500" in captured.err and captured.out == ""
 
 
 def test_spiked_power_curve_and_mix(capsys):
