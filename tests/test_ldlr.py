@@ -501,22 +501,22 @@ def test_sbm_scan_inverse_cdf_ends():
         assert row.estimate == float(exp_trunc(D)(c * ((2 * k - n) ** 2 - n) / n)), k
 
 
-def _exact_symmetric_binomial_cdf(n):
-    # running integer sums over 2**n: int / int division rounds correctly
-    return np.array([c / 2**n for c in itertools.accumulate(math.comb(n, k) for k in range(n + 1))])
+def test_symmetric_binomial_cdf_matches_scipy_ppf():
+    from scipy.stats import binom
+
+    rng = np.random.default_rng(20260809)
+    for n in (1, 2, 50, 200, 2000):
+        u = rng.random(2_000_000)
+        want = binom.ppf(u, n, 0.5)
+        assert np.array_equal(np.searchsorted(_symmetric_binomial_cdf(n), u), want), n
 
 
 def test_symmetric_binomial_cdf_matches_exact_integer_cdf():
+    # running integer sums over 2**n: int / int division rounds correctly
     u = np.random.default_rng(5).random(100_000)
     for n in range(1, 61):
-        exact = _exact_symmetric_binomial_cdf(n)
+        exact = np.array([c / 2**n for c in itertools.accumulate(math.comb(n, k) for k in range(n + 1))])
         cdf = _symmetric_binomial_cdf(n)
         assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
         assert np.max(np.abs(cdf - exact)) < 1e-14, n
         assert np.array_equal(np.searchsorted(cdf, u), np.searchsorted(exact, u)), n
-    # n past 60 too, each against 2,000,000 uniforms
-    rng = np.random.default_rng(20260809)
-    for n in (1, 2, 50, 200, 2000):
-        u = rng.random(2_000_000)
-        want = np.searchsorted(_exact_symmetric_binomial_cdf(n), u)
-        assert np.array_equal(np.searchsorted(_symmetric_binomial_cdf(n), u), want), n
