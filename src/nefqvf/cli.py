@@ -280,8 +280,8 @@ def _cell(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):  # numpy's repr would wrap the number
+        return repr(float(v))
     return str(v)
 
 

@@ -26,16 +26,20 @@ implausibly large entry null and runs ``tpca_test`` on the rest.  Every
 test takes only the instance and reads lambda from it; each runs on any
 noise kind.
 
-Memory: an instance is its packed triangle (half an n x n buffer), the
-noise as drawn with the spike added in place; sampling makes no n x n
-array.  An eigenvalue test builds the one n x n buffer it solves,
-``WigInstance.matrix(transform)``, whose lower triangle the eigen-solve
-reads in place.  The spike add and the matrix fill loop over plain row
-slices and allocate nothing that outlives a row.  A short-circuited
-``mixed_test`` reads only the triangle; ``power_curve`` and the CLI keep
-one instance alive at a time.  The first eigenvalue test imports scipy
-before its matrix allocates, so no long-lived object lands between freed
-buffers, and repeated runs in one process keep the peak of the first.
+Memory: an instance is its packed triangle (half an n x n float64
+buffer), the noise as drawn with the spike added in place; sampling makes
+no n x n array.  An eigenvalue test builds the one n x n buffer it solves,
+the float32 ``WigInstance.matrix(transform)`` (as large as the triangle),
+whose lower triangle the eigen-solve reads in place, and frees it before
+the float64 Rayleigh quotient reads the triangle again.  The spike add
+and the matrix fill loop over plain row slices and allocate nothing that
+outlives a row (a fill by blocks of rows leaves heap holes the next
+matrix cannot reuse); the quotient, which runs once the matrix is freed,
+transforms one block of rows per call.  A short-circuited ``mixed_test``
+reads only the triangle; ``power_curve`` and the CLI keep one instance
+alive at a time.  The first eigenvalue test imports scipy before its
+matrix allocates, so no long-lived object lands between freed buffers,
+and repeated runs in one process keep the peak of the first.
 
 Entrywise-degree-bounded likelihood-ratio mass: with the translation
 polynomials tau_hat of the sech family, the component at a multi-index k
@@ -117,6 +121,21 @@ def _rows(entries: np.ndarray, n: int) -> Iterator[np.ndarray]:
         start += length
 
 
+_BLOCK_ROWS = 64  # packed rows per transform call of the Rayleigh quotient
+
+
+def _transformed_rows(entries: np.ndarray, n: int, transform) -> Iterator[tuple[int, np.ndarray]]:
+    """(i, row i of transform(Y)) for each packed row i; transform (None for Y
+    itself) runs on one contiguous slice of _BLOCK_ROWS rows per call."""
+    start = 0
+    for i0 in range(0, n - 1, _BLOCK_ROWS):
+        i1 = min(i0 + _BLOCK_ROWS, n - 1)
+        stop = start + (i1 - i0) * (2 * n - 1 - i0 - i1) // 2
+        block = entries[start:stop] if transform is None else transform(entries[start:stop])
+        yield from zip(range(i0, i1), _rows(block, n - i0))
+        start = stop
+
+
 @dataclass(frozen=True)
 class WigInstance:
     """One observation, read-only from construction on, with hidden truth
@@ -150,11 +169,12 @@ class WigInstance:
         return self.spike is not None
 
     def matrix(self, transform=None) -> np.ndarray:
-        """A fresh Fortran-ordered n x n buffer whose strictly lower triangle
-        holds transform(Y) (Y itself for None); its diagonal and upper
-        triangle are zero.  Column j is written from packed row j, so no
-        packed-size or n x n temporary is made."""
-        M = np.zeros((self.n, self.n), order="F")
+        """A fresh Fortran-ordered float32 n x n buffer whose strictly lower
+        triangle holds transform(Y) (Y itself for None); its diagonal and
+        upper triangle are zero.  Column j is packed row j, transformed in
+        float64 and cast on the store, so no packed-size or n x n temporary
+        is made."""
+        M = np.zeros((self.n, self.n), dtype=np.float32, order="F")
         for j, row in enumerate(_rows(self.entries, self.n)):
             M[j + 1:, j] = row if transform is None else transform(row)
         return M
@@ -229,42 +249,48 @@ def eigsh(*args, **kwargs):
     return _scipy_solver()[1].eigsh(*args, **kwargs)
 
 
-def top_eigenvalue(M: np.ndarray) -> float:
-    """Largest (signed) eigenvalue of the symmetric matrix whose lower
-    triangle M holds; M's upper triangle is never read.
+def top_eigenvalue(inst: WigInstance, transform=None) -> float:
+    """Largest (signed) eigenvalue of T = transform(Y) (Y itself for None).
 
-    Lanczos iteration on the dense matrix, each step a symmetric matvec
-    over the lower triangle, with a direct dense solve (which reads that
+    Lanczos iteration on the float32 ``inst.matrix(transform)``, each step
+    a symmetric matvec over its lower triangle, finds the top eigenvector v,
+    with a direct dense solve of the upcast matrix (which reads that
     triangle too) as fallback for the degenerate cases ARPACK rejects (tiny
     or all-zero matrices) and, with a RuntimeWarning, for Lanczos
-    non-convergence; an unsolvable matrix surfaces as an error.  A float64
-    Fortran-ordered matrix is read in place; any other input is copied once
-    into that layout before the solve."""
-    n = M.shape[0]
+    non-convergence; an unsolvable matrix surfaces as an error.  Once the
+    matrix is freed, the value is the float64 Rayleigh quotient v.Tv / v.v
+    over the packed triangle: its error is second order in v's, about 1e-13
+    relative to a float64 solve at n = 2000."""
+    n = inst.n
+    blas, sparse_linalg = _scipy_solver()  # before the matrix allocates; see the module docstring
+    M = inst.matrix(transform)
+    v = None
     if n >= 10:
-        blas, sparse_linalg = _scipy_solver()
-        dsymv = blas.dsymv
         # fixed start vector: the default draws from numpy's global RNG,
         # which would break byte-identical reports
         v0 = np.full(n, 1.0 / math.sqrt(n))
-        # each matvec reads M's lower triangle, as the fallback does, from a
-        # Fortran-ordered array: f2py would copy any other layout on every call
-        A = np.asfortranarray(M, dtype=np.float64)
+        # each matvec reads M's lower triangle, as the fallback does; f2py
+        # takes a Fortran-ordered float32 M without copying it
         op = sparse_linalg.LinearOperator(
-            (n, n), matvec=lambda x: dsymv(1.0, A, x, lower=1), dtype=np.float64)
+            (n, n), matvec=lambda x: blas.ssymv(1.0, M, x, lower=1), dtype=np.float64)
         try:
-            return float(eigsh(op, k=1, which="LA", tol=1e-8, v0=v0,
-                               return_eigenvectors=False)[0])
+            v = eigsh(op, k=1, which="LA", tol=1e-8, v0=v0)[1][:, 0]
         except sparse_linalg.ArpackNoConvergence:
             warnings.warn(f"Lanczos did not converge at n={n}; "
                           "falling back to a dense eigen-solve",
                           RuntimeWarning, stacklevel=2)
         except sparse_linalg.ArpackError:
             pass
-    try:
-        return float(np.linalg.eigvalsh(M)[-1])
-    except np.linalg.LinAlgError as exc:
-        raise NumericInstabilityError(f"eigen-solver failed: {exc}") from exc
+    if v is None:
+        try:
+            v = np.linalg.eigh(M.astype(np.float64))[1][:, -1]
+        except np.linalg.LinAlgError as exc:
+            raise NumericInstabilityError(f"eigen-solver failed: {exc}") from exc
+    del M  # freed before the quotient transforms its blocks
+    half = 0.0  # v.Tv / 2, over the strictly upper triangle
+    for i, row in _transformed_rows(inst.entries, n, transform):
+        half += v[i] * (row @ v[i + 1:])
+    return float(2.0 * half / (v @ v))
 
 
 def _eigen_test(inst: WigInstance, transform, sigma: float) -> TestVerdict:
@@ -272,9 +298,8 @@ def _eigen_test(inst: WigInstance, transform, sigma: float) -> TestVerdict:
 
     Null bulk edge 2*sigma, planted outlier lambda + sigma^2/lambda once
     lambda > sigma; the threshold is their midpoint (infinite at lambda = 0)."""
-    _scipy_solver()  # before the matrix allocates; see the module docstring
     lam = inst.lam
-    stat = top_eigenvalue(inst.matrix(transform)) / math.sqrt(inst.n)
+    stat = top_eigenvalue(inst, transform) / math.sqrt(inst.n)
     thr = math.inf if lam == 0 else 0.5 * (2.0 * sigma + lam + sigma**2 / lam)
     return TestVerdict("p" if stat >= thr else "q", stat, thr)
 

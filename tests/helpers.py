@@ -11,7 +11,9 @@ recurrence), enumeration of multi-indices (against the generating-function
 products of the exact norms), and dynamic programming over vertex-parity
 states (against the O(n) entrywise sum).  The spiked-matrix sampler's
 earlier construction, whole-array noise expressions and a triangle vector
-scattered into a fresh matrix, pins its draw order and its bits.
+scattered into a fresh matrix, pins its draw order and its bits; the same
+scatter at float64 precision is the matrix whose top eigenvalue pins the
+eigen tests' statistic.
 Per-scalar z-scores, the scalar generating function and a per-draw Monte
 Carlo loop pin the array forms of the overlap route.  The translation table
 by convolving powers of the arctan series pins the integer recurrence, and
@@ -464,6 +466,19 @@ def wig_matrix_from_triangle(n, lam, noise_kind, planted, rng, alpha=None):
         spike = rng.choice([-1.0, 1.0], size=n)
         upper = upper + (lam / math.sqrt(n)) * spike[iu] * spike[ju]
     return upper
+
+
+def wig_matrix_float64(inst, transform=None):
+    """The float64 matrix an eigen test's statistic must be the top eigenvalue of.
+
+    Fortran-ordered, transform(Y) (Y itself for None) scattered from the
+    packed triangle into the strict lower triangle, zero elsewhere: the
+    layout of ``WigInstance.matrix`` at float64 precision.
+    """
+    n = inst.n
+    M = np.zeros((n, n), order="F")
+    M.T[np.triu_indices(n, k=1)] = inst.entries if transform is None else transform(inst.entries)
+    return M
 
 
 # ---------------------------------------------------------------------------

@@ -489,6 +489,15 @@ def test_families_list_and_check(capsys):
     assert code == 0
     _, rows = body(out)
     assert all(r.endswith("pass") for r in rows)
+    assert "np." not in out  # every max_error is a plain number
+
+
+def test_numpy_float_cells_print_as_plain_numbers():
+    # numpy 2 reprs its scalars as np.float64(...); a cell holds the number
+    assert cli._cell(np.float64(2.6614001600823763e-09)) == "2.6614001600823763e-09"
+    assert cli._cell(np.float32(0.5)) == "0.5"
+    assert cli._cell(np.float32(0.1)) == repr(float(np.float32(0.1)))
+    assert cli._cell(1.5) == "1.5" and cli._cell(True) == "true" and cli._cell(3) == "3"
 
 
 def test_orthopoly_build_and_dump(capsys):
@@ -655,12 +664,14 @@ def test_package_root_holds_only_its_version():
 
 
 @pytest.mark.parametrize("solve, want", [
-    ("spiked.top_eigenvalue(inst.matrix())", ["True"]),
+    ("spiked.top_eigenvalue(inst)", ["True"]),
     # an eigenvalue test loads the solver before its matrix allocates, so
     # that scipy's long-lived objects sit below the matrix; the transform
-    # prints once per packed row (29 at n = 30), the script once at the end
+    # prints once per packed row (29 at n = 30) as the matrix fills, once
+    # per block of 64 rows (one) as the statistic reads the triangle, and
+    # the script once at the end
     ("spiked.score_transform = lambda y: print('scipy.sparse.linalg' in sys.modules) or y\n"
-     "spiked.tpca_test(inst)", ["True"] * 29 + ["True"]),
+     "spiked.tpca_test(inst)", ["True"] * 29 + ["True"] + ["True"]),
 ], ids=["top_eigenvalue", "before_transform"])
 def test_scipy_loads_on_the_first_eigen_solve(solve, want):
     # scipy is most of the start-up time and only the eigen-solve needs it:
@@ -680,10 +691,11 @@ def test_scipy_loads_on_the_first_eigen_solve(solve, want):
 
 def test_simulate_holds_one_instance_at_a_time(capsys):
     # a trial's instance is released before the next trial draws, so the
-    # peak is one packed instance (0.5 x 8n^2) and the matrix its test
-    # solves (1 x) plus the solver's vectors; keeping the last instance
-    # alive would add another 0.5 x.  The parser and ARPACK's 20 Lanczos
-    # vectors add about 0.28 MB, which n = 600 keeps well inside the margin
+    # peak is one packed instance (0.5 x 8n^2) and the float32 matrix its
+    # test solves (0.5 x) plus the solver's vectors (measured 1.12 x);
+    # keeping the last instance alive would add another 0.5 x.  The parser
+    # and ARPACK's 20 Lanczos vectors add about 0.28 MB, which n = 600 keeps
+    # inside the margin
     n = 600
     argv = ["spiked", "simulate", "--n", str(n), "--lambda", "1.2", "--noise", "sech",
             "--trials", "3", "--test", "tpca", "--seed", "8"]
@@ -695,15 +707,17 @@ def test_simulate_holds_one_instance_at_a_time(capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert peak <= 1.8 * 8 * n * n
+    assert peak <= 1.3 * 8 * n * n
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KB, as Linux reports it")
 def test_repeated_power_curves_keep_their_peak():
-    # one instance (0.5 x 8n^2) and one matrix (1 x) are live at a time, and
-    # no small object outlives a row loop to pin a freed buffer in place on
-    # the heap, so six curves in one process peak where the first one does;
-    # objects left between freed buffers cost one more matrix (2.6 x)
+    # one instance (0.5 x 8n^2) and one float32 matrix (0.5 x) are live at
+    # a time, and no small object outlives a row loop to pin a freed buffer
+    # in place on the heap, so six curves in one process peak where the
+    # first one does (measured 1.13-1.14 x; the bound is 0.17 x above); a
+    # float64 matrix (1.62 x) or objects left between freed buffers (one
+    # more matrix) fail
     n = 1000
     src = str(Path(nefqvf.__file__).resolve().parents[1])
     code = (
@@ -722,4 +736,4 @@ def test_repeated_power_curves_keep_their_peak():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
-    assert int(res.stderr.splitlines()[-1]) <= 2.0 * 8 * n * n
+    assert int(res.stderr.splitlines()[-1]) <= 1.3 * 8 * n * n

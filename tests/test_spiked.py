@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from nefqvf import spiked
 from nefqvf.errors import DomainError
@@ -32,7 +32,7 @@ from nefqvf.spiked import (
 )
 from nefqvf.translation import MAX_TABLE_DEGREE, build_translation_table
 
-from helpers import heavy_pdf, overlap_chi2_exact, wig_matrix_from_triangle
+from helpers import heavy_pdf, overlap_chi2_exact, wig_matrix_float64, wig_matrix_from_triangle
 
 
 def test_lambda_star_value():
@@ -137,17 +137,23 @@ def test_matrix_assembly_and_permutation_invariance():
     rng = np.random.default_rng(3)
     inst = sample_wig(60, 1.2, "sech", planted=True, rng=rng)
     M = inst.matrix()
-    # Fortran-ordered, entry (i, j) of the triangle at M[j, i], zero on and
-    # above the diagonal
-    assert M.flags.f_contiguous and not np.triu(M).any()
-    assert M.T[np.triu_indices(60, k=1)].tobytes() == inst.entries.tobytes()
+    # Fortran-ordered float32, entry (i, j) of the triangle at M[j, i], zero
+    # on and above the diagonal; a transform runs in float64 before the cast
+    upper = np.triu_indices(60, k=1)
+    assert M.dtype == np.float32 and M.flags.f_contiguous and not np.triu(M).any()
+    assert M.T[upper].tobytes() == inst.entries.astype(np.float32).tobytes()
     t = inst.matrix(score_transform)
-    assert t.T[np.triu_indices(60, k=1)].tobytes() == score_transform(inst.entries).tobytes()
-    Y = M + M.T
+    assert t.dtype == np.float32
+    assert t.T[upper].tobytes() == score_transform(inst.entries).astype(np.float32).tobytes()
+    # relabeling the vertices permutes Y and keeps its spectrum
+    Y = wig_matrix_float64(inst)
+    Y += Y.T
     perm = rng.permutation(60)
-    assert top_eigenvalue(Y[np.ix_(perm, perm)]) == pytest.approx(
-        top_eigenvalue(M), abs=1e-7
-    )
+    permuted = WigInstance(lam=inst.lam, noise_kind="sech", alpha=None,
+                           entries=Y[np.ix_(perm, perm)][upper])
+    for transform in (None, score_transform):
+        assert top_eigenvalue(permuted, transform) == pytest.approx(
+            top_eigenvalue(inst, transform), rel=1e-12)
 
 
 def test_mixed_branches():
@@ -239,9 +245,12 @@ def _traced_peak(fn) -> int:
 
 def test_spiked_path_holds_one_matrix_per_stage():
     # numpy reports its buffers to tracemalloc; a planted instance is its
-    # packed triangle (0.5 x 8n^2), each eigen test adds the one matrix it
-    # solves plus the solver's vectors, and a heavy null that the mixed
-    # test labels from its largest entry builds no matrix at all
+    # packed triangle (0.5 x 8n^2), each eigen test adds the one float32
+    # matrix it solves (0.5 x) plus the solver's vectors (both measured at
+    # 0.62 x, bounds 0.08 x above), so a float64 matrix (1 x) fails; the
+    # Rayleigh quotient's blocks of transformed rows come after the matrix
+    # is freed; a heavy null that the mixed test labels from its largest
+    # entry builds no matrix at all
     n = 400
     matrix_bytes = 8 * n * n
     tracemalloc.start()
@@ -256,8 +265,8 @@ def test_spiked_path_holds_one_matrix_per_stage():
     finally:
         tracemalloc.stop()
     assert sample <= 0.6 * matrix_bytes
-    assert solve <= 1.15 * matrix_bytes
-    assert scored <= 1.15 * matrix_bytes
+    assert solve <= 0.7 * matrix_bytes
+    assert scored <= 0.7 * matrix_bytes
     assert verdict.statistic > verdict.threshold  # labeled without a solve
     assert short_circuit <= 0.05 * matrix_bytes
 
@@ -310,54 +319,103 @@ def test_top_eigenvalue_warns_on_lanczos_non_convergence(monkeypatch):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr(spiked, "eigsh", no_convergence)
-    M = sample_wig(30, 1.0, "sech", True, np.random.default_rng(6)).matrix()
+    inst = sample_wig(30, 1.0, "sech", True, np.random.default_rng(6))
     with pytest.warns(RuntimeWarning, match="n=30"):
-        value = top_eigenvalue(M)
-    assert value == np.linalg.eigvalsh(M)[-1]
+        value = top_eigenvalue(inst)
+    assert value == pytest.approx(np.linalg.eigvalsh(wig_matrix_float64(inst))[-1], rel=1e-12)
 
 
 def test_top_eigenvalue_degenerate_matrix_is_silent():
     # ARPACK rejects the all-zero matrix (its start residual vanishes);
     # the dense fallback is the documented answer and warns about nothing
+    zero = WigInstance(lam=1.0, noise_kind="sech", alpha=None, entries=np.zeros(20 * 19 // 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert top_eigenvalue(np.zeros((20, 20))) == 0.0
+        for transform in (None, score_transform):
+            value = top_eigenvalue(zero, transform)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 @pytest.mark.parametrize("transform", [None, score_transform], ids=["pca", "tpca"])
 @pytest.mark.parametrize("planted", [False, True])
 def test_top_eigenvalue_matches_dense_solve(transform, planted):
     inst = sample_wig(300, 1.3, "sech", planted, np.random.default_rng(21))
-    M = inst.matrix(transform)
-    assert top_eigenvalue(M) == pytest.approx(np.linalg.eigvalsh(M)[-1], rel=1e-12)
+    value = top_eigenvalue(inst, transform)
+    want = np.linalg.eigvalsh(wig_matrix_float64(inst, transform))[-1]
+    assert type(value) is float and value == pytest.approx(want, rel=1e-12)
 
 
-def test_top_eigenvalue_reads_any_layout_and_the_fallback_triangle():
+def test_top_eigenvalue_reads_any_layout_and_the_fallback_triangle(monkeypatch):
     n = 120
-    B = sample_wig(2 * n, 1.2, "sech", True, np.random.default_rng(22)).matrix()
-    M = np.ascontiguousarray(B[::2, ::2])
-    want = np.linalg.eigvalsh(M)[-1]
-    for layout in (M, np.asfortranarray(M), B[::2, ::2]):
+    inst = sample_wig(n, 1.2, "sech", True, np.random.default_rng(22))
+    want = np.linalg.eigvalsh(wig_matrix_float64(inst))[-1]
+    # a packed triangle that is a strided view solves like a contiguous one
+    spaced = np.zeros(2 * inst.entries.size)
+    spaced[::2] = inst.entries
+    strided = WigInstance(lam=inst.lam, noise_kind="sech", alpha=None, entries=spaced[::2])
+    for layout in (inst, strided):
         assert top_eigenvalue(layout) == pytest.approx(want, rel=1e-12)
-    # garbage above the diagonal: Lanczos reads the lower triangle, as the
-    # dense fallback (eigvalsh, UPLO='L') does
-    skew = M + np.triu(np.full((n, n), 3.0), 1)
-    want = np.linalg.eigvalsh(skew)[-1]
-    for layout in (skew, np.asfortranarray(skew)):
-        assert top_eigenvalue(layout) == pytest.approx(want, rel=1e-12)
+    # the dense fallback reads the lower triangle that matrix() fills: its
+    # upper triangle is zero, so a solve of that would give 0
+    def arpack_error(*args, **kwargs):
+        raise ArpackError(-9999)
+
+    monkeypatch.setattr(spiked, "eigsh", arpack_error)
+    assert top_eigenvalue(inst) == pytest.approx(want, rel=1e-12)
 
 
 def test_top_eigenvalue_copies_no_matrix():
-    # f2py copies a non-Fortran-ordered argument on every BLAS call; the
-    # solve's traced peak must stay far below one n x n buffer
+    # the solve holds its float32 matrix (0.5 x 8n^2) and vectors, measured
+    # at 0.58 x: f2py would copy a non-Fortran-ordered argument on every
+    # BLAS call, and that copy or a float64 one would add 0.5 x or more
     n = 600
-    M = sample_wig(n, 1.2, "sech", True, np.random.default_rng(23)).matrix()
+    inst = sample_wig(n, 1.2, "sech", True, np.random.default_rng(23))
     tracemalloc.start()
     try:
-        peak = _traced_peak(lambda: top_eigenvalue(M))
+        peak = _traced_peak(lambda: top_eigenvalue(inst))
     finally:
         tracemalloc.stop()
-    assert peak <= 0.1 * 8 * n * n
+    assert peak <= 0.65 * 8 * n * n
+
+
+@pytest.mark.parametrize("n", [30, 300])
+@pytest.mark.parametrize("test, transform", [(pca_test, None), (tpca_test, score_transform)],
+                         ids=["pca", "tpca"])
+@pytest.mark.parametrize("planted", [False, True])
+def test_eigen_test_statistic_is_the_float64_top_eigenvalue(n, test, transform, planted):
+    # the solve runs on a float32 matrix, which moves its Ritz value by about
+    # 1e-8 relative; the statistic is the float64 Rayleigh quotient of its
+    # Ritz vector over the packed triangle, exact to second order
+    inst = sample_wig(n, 1.3, "sech", planted, np.random.default_rng(n + planted))
+    want = np.linalg.eigvalsh(wig_matrix_float64(inst, transform))[-1]
+    stat = test(inst).statistic
+    assert type(stat) is float
+    assert stat * math.sqrt(n) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("test, transform", [(pca_test, None), (tpca_test, score_transform)],
+                         ids=["pca", "tpca"])
+def test_eigen_test_fallbacks_give_the_float64_top_eigenvalue(test, transform, monkeypatch):
+    # the dense fallback solves the upcast float32 matrix and goes through the
+    # same quotient: below n = 10, after a Lanczos non-convergence, and on an
+    # all-zero triangle, which ARPACK rejects
+    for n in (2, 5, 9):
+        inst = sample_wig(n, 1.3, "sech", True, np.random.default_rng(n))
+        want = np.linalg.eigvalsh(wig_matrix_float64(inst, transform))[-1]
+        assert test(inst).statistic * math.sqrt(n) == pytest.approx(want, rel=1e-12), n
+    zero = WigInstance(lam=1.3, noise_kind="sech", alpha=None, entries=np.zeros(40 * 39 // 2))
+    assert test(zero).statistic == 0.0
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(spiked, "eigsh", no_convergence)
+    for n in (30, 300):
+        inst = sample_wig(n, 1.3, "sech", False, np.random.default_rng(n))
+        want = np.linalg.eigvalsh(wig_matrix_float64(inst, transform))[-1]
+        with pytest.warns(RuntimeWarning, match=f"n={n}"):
+            stat = test(inst).statistic
+        assert stat * math.sqrt(n) == pytest.approx(want, rel=1e-12), n
 
 
 def test_mixed_test_moderate_size_smoke():
