@@ -225,7 +225,7 @@ def test_score_transform_shape():
 
 
 def test_score_transform_matches_expression_and_keeps_input():
-    Y = sample_wig(57, 1.3, "sech", True, np.random.default_rng(6)).matrix()
+    Y = wig_matrix_float64(sample_wig(57, 1.3, "sech", True, np.random.default_rng(6)))
     before = Y.tobytes()
     want = LAMBDA_STAR**2 * (math.pi / 2) * np.tanh((math.pi / 2) * Y)
     got = score_transform(Y)
