@@ -9,11 +9,11 @@ Subcommands
     mix test
 
 Exit codes: 0 ok, 2 config error, 3 exact-norm work bound exceeded, 4
-numeric instability.  Values may come from an INI-style ``--config`` file (section
-named after the subcommand, e.g. ``[ldlr.exact]``); command-line flags
-override file values.  Every report is CSV with one provenance comment
-line (full parameters, seed, git revision) so that identical inputs give
-byte-identical outputs.
+numeric instability.  Values may come from an INI-style ``--config`` file
+(section named after the subcommand, e.g. ``[ldlr.exact]``, keys named as
+the flags); flags, never abbreviated, override file values.  Every report
+is CSV with one provenance comment line (full parameters, seed, git
+revision) so that identical inputs give byte-identical outputs.
 
 Model files are plain text, one ``key = value`` per line, ``#`` comments:
 
@@ -43,6 +43,7 @@ import numpy as np
 from .errors import CapExceededError, ConfigError, NefqvfError, NumericInstabilityError
 from .families import Family, parse_family
 from .ldlr import (
+    MAX_EXACT_N,
     AdditiveSpikedModel,
     KinSpikedModel,
     SpikePrior,
@@ -61,7 +62,6 @@ from .spiked import (
     mixed_test,  # noqa: F401  (unused here; perfbench/tracing.py patches it by this name)
     power_curve,
     sample_wig,
-    MAX_EXACT_N,
 )
 from .translation import DEFAULT_TABLE_DEGREE, MAX_TABLE_DEGREE, build_translation_table, table_rows
 
@@ -129,20 +129,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nefqvf",
         description="likelihood-ratio norms and spiked-matrix experiments",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="INI file with per-subcommand defaults")
     groups = parser.add_subparsers(dest="group", required=True)
     seen: dict[str, argparse._SubParsersAction] = {}
     for (group, action), (_, flags) in COMMANDS.items():
         if group not in seen:
-            gp = groups.add_parser(group)
+            gp = groups.add_parser(group, allow_abbrev=False)
             seen[group] = gp.add_subparsers(dest="action", required=True)
-        sub = seen[group].add_parser(action)
+        sub = seen[group].add_parser(action, allow_abbrev=False)
         for flag in flags:
-            names = [f"--{flag.name.replace('_', '-')}"]
-            if flag.name == "lam":
-                names.append("--lambda")
-            sub.add_argument(*names, dest=flag.name, default=None, help=flag.help)
+            sub.add_argument(f"--{flag.name}", dest=flag.name, default=None, help=flag.help)
     return parser
 
 
@@ -429,7 +427,7 @@ def _run_spiked_simulate(config):
     rng = np.random.default_rng(seed)
     rows = []
     for trial in range(v["trials"]):
-        inst = sample_wig(v["n"], v["lam"], v["noise"], v["planted"], rng, alpha=v["alpha"])
+        inst = sample_wig(v["n"], v["lambda"], v["noise"], v["planted"], rng, alpha=v["alpha"])
         stat = thr = label = None
         if test is not None:
             verdict = test(inst)
@@ -458,13 +456,13 @@ def _run_spiked_power_curve(config):
 def _run_spiked_entrywise(config):
     v = config.values
     # the exact sum runs first, so that its caps reject the input before the Monte Carlo work
-    exact = entrywise_ldlr_exact(v["n"], v["lam"], v["degree"]) if v["exact"] else None
+    exact = entrywise_ldlr_exact(v["n"], v["lambda"], v["degree"]) if v["exact"] else None
     rng = np.random.default_rng(v["seed"])
-    res = entrywise_ldlr_mc_bound(v["n"], v["lam"], v["degree"], v["samples"], rng)
-    rows = [("mc-bound", v["n"], v["lam"], v["degree"], res.c, res.value,
+    res = entrywise_ldlr_mc_bound(v["n"], v["lambda"], v["degree"], v["samples"], rng)
+    rows = [("mc-bound", v["n"], v["lambda"], v["degree"], res.c, res.value,
              res.stderr, res.samples, v["seed"])]
     if v["exact"]:
-        rows.append(("exact", v["n"], v["lam"], v["degree"], None, exact, None, None, v["seed"]))
+        rows.append(("exact", v["n"], v["lambda"], v["degree"], None, exact, None, None, v["seed"]))
     write_report(config, ["method", "n", "lambda", "D", "c", "value",
                           "stderr", "samples", "seed"], rows)
 
@@ -472,7 +470,7 @@ def _run_spiked_entrywise(config):
 def _run_mix_test(config):
     v = config.values
     rng = np.random.default_rng(v["seed"])
-    rows = power_curve("mixed", "mixed", [v["lam"]], v["n"], v["trials"],
+    rows = power_curve("mixed", "mixed", [v["lambda"]], v["n"], v["trials"],
                        rng, alpha=v["alpha"])
     r = rows[0]
     avg_error = 0.5 * (r.type_i + r.type_ii)
@@ -530,7 +528,7 @@ COMMANDS: dict[tuple[str, str], tuple[object, list[Flag]]] = {
     ] + COMMON),
     ("spiked", "simulate"): (_run_spiked_simulate, [
         Flag("n", int, "matrix size", required=True),
-        Flag("lam", float, "signal strength lambda", required=True),
+        Flag("lambda", float, "signal strength", required=True),
         Flag("noise", str, "sech | heavy | mixed", required=True),
         Flag("alpha", float, "heavy-tail exponent"),
         Flag("planted", _bool, "sample the planted side", default=False),
@@ -547,7 +545,7 @@ COMMANDS: dict[tuple[str, str], tuple[object, list[Flag]]] = {
     ] + COMMON),
     ("spiked", "entrywise-bound"): (_run_spiked_entrywise, [
         Flag("n", int, "matrix size", required=True),
-        Flag("lam", float, "signal strength lambda", required=True),
+        Flag("lambda", float, "signal strength", required=True),
         Flag("degree", int, "entrywise degree bound D", required=True),
         Flag("samples", int, "Monte Carlo sample count", required=True),
         Flag("exact", _bool,
@@ -556,7 +554,7 @@ COMMANDS: dict[tuple[str, str], tuple[object, list[Flag]]] = {
     ] + COMMON),
     ("mix", "test"): (_run_mix_test, [
         Flag("n", int, "matrix size", required=True),
-        Flag("lam", float, "signal strength lambda", required=True),
+        Flag("lambda", float, "signal strength", required=True),
         Flag("alpha", float, "heavy-tail exponent", required=True),
         Flag("trials", int, "trials per side", required=True),
     ] + COMMON),

@@ -36,9 +36,10 @@ sampler-backed prior.
 
 The overlap of two uniform sign vectors is 2P - n with P ~ Binomial(n, 1/2).
 Exact means over P run here in log space (``_sign_count_mean``), and the
-block-model scan draws P from a CDF table.  ``spiked.overlap_chi2_mc`` still
-draws P itself with ``rng.binomial``, because the benchmark's entrywise-bound
-reference CSV pins those draws; ROADMAP item 2 replaces both samplers.
+block-model scan draws P from a CDF table; both tables stop at n =
+MAX_EXACT_N.  ``spiked.overlap_chi2_mc`` still draws P itself with
+``rng.binomial``, because the benchmark's entrywise-bound reference CSV
+pins those draws; ROADMAP item 2 replaces both samplers.
 """
 
 from __future__ import annotations
@@ -388,6 +389,9 @@ class SbmScanRow:
         return self.ks_lhs > self.ks_rhs
 
 
+MAX_EXACT_N = 10**6  # largest n of a Binomial(n, 1/2) table; keeps its O(n) arrays small
+
+
 def binomial_log_weights(n: int) -> np.ndarray:
     """-log p! - log (n-p)!, p = 0..n: the Binomial(n, 1/2) log pmf up to
     a constant, from ``math.lgamma``; callers normalise the weights."""
@@ -428,8 +432,8 @@ def sbm_ks_scan(n: int, D: int, grid, samples: int,
     A uniform of 0 draws the count 0.  Rows carry both sides of the
     detectability comparison (a-b)^2 vs 2(a+b).
     """
-    if n < 1 or D < 0 or samples < 1:
-        raise DomainError("need n >= 1, D >= 0, samples >= 1")
+    if not 1 <= n <= MAX_EXACT_N or D < 0 or samples < 1:
+        raise DomainError(f"need 1 <= n <= {MAX_EXACT_N}, D >= 0, samples >= 1")
     grid = list(grid)
     for a, b in grid:  # every point before the first draw: a rejected call leaves rng untouched
         if not (0 < a < math.inf and 0 < b < math.inf):  # NaN fails too

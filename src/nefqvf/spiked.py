@@ -24,7 +24,8 @@ sigma = lambda_star, whose outlier separates from the bulk once
 lambda > lambda_star.  ``mixed_test`` labels an instance with an
 implausibly large entry null and runs ``tpca_test`` on the rest.  Every
 test takes only the instance and reads lambda from it; each runs on any
-noise kind.
+noise kind.  ARPACK solves every n, a dense solve runs only when it raises,
+and a statistic that is not finite raises NumericInstabilityError (CLI exit 4).
 
 Memory: an instance is its packed triangle (half an n x n float64
 buffer), the noise as drawn with the spike added in place; sampling makes
@@ -68,7 +69,7 @@ import numpy as np
 
 from .errors import DomainError, NumericInstabilityError
 from .families import Family
-from .ldlr import _mc_summary, _sign_count_mean
+from .ldlr import MAX_EXACT_N, _mc_summary, _sign_count_mean
 from .translation import build_translation_table
 
 LAMBDA_STAR = 2.0 * math.sqrt(2.0) / math.pi
@@ -96,20 +97,6 @@ def _check_trials(trials: int) -> None:
 def _check_alpha(alpha: float | None) -> None:
     if alpha is None or not 1 < alpha < math.inf:  # NaN and inf fail too
         raise DomainError(f"heavy noise needs alpha > 1, got {alpha}")
-
-
-def sample_noise(kind: str, size: int, rng: np.random.Generator,
-                 alpha: float | None = None) -> np.ndarray:
-    if kind == "sech":
-        return _SECH.sample(0.0, rng, size)
-    if kind == "heavy":
-        _check_alpha(alpha)
-        # (1 + x^2)^(-alpha/2) is Student t with alpha-1 dof, scaled
-        df = alpha - 1.0
-        t = rng.standard_t(df, size=size)
-        t /= math.sqrt(df)
-        return t
-    raise DomainError(f"unknown noise kind {kind!r}")
 
 
 def _rows(entries: np.ndarray, n: int) -> Iterator[np.ndarray]:
@@ -206,7 +193,16 @@ def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
         entry_kind = "sech" if branch == 1 else "heavy"
     else:
         entry_kind = noise_kind
-    entries = sample_noise(entry_kind, n * (n - 1) // 2, rng, alpha=alpha)
+    size = n * (n - 1) // 2
+    if entry_kind == "sech":
+        entries = _SECH.sample(0.0, rng, size)
+    elif entry_kind == "heavy":
+        # (1 + x^2)^(-alpha/2) is Student t with alpha-1 dof, scaled
+        df = alpha - 1.0
+        entries = rng.standard_t(df, size=size)
+        entries /= math.sqrt(df)
+    else:
+        raise DomainError(f"unknown noise kind {noise_kind!r}")
     spike = None
     if planted:
         spike = rng.choice([-1.0, 1.0], size=n)
@@ -253,44 +249,44 @@ def top_eigenvalue(inst: WigInstance, transform=None) -> float:
     """Largest (signed) eigenvalue of T = transform(Y) (Y itself for None).
 
     Lanczos iteration on the float32 ``inst.matrix(transform)``, each step
-    a symmetric matvec over its lower triangle, finds the top eigenvector v,
-    with a direct dense solve of the upcast matrix (which reads that
-    triangle too) as fallback for the degenerate cases ARPACK rejects (tiny
-    or all-zero matrices) and, with a RuntimeWarning, for Lanczos
-    non-convergence; an unsolvable matrix surfaces as an error.  Once the
+    a symmetric matvec over its lower triangle, finds the top eigenvector v;
+    a dense solve of the upcast matrix (which reads that triangle too) runs
+    only when ARPACK raises: silently when it rejects the matrix (all-zero,
+    say), with a RuntimeWarning when Lanczos does not converge.  Once the
     matrix is freed, the value is the float64 Rayleigh quotient v.Tv / v.v
     over the packed triangle: its error is second order in v's, about 1e-13
-    relative to a float64 solve at n = 2000."""
+    relative to a float64 solve at n = 2000.  An unsolvable matrix, or a
+    value that is not finite (an entry past the float32 range, say), raises
+    NumericInstabilityError."""
     n = inst.n
     blas, sparse_linalg = _scipy_solver()  # before the matrix allocates; see the module docstring
     M = inst.matrix(transform)
-    v = None
-    if n >= 10:
-        # fixed start vector: the default draws from numpy's global RNG,
-        # which would break byte-identical reports
-        v0 = np.full(n, 1.0 / math.sqrt(n))
-        # each matvec reads M's lower triangle, as the fallback does; f2py
-        # takes a Fortran-ordered float32 M without copying it
-        op = sparse_linalg.LinearOperator(
-            (n, n), matvec=lambda x: blas.ssymv(1.0, M, x, lower=1), dtype=np.float64)
-        try:
-            v = eigsh(op, k=1, which="LA", tol=1e-8, v0=v0)[1][:, 0]
-        except sparse_linalg.ArpackNoConvergence:
+    # fixed start vector: the default draws from numpy's global RNG, which
+    # would break byte-identical reports
+    v0 = np.full(n, 1.0 / math.sqrt(n))
+    # each matvec reads M's lower triangle, as the fallback does; f2py takes
+    # a Fortran-ordered float32 M without copying it
+    op = sparse_linalg.LinearOperator(
+        (n, n), matvec=lambda x: blas.ssymv(1.0, M, x, lower=1), dtype=np.float64)
+    try:
+        v = eigsh(op, k=1, which="LA", tol=1e-8, v0=v0)[1][:, 0]
+    except sparse_linalg.ArpackError as exc:  # ArpackNoConvergence is one too
+        if isinstance(exc, sparse_linalg.ArpackNoConvergence):
             warnings.warn(f"Lanczos did not converge at n={n}; "
                           "falling back to a dense eigen-solve",
                           RuntimeWarning, stacklevel=2)
-        except sparse_linalg.ArpackError:
-            pass
-    if v is None:
         try:
             v = np.linalg.eigh(M.astype(np.float64))[1][:, -1]
-        except np.linalg.LinAlgError as exc:
-            raise NumericInstabilityError(f"eigen-solver failed: {exc}") from exc
+        except np.linalg.LinAlgError as err:
+            raise NumericInstabilityError(f"eigen-solver failed: {err}") from err
     del M  # freed before the quotient transforms its blocks
     half = 0.0  # v.Tv / 2, over the strictly upper triangle
     for i, row in _transformed_rows(inst.entries, n, transform):
         half += v[i] * (row @ v[i + 1:])
-    return float(2.0 * half / (v @ v))
+    value = float(2.0 * half / (v @ v))
+    if not math.isfinite(value):
+        raise NumericInstabilityError(f"top eigenvalue is {value} at n={n}")
+    return value
 
 
 def _eigen_test(inst: WigInstance, transform, sigma: float) -> TestVerdict:
@@ -349,9 +345,6 @@ def mixed_test(inst: WigInstance) -> TestVerdict:
 # ---------------------------------------------------------------------------
 # entrywise-degree-bounded likelihood-ratio mass
 # ---------------------------------------------------------------------------
-
-MAX_EXACT_N = 10**6  # keeps the O(n) work arrays small
-
 
 def entrywise_ldlr_exact(n: int, lam: float, D: int) -> float:
     """Exact sum of squared components over all k with max_e k_e <= D.

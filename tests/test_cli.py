@@ -156,6 +156,33 @@ def test_config_file_unknown_key(text, message, tmp_path, capsys):
     assert code == 2 and message in captured.err and captured.out == ""
 
 
+def test_config_keys_are_the_flag_names(tmp_path, capsys):
+    # one spelling per value: the flag, the config key and the report's
+    # parameter key are all `lambda`
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[spiked.simulate]\nlambda = 1.5\nnoise = sech\n")
+    code, out = run_cli(["--config", str(cfg), "spiked", "simulate", "--n", "20",
+                         "--seed", "4"], capsys)
+    flags = ["spiked", "simulate", "--n", "20", "--lambda", "1.5", "--noise", "sech",
+             "--seed", "4"]
+    assert code == 0 and out == run_cli(flags, capsys)[1]
+    assert ",lambda=1.5," in out.splitlines()[0] and body(out)[1][0].startswith("0,20,1.5,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spiked", "simulate", "--n", "20", "--lam", "1", "--noise", "sech"],
+    # on power-curve an abbreviation would read --lambda as --lambdas
+    ["spiked", "power-curve", "--test", "pca", "--noise", "sech", "--n", "20",
+     "--lambda", "1", "--trials", "2"],
+    ["spiked", "simulate", "--n", "20", "--lamb", "1", "--noise", "sech"],
+    ["ldlr", "sbm", "--n", "20", "--a", "3", "--b", "1", "--sample", "10"],
+    ["--conf", "exp.ini", "families", "list"],
+], ids=["lam", "lambda-on-power-curve", "lamb", "sample", "conf"])
+def test_flags_have_one_spelling(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_model_file_not_utf8_exits_config_code(tmp_path, capsys):
     path = tmp_path / "bad.model"
     path.write_bytes(BERNOULLI_MODEL.encode() + b"atom = 0.5 : 1.0\xff\n")
@@ -184,6 +211,42 @@ def test_numeric_instability_exit_code(tmp_path, monkeypatch, capsys):
     code = main(["ldlr", "compare", "--model", str(path), "--degree", "3"])
     err = capsys.readouterr().err
     assert code == 4 and "not monotone" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("alpha", ["1.1", "1.01"])
+def test_a_non_finite_statistic_exits_numeric_code(alpha, capsys):
+    # t draws with alpha - 1 = 0.1 degrees of freedom pass the float32
+    # range, and with 0.01 reach inf in float64: pca has no finite
+    # statistic to threshold, while tpca's bounded transform still has one
+    argv = ["spiked", "simulate", "--n", "60", "--lambda", "1.5", "--noise", "heavy",
+            "--alpha", alpha, "--trials", "3", "--seed", "0", "--test"]
+    code = main(argv + ["pca"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("error: top eigenvalue is nan at n=60")
+    code, out = run_cli(argv + ["tpca"], capsys)
+    assert code == 0 and len(body(out)[1]) == 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ldlr", "sbm", "--n", "1000001", "--a", "3", "--b", "1", "--samples", "10"],
+     "need 1 <= n <= 1000000, D >= 0, samples >= 1"),
+    (["spiked", "entrywise-bound", "--n", "1000001", "--lambda", "0.5", "--degree", "2",
+      "--samples", "10", "--exact", "true"], "need 2 <= n <= 1000000, got 1000001"),
+], ids=["sbm", "entrywise-bound"])
+def test_binomial_tables_stop_at_max_exact_n(argv, message, monkeypatch, capsys):
+    # a Binomial(n, 1/2) table is n + 1 lgamma values, about 490 MB of
+    # Python floats at n = 10^7; both commands refuse n > MAX_EXACT_N
+    # before they build one
+    def no_table(n):
+        raise AssertionError(f"built a Binomial({n}, 1/2) table")
+
+    monkeypatch.setattr(ldlr, "binomial_log_weights", no_table)
+    assert ldlr.MAX_EXACT_N == 10**6
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == f"error: {message}\n" and captured.out == ""
 
 
 SIMULATE = ["spiked", "simulate", "--n", "50", "--planted", "true", "--test", "pca"]
@@ -737,3 +800,35 @@ def test_repeated_power_curves_keep_their_peak():
                          env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
     assert int(res.stderr.splitlines()[-1]) <= 1.3 * 8 * n * n
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KB, as Linux reports it")
+def test_repeated_mixed_sequences_keep_their_peak():
+    # the spiked-mixed benchmark's calls: a heavy null that the mixed test
+    # labels from its largest entry, a sech null and two planted mixed
+    # instances, each solved on a float32 matrix that is filled one packed
+    # row per transform call.  The first sequence imports scipy and sets the
+    # peak; two more raise it by 0.05-0.07 x 8n^2 (measured).  A fill that
+    # transforms blocks of 64 rows leaves a heap hole the next matrix cannot
+    # reuse, and there the third sequence peaks 0.41-0.44 x higher
+    n = 1000
+    src = str(Path(nefqvf.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, resource, sys\n"
+        "from nefqvf import cli\n"
+        "peaks = []\n"
+        "for sequence in range(3):\n"
+        "    calls = (('heavy', 'false', '1'), ('sech', 'false', '1'), ('mixed', 'true', '2'))\n"
+        "    for seed, (noise, planted, trials) in enumerate(calls, 3 * sequence):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"            assert cli.main(['spiked', 'simulate', '--n', '{n}', '--lambda', '1.2',\n"
+        "                             '--noise', noise, '--alpha', '3', '--planted', planted,\n"
+        "                             '--trials', trials, '--test', 'mixed',\n"
+        "                             '--seed', str(seed)]) == 0\n"
+        "    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print((peaks[-1] - peaks[0]) * 1024, file=sys.stderr)"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert int(res.stderr.splitlines()[-1]) <= 0.2 * 8 * n * n

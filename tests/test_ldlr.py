@@ -20,6 +20,7 @@ from helpers import (
 from nefqvf.errors import CapExceededError, DomainError
 from nefqvf.families import Family
 from nefqvf.ldlr import (
+    MAX_EXACT_N,
     _sign_count_mean,
     _symmetric_binomial_cdf,
     AdditiveSpikedModel,
@@ -435,6 +436,16 @@ def test_sbm_scan_checks_every_rate_before_drawing():
     # a generator grid is read once and still scans every point
     rows = sbm_ks_scan(50, 4, ((a, 1.0) for a in (3.0, 5.0)), 100, rng)
     assert [row.a for row in rows] == [3.0, 5.0]
+
+
+def test_sbm_scan_checks_its_size_before_drawing():
+    # the CDF table holds n + 1 entries: n stops at MAX_EXACT_N, as for
+    # the exact sign-count sums
+    rng = np.random.default_rng(44)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match=f"need 1 <= n <= {MAX_EXACT_N}, D >= 0"):
+        sbm_ks_scan(MAX_EXACT_N + 1, 4, [(3.0, 1.0)], 100, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_sbm_scan_degree_zero_is_one():

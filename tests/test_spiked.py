@@ -11,10 +11,10 @@ from scipy.integrate import quad
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from nefqvf import spiked
-from nefqvf.errors import DomainError
+from nefqvf.errors import DomainError, NumericInstabilityError
+from nefqvf.ldlr import MAX_EXACT_N
 from nefqvf.spiked import (
     LAMBDA_STAR,
-    MAX_EXACT_N,
     EntrywiseBound,
     WigInstance,
     entrywise_coefficient,
@@ -25,7 +25,6 @@ from nefqvf.spiked import (
     pca_test,
     power_curve,
     sample_wig,
-    sample_noise,
     score_transform,
     top_eigenvalue,
     tpca_test,
@@ -58,8 +57,9 @@ def test_heavy_density_and_tail_mass():
     assert heavy_pdf(400.0, 0.0) == pytest.approx(math.sqrt(199.25 / math.pi), rel=1e-3)
     total, _ = quad(lambda x: heavy_pdf(2.5, x), -np.inf, np.inf)
     assert total == pytest.approx(1.0, abs=1e-9)
-    rng = np.random.default_rng(8)
-    draws = sample_noise("heavy", 400_000, rng, alpha=3.0)
+    # a heavy null's triangle is the noise as drawn: 895 * 894 / 2 = 400065
+    # Student t draws
+    draws = sample_wig(895, 1.0, "heavy", False, np.random.default_rng(8), alpha=3.0).entries
     tail, _ = quad(lambda x: heavy_pdf(3.0, x), 10.0, np.inf)
     want = 2 * tail
     got = np.mean(np.abs(draws) > 10.0)
@@ -119,18 +119,20 @@ def test_sample_wig_matrix_is_read_only():
 
 def test_sample_wig_validation():
     rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     with pytest.raises(DomainError):
         sample_wig(1, 1.0, "sech", False, rng)
     with pytest.raises(DomainError):
         sample_wig(10, -0.5, "sech", False, rng)
-    with pytest.raises(DomainError):
-        sample_wig(10, 1.0, "laplace", False, rng)
+    with pytest.raises(DomainError, match="unknown noise kind 'laplace'"):
+        sample_wig(10, 1.0, "laplace", True, rng)
     with pytest.raises(DomainError):
         sample_wig(10, 1.0, "heavy", False, rng)  # alpha missing
     with pytest.raises(DomainError):
         sample_wig(10, 1.0, "mixed", False, rng, alpha=1.0)
     with pytest.raises(DomainError):
         sample_wig(5000, 1.0, "sech", False, rng)
+    assert rng.bit_generator.state == state  # every rejection comes before the first draw
 
 
 def test_matrix_assembly_and_permutation_invariance():
@@ -201,7 +203,7 @@ def test_sample_wig_rejects_negative_lambda_before_any_draw(noise):
 
 def test_heavy_alpha_rule_has_one_message():
     rng = np.random.default_rng(0)
-    for call in (lambda: sample_noise("heavy", 4, rng, alpha=None),
+    for call in (lambda: sample_wig(10, 1.0, "heavy", False, rng, alpha=None),
                  lambda: sample_wig(10, 1.0, "heavy", False, rng, alpha=0.5),
                  lambda: sample_wig(10, 1.0, "mixed", True, rng)):
         with pytest.raises(DomainError, match=r"^heavy noise needs alpha > 1, got "):
@@ -395,27 +397,72 @@ def test_eigen_test_statistic_is_the_float64_top_eigenvalue(n, test, transform, 
 
 @pytest.mark.parametrize("test, transform", [(pca_test, None), (tpca_test, score_transform)],
                          ids=["pca", "tpca"])
+def test_eigen_tests_solve_every_size_by_lanczos(test, transform, monkeypatch):
+    # ARPACK solves the tiniest instances too: no size takes the dense path
+    solve, sizes = spiked.eigsh, []
+
+    def counted(op, **kwargs):
+        sizes.append(op.shape[0])
+        return solve(op, **kwargs)
+
+    monkeypatch.setattr(spiked, "eigsh", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(2, 10):
+            inst = sample_wig(n, 1.3, "sech", n % 2 == 0, np.random.default_rng(n))
+            want = np.linalg.eigvalsh(wig_matrix_float64(inst, transform))[-1]
+            assert test(inst).statistic * math.sqrt(n) == pytest.approx(want, rel=1e-12), n
+    assert sizes == list(range(2, 10))
+
+
+@pytest.mark.parametrize("test, transform", [(pca_test, None), (tpca_test, score_transform)],
+                         ids=["pca", "tpca"])
 def test_eigen_test_fallbacks_give_the_float64_top_eigenvalue(test, transform, monkeypatch):
-    # the dense fallback solves the upcast float32 matrix and goes through the
-    # same quotient: below n = 10, after a Lanczos non-convergence, and on an
-    # all-zero triangle, which ARPACK rejects
-    for n in (2, 5, 9):
-        inst = sample_wig(n, 1.3, "sech", True, np.random.default_rng(n))
-        want = np.linalg.eigvalsh(wig_matrix_float64(inst, transform))[-1]
-        assert test(inst).statistic * math.sqrt(n) == pytest.approx(want, rel=1e-12), n
-    zero = WigInstance(lam=1.3, noise_kind="sech", alpha=None, entries=np.zeros(40 * 39 // 2))
-    assert test(zero).statistic == 0.0
+    # the dense fallback runs only when ARPACK raises; it solves the upcast
+    # float32 matrix and goes through the same quotient: silently on an
+    # all-zero triangle, which ARPACK rejects, or on a forced ArpackError,
+    # and with a warning after a Lanczos non-convergence
+    for n in (2, 40):
+        zero = WigInstance(lam=1.3, noise_kind="sech", alpha=None,
+                           entries=np.zeros(n * (n - 1) // 2))
+        assert test(zero).statistic == 0.0
+
+    def arpack_error(*args, **kwargs):
+        raise ArpackError(-9999)
 
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-    monkeypatch.setattr(spiked, "eigsh", no_convergence)
-    for n in (30, 300):
-        inst = sample_wig(n, 1.3, "sech", False, np.random.default_rng(n))
-        want = np.linalg.eigvalsh(wig_matrix_float64(inst, transform))[-1]
-        with pytest.warns(RuntimeWarning, match=f"n={n}"):
-            stat = test(inst).statistic
-        assert stat * math.sqrt(n) == pytest.approx(want, rel=1e-12), n
+    for fail, warns in ((arpack_error, False), (no_convergence, True)):
+        monkeypatch.setattr(spiked, "eigsh", fail)
+        for n in (2, 5, 30, 300):
+            inst = sample_wig(n, 1.3, "sech", False, np.random.default_rng(n))
+            want = np.linalg.eigvalsh(wig_matrix_float64(inst, transform))[-1]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                stat = test(inst).statistic
+            assert [str(w.message) for w in caught] == [
+                f"Lanczos did not converge at n={n}; falling back to a dense eigen-solve"
+            ] * warns
+            assert stat * math.sqrt(n) == pytest.approx(want, rel=1e-12), n
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("alpha, overflows", [(1.1, [1]), (1.01, [0, 1, 2])])
+def test_a_non_finite_statistic_is_an_error_not_a_verdict(alpha, overflows):
+    # t draws with alpha - 1 = 0.1 degrees of freedom pass the float32
+    # range (3.4e38), and with 0.01 reach inf even in float64: the plain
+    # matrix then has no finite top eigenvalue, but the bounded score
+    # transform still does
+    rng = np.random.default_rng(0)
+    for trial in range(3):
+        inst = sample_wig(60, 1.5, "heavy", False, rng, alpha=alpha)
+        if trial in overflows:
+            with pytest.raises(NumericInstabilityError, match="top eigenvalue is nan"):
+                pca_test(inst)
+        else:
+            assert math.isfinite(pca_test(inst).statistic)
+        assert math.isfinite(tpca_test(inst).statistic)
 
 
 def test_mixed_test_moderate_size_smoke():
