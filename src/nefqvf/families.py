@@ -145,12 +145,9 @@ class Family:
         raise DomainError(f"{what} {mu} outside {dom} for {self.tag()}")
 
     def variance(self, mu):
-        """V(mu), elementwise over arrays; exact if mu is a Fraction."""
+        """V(mu), elementwise over arrays."""
         self._check_mean(mu)
-        if isinstance(mu, Fraction):
-            v0, v1, v2 = self.variance_coeffs_exact()
-        else:
-            v0, v1, v2 = self.variance_coeffs()
+        v0, v1, v2 = self.variance_coeffs()
         return v0 + v1 * mu + v2 * mu * mu
 
     def z_score(self, mu, x):

@@ -21,8 +21,8 @@ product
 at cost O(atoms^2 N D^2).  The same sum is controlled by the scalar
 overlap r = <z(x^1), z(x^2)> of two independent prior draws through
 E[f_trunc(D, v2)(r)] — an equality when v2 = 0, an upper bound when
-v2 > 0, and a lower bound (with E[exp_trunc(r)] as the matching upper
-bound) when v2 < 0.  Both routes are implemented and
+v2 > 0, and a lower bound (with E[f_trunc(D, 0)(r)] as the matching
+upper bound) when v2 < 0.  Both routes are implemented and
 cross-checked in the test suite.
 
 Z-scores come from one array map of rows of mean vectors,
@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import CapExceededError, DomainError, NumericInstabilityError
 from .families import Family
-from .orthopoly import exp_trunc, f_eval, f_trunc, neg_v_order
+from .orthopoly import f_eval, f_trunc, neg_v_order
 from .translation import build_translation_table
 
 ENUM_CAP = 10**7  # documented bound on atoms^2 * N * (D+1)^2 for exact norms
@@ -423,7 +423,7 @@ def _symmetric_binomial_cdf(n: int) -> np.ndarray:
 
 def sbm_ks_scan(n: int, D: int, grid, samples: int,
                 rng: np.random.Generator) -> list[SbmScanRow]:
-    """Monte Carlo of E[exp_trunc(D)(r)] over uniform labelings, per (a, b).
+    """Monte Carlo of E[f_trunc(D, 0)(r)] over uniform labelings, per (a, b).
 
     The overlap depends on the labelings only through <s1, s2>, whose exact
     law is 2*Binomial(n, 1/2) - n; it is drawn by searching one uniform per
@@ -438,7 +438,7 @@ def sbm_ks_scan(n: int, D: int, grid, samples: int,
     for a, b in grid:  # every point before the first draw: a rejected call leaves rng untouched
         if not (0 < a < math.inf and 0 < b < math.inf):  # NaN fails too
             raise DomainError(f"rates must be positive and finite, got a={a}, b={b}")
-    series = exp_trunc(D)
+    series = f_trunc(D, 0.0)
     cdf = _symmetric_binomial_cdf(n)
     rows = []
     for a, b in grid:

@@ -7,15 +7,16 @@ satisfy the three-term recurrence of Morris (1982, Ann. Statist. 10:65-80)
     p_{k+1}(y) = (y - mu0 - k V'(mu0)) p_k(y)
                  - k (1 + (k-1) v2) V(mu0) p_{k-1}(y),
 
-with p_0 = 1, and have the closed-form squared norms
+with p_0 = 1.  The damping of p_{k-1} is ||p_k||^2 / ||p_{k-1}||^2, as in
+any monic orthogonal family, so the squared norms are its running products
 
     E[p_k(y) p_l(y)] = delta_{kl} * a_k(v2) * V(mu0)**k,
 
 where ``a_k(v) = k! * prod_{j<k}(1 + v*j)``.  All six families have
 rational variance coefficients (at the exact binary values of their
 parameters), so the recurrence runs in exact rational arithmetic.  For the
-binomial family (v2 = -1/m) the norm vanishes past degree m and the basis
-stops there.
+binomial family (v2 = -1/m) the damping first vanishes at k = m + 1, so
+the norm vanishes past degree m and the basis stops there.
 
 The module also hosts the generating function
 
@@ -31,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -127,21 +130,33 @@ def f_trunc(D: int, v: float) -> TruncSeries:
     return TruncSeries(tuple(coeffs))
 
 
-def exp_trunc(D: int) -> TruncSeries:
-    """Truncated exponential series, f_trunc(D, 0)."""
-    return f_trunc(D, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # orthogonal polynomial basis
 # ---------------------------------------------------------------------------
+
+def monic_recurrence(shift, damp) -> list[list]:
+    """Ascending coefficients of p_0 .. p_K, K = len(shift), from p_0 = 1 and
+    p_{k+1} = (y - shift[k]) p_k - damp[k] p_{k-1} (p_{-1} = 0), in the
+    arithmetic of shift and damp."""
+    rows, prev = [[1]], []
+    for s, d in zip(shift, damp):
+        p = rows[-1]
+        nxt = [0] + p  # y * p_k
+        for i, c in enumerate(p):
+            nxt[i] -= s * c
+        for i, c in enumerate(prev):
+            nxt[i] -= d * c
+        prev = p
+        rows.append(nxt)
+    return rows
+
 
 @dataclass(frozen=True)
 class OrthoPolyBasis:
     """Monic orthogonal polynomials of one family member, plus norms.
 
     ``monic[k]`` holds ascending coefficients of the degree-k monic
-    polynomial; ``norm_sq[k]`` its squared L2 norm, which equals
+    polynomial; ``norm_sq[k]`` its squared L2 norm, the damping product
     a_k(v2) * V(mu0)**k.  ``max_degree`` may be smaller than requested for
     binomial families, whose basis stops at degree m.
     """
@@ -154,39 +169,25 @@ class OrthoPolyBasis:
 
 
 def build_basis(family: Family, mu0: float, K: int) -> OrthoPolyBasis:
-    """Exact monic basis up to degree K by the Morris recurrence."""
+    """Exact monic basis up to degree K by the Morris recurrence; the norms
+    are damping products, and the basis stops before the first zero damping."""
     if not 0 <= K <= MAX_BASIS_DEGREE:
         raise DomainError(f"K must be in 0..{MAX_BASIS_DEGREE}, got {K}")
     family._check_mean(mu0, "mu0")
 
-    m_stop = neg_v_order(family.v2)
-    k_max = min(K, m_stop) if m_stop is not None else K
-
     mu = Fraction(mu0)
-    _, v1, v2 = family.variance_coeffs_exact()
-    vmu = family.variance(mu)
+    v0, v1, v2 = family.variance_coeffs_exact()
+    vmu = v0 + v1 * mu + v2 * mu * mu  # V(mu0)
     dv = v1 + 2 * v2 * mu  # V'(mu0)
-
-    monic = [[Fraction(1)]]
-    prev: list = []
-    for k in range(k_max):
-        p = monic[-1]
-        shift = mu + k * dv
-        nxt = [Fraction(0)] + p  # y * p_k
-        for i, c in enumerate(p):
-            nxt[i] -= shift * c
-        damp = k * (1 + (k - 1) * v2) * vmu
-        for i, c in enumerate(prev):
-            nxt[i] -= damp * c
-        prev = p
-        monic.append(nxt)
-    norm_sq = [a_const(k, v2) * vmu**k for k in range(k_max + 1)]
+    damp = [k * (1 + (k - 1) * v2) * vmu for k in range(K + 1)]
+    k_max = next((k - 1 for k in range(1, K + 1) if damp[k] == 0), K)
+    monic = monic_recurrence([mu + k * dv for k in range(k_max)], damp)
     return OrthoPolyBasis(
         family=family,
         mu0=float(mu0),
         max_degree=k_max,
         monic=tuple(tuple(p) for p in monic),
-        norm_sq=tuple(norm_sq),
+        norm_sq=tuple(accumulate(damp[1:k_max + 1], mul, initial=Fraction(1))),
     )
 
 

@@ -24,8 +24,9 @@ sigma = lambda_star, whose outlier separates from the bulk once
 lambda > lambda_star.  ``mixed_test`` labels an instance with an
 implausibly large entry null and runs ``tpca_test`` on the rest.  Every
 test takes only the instance and reads lambda from it; each runs on any
-noise kind.  ARPACK solves every n, a dense solve runs only when it raises,
-and a statistic that is not finite raises NumericInstabilityError (CLI exit 4).
+noise kind.  ARPACK solves every n, a dense solve runs only when it raises
+on a finite matrix, and a non-finite matrix or statistic raises
+NumericInstabilityError (CLI exit 4).
 
 Memory: an instance is its packed triangle (half an n x n float64
 buffer), the noise as drawn with the spike added in place; sampling makes
@@ -251,13 +252,13 @@ def top_eigenvalue(inst: WigInstance, transform=None) -> float:
     Lanczos iteration on the float32 ``inst.matrix(transform)``, each step
     a symmetric matvec over its lower triangle, finds the top eigenvector v;
     a dense solve of the upcast matrix (which reads that triangle too) runs
-    only when ARPACK raises: silently when it rejects the matrix (all-zero,
-    say), with a RuntimeWarning when Lanczos does not converge.  Once the
-    matrix is freed, the value is the float64 Rayleigh quotient v.Tv / v.v
-    over the packed triangle: its error is second order in v's, about 1e-13
-    relative to a float64 solve at n = 2000.  An unsolvable matrix, or a
-    value that is not finite (an entry past the float32 range, say), raises
-    NumericInstabilityError."""
+    only when ARPACK raises on a finite matrix: silently when it rejects the
+    matrix (all-zero, say), with a RuntimeWarning when Lanczos does not
+    converge.  Once the matrix is freed, the value is the float64 Rayleigh
+    quotient v.Tv / v.v over the packed triangle: its error is second order
+    in v's, about 1e-13 relative to a float64 solve at n = 2000.  A matrix
+    entry past the float32 range, an unsolvable matrix, or a value that is
+    not finite raises NumericInstabilityError."""
     n = inst.n
     blas, sparse_linalg = _scipy_solver()  # before the matrix allocates; see the module docstring
     M = inst.matrix(transform)
@@ -271,6 +272,8 @@ def top_eigenvalue(inst: WigInstance, transform=None) -> float:
     try:
         v = eigsh(op, k=1, which="LA", tol=1e-8, v0=v0)[1][:, 0]
     except sparse_linalg.ArpackError as exc:  # ArpackNoConvergence is one too
+        if not np.isfinite(M).all():  # no eigenvalue to find; skip the dense solve
+            raise NumericInstabilityError(f"matrix has a non-finite entry at n={n}") from exc
         if isinstance(exc, sparse_linalg.ArpackNoConvergence):
             warnings.warn(f"Lanczos did not converge at n={n}; "
                           "falling back to a dense eigen-solve",
@@ -311,11 +314,9 @@ def score_transform(y):
     (pi/2) tanh(pi y / 2) is minus the log-derivative of the density; its
     second moment under the noise is the Fisher information 1/lambda_star^2,
     so the lambda_star^2 multiple has null entry variance lambda_star^2 and
-    bulk edge 2*lambda_star.  An array input is read, never written: the
+    bulk edge 2*lambda_star.  The input array is read, never written: the
     result is one fresh buffer, transformed in place."""
     t = np.multiply(y, math.pi / 2.0)
-    if t.ndim == 0:  # a scalar has no buffer to reuse
-        return _SCORE_SCALE * np.tanh(t)
     np.tanh(t, out=t)
     t *= _SCORE_SCALE
     return t

@@ -18,21 +18,20 @@ coefficients obey
 
 which integrates to a pointwise bound on |tau_hat_k(x)| for x > 0; the
 test suite checks both bounds against the table.  The table is built once
-in exact integer arithmetic (so float cancellation in the alternating sums
-never enters), divided by k! into exact rationals, and converted to floats
-only for evaluation.
+by ``orthopoly.monic_recurrence`` in exact integer arithmetic (so float
+cancellation in the alternating sums never enters), divided by k! into
+exact rationals, and converted to floats only for evaluation, which goes
+through one ``orthopoly.TruncSeries`` per degree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from numpy.polynomial import polynomial as npoly
-
 from .errors import DomainError
+from .orthopoly import TruncSeries, monic_recurrence
 
 MAX_TABLE_DEGREE = 200  # documented cap for build_translation_table
 DEFAULT_TABLE_DEGREE = 64
@@ -40,17 +39,17 @@ DEFAULT_TABLE_DEGREE = 64
 
 @dataclass(frozen=True)
 class TranslationPolyTable:
-    """Exact coefficients of tau_hat_0 .. tau_hat_K, plus float views."""
+    """Exact coefficients of tau_hat_0 .. tau_hat_K, plus float series."""
 
     max_degree: int
     coeffs: tuple  # coeffs[k][l] = Fraction coefficient of y^l in tau_hat_k
-    _np: tuple = field(repr=False, default=())
+    series: tuple  # series[k] = TruncSeries of the float coeffs[k]
 
     def eval(self, k: int, x):
         """tau_hat_k(x); accepts scalars or arrays."""
         if not 0 <= k <= self.max_degree:
             raise DomainError(f"k={k} outside table range 0..{self.max_degree}")
-        return npoly.polyval(x, self._np[k])
+        return self.series[k](x)
 
 
 def build_translation_table(K: int = DEFAULT_TABLE_DEGREE) -> TranslationPolyTable:
@@ -59,19 +58,12 @@ def build_translation_table(K: int = DEFAULT_TABLE_DEGREE) -> TranslationPolyTab
     follows from (1 + t^2) dG/dt = y G; O(K^2) integer operations."""
     if not 0 <= K <= MAX_TABLE_DEGREE:
         raise DomainError(f"translation table degree must be in 0..{MAX_TABLE_DEGREE}, got {K}")
-    rows = [[1]]  # rows[k][l] = [y^l] P_k
-    for k in range(K):
-        nxt = [0] + rows[k]
-        if k > 1:  # the k (k - 1) P_{k-1} term vanishes for k < 2
-            for l, c in enumerate(rows[k - 1]):
-                nxt[l] -= k * (k - 1) * c
-        rows.append(nxt)
-    coeffs = [[Fraction(c, math.factorial(k)) for c in row] for k, row in enumerate(rows)]
-    arrays = tuple(np.array([float(c) for c in row]) for row in coeffs)
+    rows = monic_recurrence([0] * K, [k * (k - 1) for k in range(K)])  # [y^l] P_k
+    coeffs = tuple(tuple(Fraction(c, math.factorial(k)) for c in row) for k, row in enumerate(rows))
     return TranslationPolyTable(
         max_degree=K,
-        coeffs=tuple(tuple(row) for row in coeffs),
-        _np=arrays,
+        coeffs=coeffs,
+        series=tuple(TruncSeries(tuple(float(c) for c in row)) for row in coeffs),
     )
 
 

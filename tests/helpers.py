@@ -38,7 +38,7 @@ from scipy.integrate import quad
 from nefqvf.errors import DomainError
 from nefqvf.families import Family
 from nefqvf.ldlr import _sign_count_mean
-from nefqvf.orthopoly import a_hat, f_eval, f_trunc, neg_v_order
+from nefqvf.orthopoly import TruncSeries, a_hat, f_eval, f_trunc, neg_v_order
 from nefqvf.translation import TranslationPolyTable, build_translation_table
 
 DISCRETE_KINDS = ("poisson", "binomial", "negbinomial")
@@ -252,7 +252,7 @@ def gram_schmidt_basis(family: Family, mu0, K: int) -> tuple[list, list]:
     """Exact (monic, norm_sq) up to degree K, binomial bases stopping at m.
 
     ``norm_sq[k]`` is the inner product of p_k with itself under the exact
-    moments, so it checks the closed-form norms independently of them.
+    moments, so it checks the recurrence's norms independently of it.
     """
     m_stop = neg_v_order(family.v2)
     k_max = min(K, m_stop) if m_stop is not None else K
@@ -555,11 +555,10 @@ def translation_table_by_powers(K: int) -> TranslationPolyTable:
         for k in range(l, K + 1):
             coeffs[k][l] = power[k] / fact
 
-    arrays = tuple(np.array([float(c) for c in row]) for row in coeffs)
     return TranslationPolyTable(
         max_degree=K,
         coeffs=tuple(tuple(row) for row in coeffs),
-        _np=arrays,
+        series=tuple(TruncSeries(tuple(float(c) for c in row)) for row in coeffs),
     )
 
 

@@ -34,7 +34,7 @@ from nefqvf.ldlr import (
     overlap_bound_mc,
     sbm_ks_scan,
 )
-from nefqvf.orthopoly import exp_trunc
+from nefqvf.orthopoly import f_trunc
 
 
 def point_mass(kind, vec):
@@ -455,10 +455,10 @@ def test_sbm_scan_degree_zero_is_one():
 
 
 def _sbm_scan_exact(n, D, a, b):
-    """E[exp_trunc(D)(r)] under <s1, s2> = 2 Binomial(n, 1/2) - n, as the
+    """E[f_trunc(D, 0.0)(r)] under <s1, s2> = 2 Binomial(n, 1/2) - n, as the
     O(n) log-space sum over the count, with the series' sign kept apart."""
     dot = 2.0 * np.arange(n + 1) - n
-    v = exp_trunc(D)((a - b) ** 2 / (4 * (a + b)) * (dot * dot - n) / n)
+    v = f_trunc(D, 0.0)((a - b) ** 2 / (4 * (a + b)) * (dot * dot - n) / n)
     with np.errstate(divide="ignore"):
         return _sign_count_mean(np.log(np.abs(v)), np.sign(v))
 
@@ -476,7 +476,7 @@ def test_sbm_scan_matches_exact_enumeration():
             exact = _sbm_scan_exact(n, D, a, b)
             if n == 30:  # the oracle against the direct pmf sum
                 r = (a - b) ** 2 / (4 * (a + b)) * (dot * dot - 30) / 30
-                direct = float(np.sum(binom.pmf(j, 30, 0.5) * exp_trunc(D)(r)))
+                direct = float(np.sum(binom.pmf(j, 30, 0.5) * f_trunc(D, 0.0)(r)))
                 assert exact == pytest.approx(direct, rel=1e-12), D
             row = sbm_ks_scan(n, D, [(a, b)], 400_000, np.random.default_rng(77))[0]
             assert abs(row.estimate - exact) < 4 * row.stderr, (n, D)
@@ -500,7 +500,7 @@ def test_sbm_scan_inverse_cdf_ends():
     a, b, D = 3.0, 1.0, 6
     c = (a - b) ** 2 / (4 * (a + b))
     for n in (1, 2, 20, 51):
-        top = float(exp_trunc(D)(c * (n - 1)))  # |<s1, s2>| = n
+        top = float(f_trunc(D, 0.0)(c * (n - 1)))  # |<s1, s2>| = n
         for u in (0.0, np.nextafter(1.0, 0.0)):
             row = sbm_ks_scan(n, D, [(a, b)], 1, _FixedUniforms([u]))[0]
             assert row.estimate == top, (n, u)
@@ -509,7 +509,7 @@ def test_sbm_scan_inverse_cdf_ends():
     for k in (3, 10, 16):
         u = _symmetric_binomial_cdf(n)[k]
         row = sbm_ks_scan(n, D, [(a, b)], 1, _FixedUniforms([u]))[0]
-        assert row.estimate == float(exp_trunc(D)(c * ((2 * k - n) ** 2 - n) / n)), k
+        assert row.estimate == float(f_trunc(D, 0.0)(c * ((2 * k - n) ** 2 - n) / n)), k
 
 
 def test_symmetric_binomial_cdf_matches_scipy_ppf():

@@ -181,13 +181,13 @@ def test_kin_spike_expectation_spot_check():
 
 def test_exact_norms_match_closed_form_identically():
     # the moment-based inner products of the Gram-Schmidt oracle check the
-    # closed form independently of the recurrence that uses it
+    # closed form and the recurrence's damping products independently
     for family, mu0 in [(Family.negbinomial(3), Fraction(7, 5)),
                         (Family.gamma(2.5), Fraction(9, 5))]:
         basis = build_basis(family, mu0, 8)
         _, oracle_norms = gram_schmidt_basis(family, mu0, 8)
-        v2 = family.variance_coeffs_exact()[2]
-        vmu = family.variance(Fraction(mu0))
+        v0, v1, v2 = family.variance_coeffs_exact()
+        vmu = v0 + v1 * mu0 + v2 * mu0 * mu0
         for k in range(9):
             assert oracle_norms[k] == a_const(k, v2) * vmu**k
             assert basis.norm_sq[k] == oracle_norms[k]
