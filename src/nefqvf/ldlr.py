@@ -26,8 +26,10 @@ upper bound) when v2 < 0.  Both routes are implemented and
 cross-checked in the test suite.
 
 Z-scores come from one array map of rows of mean vectors,
-:meth:`KinSpikedModel.z_scores`; the overlap route then applies f to whole
-arrays of overlaps (``probs @ f(Z Z^T) @ probs`` over atom pairs).
+:meth:`KinSpikedModel.z_scores`; the overlap route applies f to whole arrays
+of overlaps (``probs @ f(Z Z^T) @ probs``).  ``channel_compare`` feeds the
+exact sum (``_kin_norm``, which sees the family only through v2) its prior's
+z-offsets themselves, and per family only checks the realized means.
 
 Exact norms are restricted to atom priors; sampler-backed priors feed only
 the Monte Carlo overlap estimates.  Every atom-only route reads the prior
@@ -153,12 +155,12 @@ class AdditiveSpikedModel(_SpikedModel):
 # truncated generating-function products
 # ---------------------------------------------------------------------------
 
-def _check_work(model, D: int) -> tuple[np.ndarray, np.ndarray]:
-    """The prior's atom arrays, once D >= 0 and the work bound hold."""
-    vecs, probs = model.prior.atom_arrays()
+def _check_work(prior: SpikePrior, N: int, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prior's atom arrays, once D >= 0 and the work bound at length N hold."""
+    vecs, probs = prior.atom_arrays()
     if D < 0:
         raise DomainError(f"D must be >= 0, got {D}")
-    work = len(probs) ** 2 * model.N * (D + 1) ** 2
+    work = len(probs) ** 2 * N * (D + 1) ** 2
     if work > ENUM_CAP:
         raise CapExceededError(
             f"atoms^2 * N * (D+1)^2 = {work} exceeds the work bound {ENUM_CAP}"
@@ -170,40 +172,49 @@ def _pair_gf_sum(probs: np.ndarray, factors, D: int) -> float:
     """sum_{a,b} p_a p_b [t^{<=D}] prod_i F_i(a, b; t).
 
     ``factors`` yields, per coordinate i, the (A, A, K+1) coefficients of
-    the polynomial F_i in t, with K <= D.
+    the polynomial F_i in t, with K <= D.  A sum that is not finite raises
+    NumericInstabilityError, and the overflow on the way warns nothing.
     """
     A = len(probs)
     acc = np.zeros((A, A, D + 1))
     acc[:, :, 0] = 1.0
-    for f in factors:
-        nxt = acc * f[:, :, :1]
-        for k in range(1, f.shape[2]):
-            nxt[:, :, k:] += acc[:, :, :D + 1 - k] * f[:, :, k:k + 1]
-        acc = nxt
-    return float(probs @ acc.sum(axis=2) @ probs)
+    with np.errstate(over="ignore", invalid="ignore"):  # factors are made lazily here
+        for f in factors:
+            nxt = acc * f[:, :, :1]
+            for k in range(1, f.shape[2]):
+                nxt[:, :, k:] += acc[:, :, :D + 1 - k] * f[:, :, k:k + 1]
+            acc = nxt
+        total = float(probs @ acc.sum(axis=2) @ probs)
+    if not math.isfinite(total):
+        raise NumericInstabilityError(f"degree-{D} norm sum is not finite: {total}")
+    return total
 
 
 # ---------------------------------------------------------------------------
 # exact component sums (kin)
 # ---------------------------------------------------------------------------
 
-def ldlr_exact(model: KinSpikedModel, D: int) -> float:
-    """Exact squared norm of the degree-D projection, as a truncated
-    generating-function product over coordinates."""
-    vecs, probs = _check_work(model, D)
-    v2 = model.family.v2
+def _kin_norm(Z: np.ndarray, probs: np.ndarray, v2: float, D: int) -> float:
+    """Degree-D kin norm of atoms with z-score rows Z (atoms, N) and
+    probabilities ``probs``; the family enters through v2 alone."""
     m_stop = neg_v_order(v2)  # degrees past m are degenerate for v2 = -1/m
     K = D if m_stop is None else min(D, m_stop)
     # (a_hat_k/k!) w^k as a running product of w (1 + v2 (k-1)) / k, which
     # neither overflows in k! nor in w^k
     ratios = np.array([(1.0 + v2 * (k - 1)) / k for k in range(1, K + 1)])
-    Z = model.z_scores(vecs)
     ones = np.ones((len(probs), len(probs), 1))
     factors = (
         np.concatenate([ones, np.cumprod(np.outer(z, z)[:, :, None] * ratios, axis=2)], axis=2)
         for z in Z.T
     )
     return _pair_gf_sum(probs, factors, D)
+
+
+def ldlr_exact(model: KinSpikedModel, D: int) -> float:
+    """Exact squared norm of the degree-D projection, as a truncated
+    generating-function product over coordinates."""
+    vecs, probs = _check_work(model.prior, model.N, D)
+    return _kin_norm(model.z_scores(vecs), probs, model.family.v2, D)
 
 
 def overlap_bound_exact(model: KinSpikedModel, D: int | None, v: float | None = None) -> float:
@@ -235,10 +246,10 @@ def ldlr_exact_additive(model: AdditiveSpikedModel, D: int) -> float:
         raise DomainError("additive exact norms require the sech family")
     if any(mu != 0.0 for mu in model.null_means):
         raise DomainError("additive exact norms require all null means zero")
-    X, probs = _check_work(model, D)
+    X, probs = _check_work(model.prior, model.N, D)
     table = build_translation_table(D)
-    # tau[a, i, k] = tau_hat_k at coordinate i of atom a
-    tau = np.stack([table.eval(k, X) for k in range(D + 1)], axis=2)
+    with np.errstate(over="ignore"):  # tau[a, i, k] = tau_hat_k at coordinate i of atom a
+        tau = np.stack([table.eval(k, X) for k in range(D + 1)], axis=2)
     factors = (t[:, None, :] * t[None, :, :] for t in tau.transpose(1, 0, 2))
     return _pair_gf_sum(probs, factors, D)
 
@@ -322,24 +333,6 @@ class ChannelNorm:
     value: float
 
 
-def kin_model_from_z(family: Family, null_means, z_prior: SpikePrior) -> KinSpikedModel:
-    """Realize a standardized spike prior in a family's own mean scale.
-
-    ``z_prior`` atoms hold offsets in z-score units; coordinate j of an atom
-    maps to the mean mu_j + delta_j * sqrt(V(mu_j)).  The resulting raw
-    atoms must land inside the family's mean domain.
-    """
-    if z_prior.kind != "kin":
-        raise DomainError("kin_model_from_z requires a kin prior")
-    mu = np.array(null_means, dtype=float)
-    if z_prior.atoms is not None and any(len(vec) != len(mu) for vec, _ in z_prior.atoms):
-        raise DomainError("prior atom dimension differs from N")
-    deltas, probs = z_prior.atom_arrays()
-    raw = mu + deltas * np.sqrt(family.variance(mu))
-    return KinSpikedModel(family, tuple(null_means),
-                          SpikePrior.from_atoms("kin", zip(raw, probs)))
-
-
 def channel_compare(families: list[Family], null_means, z_prior: SpikePrior,
                     D: int) -> list[ChannelNorm]:
     """Exact degree-D norms across observation channels, sorted by v2.
@@ -347,18 +340,23 @@ def channel_compare(families: list[Family], null_means, z_prior: SpikePrior,
     All channels share the null means and the spike prior expressed in
     z-score units (the same standardized signal passed through different
     families); only then do the norms depend on the family through the
-    constants a_hat_k(v2) alone, which makes them non-decreasing in v2.  A
-    violation beyond float tolerance raises NumericInstabilityError.
+    constants a_hat_k(v2) alone, which makes them non-decreasing in v2; the
+    norm runs on the z-offsets themselves, once each channel's realized means
+    mu_j + delta_j sqrt(V(mu_j)) are checked.  A violation beyond float
+    tolerance raises NumericInstabilityError.
     """
     if not families:
         raise DomainError("channel_compare needs at least one family")
-    rows = sorted(
-        (
-            ChannelNorm(f, ldlr_exact(kin_model_from_z(f, null_means, z_prior), D))
-            for f in families
-        ),
-        key=lambda row: row.family.v2,
-    )
+    if z_prior.kind != "kin":
+        raise DomainError("channel_compare requires a kin prior")
+    mu = np.array(null_means, dtype=float)
+    if z_prior.atoms is not None and any(len(vec) != len(mu) for vec, _ in z_prior.atoms):
+        raise DomainError("prior atom dimension differs from N")
+    deltas, probs = _check_work(z_prior, len(mu), D)
+    rows = []
+    for f in sorted(families, key=lambda f: f.v2):
+        f._check_mean(mu + deltas * np.sqrt(f.variance(mu)), "kin atom coordinate")
+        rows.append(ChannelNorm(f, _kin_norm(deltas, probs, f.v2, D)))
     for lo, hi in zip(rows, rows[1:]):
         if hi.value < lo.value - 1e-9 * max(1.0, abs(lo.value)):
             raise NumericInstabilityError(

@@ -15,7 +15,9 @@ scattered into a fresh matrix, pins its draw order and its bits; the same
 scatter at float64 precision is the matrix whose top eigenvalue pins the
 eigen tests' statistic.
 Per-scalar z-scores, the scalar generating function and a per-draw Monte
-Carlo loop pin the array forms of the overlap route.  The translation table
+Carlo loop pin the array forms of the overlap route; a z-unit prior
+realized as raw means in each family pins the channel comparison, which
+works on the z-offsets themselves.  The translation table
 by convolving powers of the arctan series pins the integer recurrence, and
 gathering both z-score rows of every drawn atom pair pins the pair table.
 
@@ -37,7 +39,7 @@ from scipy.integrate import quad
 
 from nefqvf.errors import DomainError
 from nefqvf.families import Family
-from nefqvf.ldlr import _sign_count_mean
+from nefqvf.ldlr import KinSpikedModel, SpikePrior, _sign_count_mean
 from nefqvf.orthopoly import TruncSeries, a_hat, f_eval, f_trunc, neg_v_order
 from nefqvf.translation import TranslationPolyTable, build_translation_table
 
@@ -484,6 +486,21 @@ def wig_matrix_float64(inst, transform=None):
 # ---------------------------------------------------------------------------
 # the overlap route one scalar at a time
 # ---------------------------------------------------------------------------
+
+def kin_model_from_z(family: Family, null_means, z_prior: SpikePrior) -> KinSpikedModel:
+    """A standardized spike prior realized in a family's own mean scale.
+
+    ``z_prior`` atoms hold offsets in z-score units; coordinate j of an atom
+    maps to the mean mu_j + delta_j * sqrt(V(mu_j)).  ``ldlr_exact`` of the
+    result, which takes z-scores of those means again, is the raw-mean route
+    that ``channel_compare`` is pinned to.
+    """
+    mu = np.array(null_means, dtype=float)
+    deltas, probs = z_prior.atom_arrays()
+    raw = mu + deltas * np.sqrt(family.variance(mu))
+    return KinSpikedModel(family, tuple(null_means),
+                          SpikePrior.from_atoms("kin", zip(raw, probs)))
+
 
 def z_score_scalar(family: Family, mu: float, x: float) -> float:
     """(x - mu) / sqrt(V(mu)) in Python float arithmetic."""

@@ -1,6 +1,7 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -202,15 +203,36 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
 
 def test_numeric_instability_exit_code(tmp_path, monkeypatch, capsys):
     # norms that fall as v2 rises trip the monotonicity guard of channel_compare
-    def decreasing(model, D):
-        return -model.family.v2
+    def decreasing(Z, probs, v2, D):
+        return -v2
 
-    monkeypatch.setattr(ldlr, "ldlr_exact", decreasing)
+    monkeypatch.setattr(ldlr, "_kin_norm", decreasing)
     path = tmp_path / "cmp.model"
     path.write_text(COMPARE_MODEL)
     code = main(["ldlr", "compare", "--model", str(path), "--degree", "3"])
     err = capsys.readouterr().err
     assert code == 4 and "not monotone" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, text", [
+    ("compare", "families = poisson; gamma{alpha=2}\nkind = z\nnull_means = 1.0\n"
+                "atom = 1e200 : 0.5\natom = -0.5 : 0.5\n"),
+    ("exact", "family = poisson\nkind = kin\nnull_means = 1.0\n"
+              "atom = 1e200 : 0.5\natom = 0.5 : 0.5\n"),
+    ("exact", "family = sech\nkind = additive\nnull_means = 0\n"
+              "atom = 1e200 : 0.5\natom = -1e200 : 0.5\n"),
+], ids=["compare", "exact-kin", "exact-additive"])
+def test_a_non_finite_exact_norm_exits_numeric_code(command, text, tmp_path, capsys):
+    # the products overflow to inf and meet opposite signs, so the norm
+    # sum is nan; it is an error, not a row, and numpy prints no warning
+    path = tmp_path / "huge.model"
+    path.write_text(text)
+    code = main(["ldlr", command, "--model", str(path), "--degree", "3"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("error: degree-3 norm sum is not finite")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
@@ -386,11 +408,24 @@ def test_mixed_test_runs_on_any_noise_in_both_commands(capsys):
     assert code == 0 and body(out)[1][0].startswith("mixed,sech,30,1.5,2,")
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def tracing():
+    """perfbench/tracing.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("nefqvf_layer_tracing",
+                                                  PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def workloads(monkeypatch):
     """perfbench/workloads.py, loaded from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("nefqvf_bench_workloads", path)
+    spec = importlib.util.spec_from_file_location("nefqvf_bench_workloads",
+                                                  PERFBENCH / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
     spec.loader.exec_module(module)
@@ -429,6 +464,39 @@ def test_benchmark_operations_pass_their_checks(workloads, tmp_path, capsys):
             text = op.run()
             op.check(text)
             assert_matches_reference(text, f"tiny/{op.name}", workloads)
+    capsys.readouterr()
+
+
+def test_every_mapped_layer_reads_above_zero_where_it_runs(workloads, tracing, tmp_path,
+                                                          capsys):
+    # perfbench/design.json names, per layer, the workloads on which a traced
+    # run must see it; run each workload's tiny ops once under the tracer and
+    # check that map, so a traced name that src/ stops calling fails here.
+    # The import.* layers are timed by subprocess probes, not by the tracer.
+    layers = json.loads((PERFBENCH / "design.json").read_text())["layers"]
+    original_main = cli.main
+    for name in workloads.WORKLOADS:
+        ops = workloads.make_ops(name, 0, "tiny", tmp_path / name)
+        tracer = tracing.Tracer()
+        undo = tracing.install(tracer)
+        try:
+            for op in ops:
+                op.run()
+        finally:
+            undo()
+        assert cli.main is original_main
+        got = tracer.summary()
+        # derived as perfbench/run.py's layer_metrics derives them
+        instances, eigsh = got.get("spiked.sample_wig.calls", 0), got.get("spiked.eigsh.calls", 0)
+        if instances:
+            got["spiked.matrix_per_instance"] = got.get("spiked.matrix.calls", 0) / instances
+        if eigsh:
+            got["spiked.lanczos_ok_ratio"] = (
+                eigsh - got.get("spiked.top_eigenvalue.fallbacks", 0)) / eigsh
+        silent = [layer for layer, entry in layers.items()
+                  if name in entry["runs_on"] and not layer.startswith("import.")
+                  and not got.get(layer, 0) > 0]
+        assert not silent, f"{name}: mapped layers read zero: {silent}"
     capsys.readouterr()
 
 
@@ -499,17 +567,13 @@ def test_cli_and_library_share_one_test_table():
     assert set(spiked._TESTS) == {"pca", "tpca", "mixed"}
 
 
-def test_layer_tracing_still_sees_the_spiked_layers(bernoulli_model, tmp_path, capsys):
-    # perfbench/tracing.py patches package functions by name; load it from
-    # its file and check that a folded table, wrapper or accessor still
-    # routes through the patched names
+def test_layer_tracing_still_sees_the_spiked_layers(bernoulli_model, tracing, tmp_path,
+                                                    capsys):
+    # perfbench/tracing.py patches package functions by name; check that a
+    # folded table, wrapper or accessor still routes through the patched names
     additive_model = tmp_path / "additive.model"
     additive_model.write_text("family = sech\nkind = additive\nnull_means = 0 0\n"
                               "atom = 0.3 -0.2 : 0.6\natom = -0.1 0.25 : 0.4\n")
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("nefqvf_layer_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)
     try:

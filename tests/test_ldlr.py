@@ -13,6 +13,7 @@ from helpers import (
     direct_l2_norm_discrete,
     full_norm_exact,
     iter_multi_indices,
+    kin_model_from_z,
     random_shared_instance,
     random_z_instance,
     sbm_overlap,
@@ -27,7 +28,6 @@ from nefqvf.ldlr import (
     KinSpikedModel,
     SpikePrior,
     channel_compare,
-    kin_model_from_z,
     ldlr_exact,
     ldlr_exact_additive,
     overlap_bound_exact,
@@ -308,7 +308,7 @@ def test_mean_vectors_of_the_wrong_length_are_rejected():
         overlap_bound_mc(KinSpikedModel(Family.poisson(), (1.0, 2.0), bad), 2, 5,
                          np.random.default_rng(0))
     with pytest.raises(DomainError):
-        kin_model_from_z(Family.poisson(), (1.0, 2.0), point_mass("kin", (0.1, 0.1, 0.1)))
+        channel_compare([Family.poisson()], (1.0, 2.0), point_mass("kin", (0.1, 0.1, 0.1)), 2)
 
 
 def test_overlap_mc_rejects_a_negative_degree_before_drawing():
@@ -341,7 +341,7 @@ def test_atom_only_routes_reject_a_sampler_prior():
         lambda: ldlr_exact(kin, 2),
         lambda: overlap_bound_exact(kin, 2),
         lambda: ldlr_exact_additive(additive, 2),
-        lambda: kin_model_from_z(Family.poisson(), (1.0, 2.0), kin.prior),
+        lambda: channel_compare([Family.poisson()], (1.0, 2.0), kin.prior, 2),
     ]
     for route in routes:
         with pytest.raises(DomainError, match="requires an atom"):
@@ -387,7 +387,37 @@ def test_channel_compare_ordering():
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     # equal v2 gives equal norms: the gaussian/poisson pair
     zero_vals = [row.value for row in rows if row.family.v2 == 0.0]
-    assert zero_vals[0] == pytest.approx(zero_vals[1], abs=1e-10)
+    assert zero_vals[0] == zero_vals[1]
+
+
+@pytest.mark.parametrize("mu", [1.3, 1.7])
+def test_channels_with_equal_v2_give_the_same_float(mu):
+    # one coordinate, a point mass at z-offset 0.3, D = 2: the norm is
+    # 1 + delta^2 + (1 + v2) delta^4 / 2, whichever family carries v2
+    delta = 0.3
+    families = [Family.negbinomial(2), Family.gamma(2.0), Family.gaussian(1.0), Family.poisson()]
+    rows = channel_compare(families, (mu,), point_mass("kin", (delta,)), 2)
+    for lo, hi in (rows[:2], rows[2:]):  # v2 = 0, then v2 = 1/2
+        assert lo.family.v2 == hi.family.v2 and lo.value == hi.value
+        v2 = lo.family.v2
+        assert lo.value == pytest.approx(1 + delta**2 + (1 + v2) * delta**4 / 2, rel=1e-15)
+
+
+def test_channel_compare_matches_the_raw_mean_route():
+    # the norms on z-offsets against ldlr_exact of each family's realized
+    # raw means, which takes their z-scores again
+    rng = np.random.default_rng(41)
+    families = [
+        Family.binomial(1), Family.binomial(2), Family.gaussian(1.0),
+        Family.poisson(), Family.negbinomial(2), Family.gamma(1.0), Family.sech(),
+    ]
+    for _ in range(40):
+        means, z_atoms = random_z_instance(rng)
+        prior = SpikePrior.from_atoms("kin", z_atoms)
+        D = int(rng.integers(0, 5))
+        for row in channel_compare(families, means, prior, D):
+            want = ldlr_exact(kin_model_from_z(row.family, means, prior), D)
+            assert row.value == pytest.approx(want, rel=1e-13)
 
 
 def test_channel_compare_single_and_validation():
