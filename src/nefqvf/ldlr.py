@@ -354,7 +354,7 @@ def channel_compare(families: list[Family], null_means, z_prior: SpikePrior,
         raise DomainError("prior atom dimension differs from N")
     deltas, probs = _check_work(z_prior, len(mu), D)
     rows = []
-    for f in sorted(families, key=lambda f: f.v2):
+    for f in sorted(families, key=lambda fam: fam.v2):
         f._check_mean(mu + deltas * np.sqrt(f.variance(mu)), "kin atom coordinate")
         rows.append(ChannelNorm(f, _kin_norm(deltas, probs, f.v2, D)))
     for lo, hi in zip(rows, rows[1:]):
