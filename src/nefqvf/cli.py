@@ -125,7 +125,23 @@ class ExperimentConfig:
     values: dict
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _named_command(argv) -> tuple[str, str] | None:
+    """The COMMANDS key that argv names after an optional leading
+    ``--config FILE`` or ``--config=FILE``, else None."""
+    argv = list(argv)
+    if argv[:1] == ["--config"]:
+        argv = argv[2:]
+    elif argv and argv[0].startswith("--config="):
+        argv = argv[1:]
+    command = tuple(argv[:2])
+    return command if command in COMMANDS else None
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The argument parser; with ``argv`` that names a command, only that
+    command's subparser is built, and it parses argv as the full tree does.
+    With no argv, or one that names no command, every command is built, so
+    that help and errors list them all."""
     parser = argparse.ArgumentParser(
         prog="nefqvf",
         description="likelihood-ratio norms and spiked-matrix experiments",
@@ -133,8 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="INI file with per-subcommand defaults")
     groups = parser.add_subparsers(dest="group", required=True)
+    named = _named_command(argv or ())
     seen: dict[str, argparse._SubParsersAction] = {}
     for (group, action), (_, flags) in COMMANDS.items():
+        if named is not None and (group, action) != named:
+            continue
         if group not in seen:
             gp = groups.add_parser(group, allow_abbrev=False)
             seen[group] = gp.add_subparsers(dest="action", required=True)
@@ -567,9 +586,15 @@ def run(config: ExperimentConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the command that argv (default ``sys.argv[1:]``) names and return
+    its exit code.  Only that command's parser is built; argv that names no
+    command, or holds arguments no flag takes, meets the full tree's help
+    and errors."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args, extra = build_parser(argv).parse_known_args(argv)
+        if extra:  # the full tree reports them, with every command in its usage line
+            build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericInstabilityError
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,15 @@ class Family:
         raise DomainError(f"{what} {mu} outside {dom} for {self.tag()}")
 
     def variance(self, mu):
-        """V(mu), elementwise over arrays."""
+        """V(mu), elementwise over arrays; a V(mu) that overflows raises
+        NumericInstabilityError."""
         self._check_mean(mu)
         v0, v1, v2 = self.variance_coeffs()
-        return v0 + v1 * mu + v2 * mu * mu
+        with np.errstate(over="ignore"):
+            v = v0 + v1 * mu + v2 * mu * mu
+        if not np.isfinite(v).all():
+            raise NumericInstabilityError(f"variance V(mu) overflows for {self.tag()}")
+        return v
 
     def z_score(self, mu, x):
         """Standardized deviation (x - mu) / sqrt(V(mu)), elementwise with

@@ -27,9 +27,12 @@ cross-checked in the test suite.
 
 Z-scores come from one array map of rows of mean vectors,
 :meth:`KinSpikedModel.z_scores`; the overlap route applies f to whole arrays
-of overlaps (``probs @ f(Z Z^T) @ probs``).  ``channel_compare`` feeds the
-exact sum (``_kin_norm``, which sees the family only through v2) its prior's
-z-offsets themselves, and per family only checks the realized means.
+of overlaps (``probs @ f(Z Z^T) @ probs``).  Its Monte Carlo form and the
+block-model scan evaluate their series once per distinct overlap (a drawn
+atom pair, or a sign count) and gather the value per draw.
+``channel_compare`` feeds the exact sum (``_kin_norm``, which sees the
+family only through v2) its prior's z-offsets themselves, and per family
+only checks the realized means.
 
 Exact norms are restricted to atom priors; sampler-backed priors feed only
 the Monte Carlo overlap estimates.  Every atom-only route reads the prior
@@ -265,22 +268,25 @@ def _mc_summary(vals: np.ndarray) -> tuple[float, float]:
 
 
 def _pair_overlaps(model: KinSpikedModel, samples: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Overlaps r of ``samples`` independent pairs of prior draws.  An atom
-    prior takes the z-score row dot product once per distinct drawn pair
-    (i1, i2), at most min(atoms^2, samples) of them, and spreads it to every
-    draw of that pair; sampler priors are drawn in pair order
-    x1_0, x2_0, x1_1, ... and mapped at once."""
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | slice]:
+    """Overlaps r of ``samples`` independent pairs of prior draws, as the
+    overlaps of the distinct pairs and each draw's index into them: ``r[index]``
+    is the per-draw array.  An atom prior takes the z-score row dot product
+    once per distinct drawn pair (i1, i2), at most min(atoms^2, samples) of
+    them, in O(samples) memory; sampler priors are drawn in pair order
+    x1_0, x2_0, x1_1, ... and mapped at once, with index ``slice(None)``."""
     if model.prior.atoms is not None:
         vecs, probs = model.prior.atom_arrays()
         Z = model.z_scores(vecs)
         atoms = len(probs)
-        i1 = rng.choice(atoms, p=probs, size=samples)
-        i2 = rng.choice(atoms, p=probs, size=samples)
-        pairs, which = np.unique(i1 * atoms + i2, return_inverse=True)
-        return np.einsum("ij,ij->i", Z[pairs // atoms], Z[pairs % atoms])[which]
+        code = rng.choice(atoms, p=probs, size=samples)
+        code *= atoms
+        code += rng.choice(atoms, p=probs, size=samples)  # i1 * atoms + i2
+        pairs = np.unique(code)
+        index = np.searchsorted(pairs, code)
+        return np.einsum("ij,ij->i", Z[pairs // atoms], Z[pairs % atoms]), index
     Z = model.z_scores([model.prior.sampler(rng) for _ in range(2 * samples)])
-    return np.einsum("ij,ij->i", Z[0::2], Z[1::2])
+    return np.einsum("ij,ij->i", Z[0::2], Z[1::2]), slice(None)
 
 
 @dataclass(frozen=True)
@@ -311,10 +317,10 @@ def overlap_bound_mc(model: KinSpikedModel, D: int | None, samples: int,
     if D is not None and D < 0:
         raise DomainError(f"degree bound D must be >= 0, got {D}")
     v2 = model.family.v2
-    r = _pair_overlaps(model, samples, rng)
+    r, index = _pair_overlaps(model, samples, rng)
 
     def summary(v):
-        return _mc_summary(f_eval(r, v) if D is None else f_trunc(D, v)(r))
+        return _mc_summary((f_eval(r, v) if D is None else f_trunc(D, v)(r))[index])
 
     value, stderr = summary(v2)
     upper_value, upper_stderr = summary(0.0) if v2 < 0 else (None, None)
@@ -427,7 +433,8 @@ def sbm_ks_scan(n: int, D: int, grid, samples: int,
     law is 2*Binomial(n, 1/2) - n; it is drawn by searching one uniform per
     sample in a CDF table, so that scans sharing a generator state across
     different n reuse the same underlying uniforms (common random numbers).
-    A uniform of 0 draws the count 0.  Rows carry both sides of the
+    A uniform of 0 draws the count 0.  The series is evaluated at the n + 1
+    counts and gathered per draw.  Rows carry both sides of the
     detectability comparison (a-b)^2 vs 2(a+b).
     """
     if not 1 <= n <= MAX_EXACT_N or D < 0 or samples < 1:
@@ -438,11 +445,12 @@ def sbm_ks_scan(n: int, D: int, grid, samples: int,
             raise DomainError(f"rates must be positive and finite, got a={a}, b={b}")
     series = f_trunc(D, 0.0)
     cdf = _symmetric_binomial_cdf(n)
+    dot = 2.0 * np.arange(n + 1) - n  # <s1, s2> at each count 0..n
     rows = []
     for a, b in grid:
-        dot = 2.0 * np.searchsorted(cdf, rng.random(samples)) - n
+        count = np.searchsorted(cdf, rng.random(samples))
         r = (a - b) ** 2 / (4.0 * (a + b)) * (dot * dot - n) / n
-        estimate, stderr = _mc_summary(series(r))
+        estimate, stderr = _mc_summary(series(r)[count])
         rows.append(SbmScanRow(
             a=float(a), b=float(b), n=n, degree=D,
             estimate=estimate, stderr=stderr, samples=samples,

@@ -361,7 +361,12 @@ def entrywise_ldlr_exact(n: int, lam: float, D: int) -> float:
     _check_finite_lambda(lam)
     table = build_translation_table(D)
     s = lam / math.sqrt(n)
-    tau_sq = [float(table.eval(k, s)) ** 2 for k in range(D + 1)]
+    try:
+        tau_sq = [float(table.eval(k, s)) ** 2 for k in range(D + 1)]
+    except OverflowError:  # a square past the float range
+        tau_sq = [math.inf]
+    if not all(map(math.isfinite, tau_sq)):
+        raise NumericInstabilityError(f"tau-hat weights at lambda / sqrt(n) = {s} are not finite")
     w_even = sum(tau_sq[k] for k in range(0, D + 1, 2))
     w_odd = sum(tau_sq[k] for k in range(1, D + 1, 2))
 

@@ -19,9 +19,10 @@ coefficients obey
 which integrates to a pointwise bound on |tau_hat_k(x)| for x > 0; the
 test suite checks both bounds against the table.  The table is built once
 by ``orthopoly.monic_recurrence`` in exact integer arithmetic (so float
-cancellation in the alternating sums never enters), divided by k! into
-exact rationals, and converted to floats only for evaluation, which goes
-through one ``orthopoly.TruncSeries`` per degree.
+cancellation in the alternating sums never enters) and divided by k! twice:
+into exact rationals, and by correctly rounded int / int division into the
+floats of evaluation, which goes through one ``orthopoly.TruncSeries`` per
+degree.
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ def build_translation_table(K: int = DEFAULT_TABLE_DEGREE) -> TranslationPolyTab
     if not 0 <= K <= MAX_TABLE_DEGREE:
         raise DomainError(f"translation table degree must be in 0..{MAX_TABLE_DEGREE}, got {K}")
     rows = monic_recurrence([0] * K, [k * (k - 1) for k in range(K)])  # [y^l] P_k
-    coeffs = tuple(tuple(Fraction(c, math.factorial(k)) for c in row) for k, row in enumerate(rows))
+    facts = [math.factorial(k) for k in range(K + 1)]
     return TranslationPolyTable(
         max_degree=K,
-        coeffs=coeffs,
-        series=tuple(TruncSeries(tuple(float(c) for c in row)) for row in coeffs),
+        coeffs=tuple(tuple(Fraction(c, f) for c in row) for row, f in zip(rows, facts)),
+        # int / int is correctly rounded, so each float is float(Fraction(c, k!))
+        series=tuple(TruncSeries(tuple(c / f for c in row)) for row, f in zip(rows, facts)),
     )
 
 

@@ -15,7 +15,9 @@ scattered into a fresh matrix, pins its draw order and its bits; the same
 scatter at float64 precision is the matrix whose top eigenvalue pins the
 eigen tests' statistic.
 Per-scalar z-scores, the scalar generating function and a per-draw Monte
-Carlo loop pin the array forms of the overlap route; a z-unit prior
+Carlo loop pin the array forms of the overlap route, and the two Monte
+Carlo routes that evaluated their series once per draw pin the routes that
+evaluate it once per distinct overlap; a z-unit prior
 realized as raw means in each family pins the channel comparison, which
 works on the z-offsets themselves.  The translation table
 by convolving powers of the arctan series pins the integer recurrence, and
@@ -39,7 +41,15 @@ from scipy.integrate import quad
 
 from nefqvf.errors import DomainError
 from nefqvf.families import Family
-from nefqvf.ldlr import KinSpikedModel, SpikePrior, _sign_count_mean
+from nefqvf.ldlr import (
+    KinSpikedModel,
+    LdlrResult,
+    SbmScanRow,
+    SpikePrior,
+    _mc_summary,
+    _sign_count_mean,
+    _symmetric_binomial_cdf,
+)
 from nefqvf.orthopoly import TruncSeries, a_hat, f_eval, f_trunc, neg_v_order
 from nefqvf.translation import TranslationPolyTable, build_translation_table
 
@@ -588,3 +598,46 @@ def atom_pair_overlaps_by_gather(model, samples: int, rng) -> np.ndarray:
     i2 = rng.choice(len(probs), p=probs, size=samples)
     Z1, Z2 = Z[i1], Z[i2]
     return np.einsum("ij,ij->i", Z1, Z2)
+
+
+# ---------------------------------------------------------------------------
+# the Monte Carlo routes with one series evaluation per draw
+# ---------------------------------------------------------------------------
+
+def atom_overlap_mc_per_draw(model, D, samples: int, rng) -> LdlrResult:
+    """``overlap_bound_mc`` of an atom prior, its series evaluated on the
+    per-draw overlaps (the same draws as the library)."""
+    vecs, probs = model.prior.atom_arrays()
+    Z = model.z_scores(vecs)
+    atoms = len(probs)
+    i1 = rng.choice(atoms, p=probs, size=samples)
+    i2 = rng.choice(atoms, p=probs, size=samples)
+    pairs, which = np.unique(i1 * atoms + i2, return_inverse=True)
+    r = np.einsum("ij,ij->i", Z[pairs // atoms], Z[pairs % atoms])[which]
+
+    def summary(v):
+        return _mc_summary(f_eval(r, v) if D is None else f_trunc(D, v)(r))
+
+    v2 = model.family.v2
+    value, stderr = summary(v2)
+    upper_value, upper_stderr = summary(0.0) if v2 < 0 else (None, None)
+    return LdlrResult(value, stderr, samples, upper_value, upper_stderr)
+
+
+def sbm_ks_scan_per_draw(n: int, D: int, grid, samples: int, rng) -> list[SbmScanRow]:
+    """``sbm_ks_scan`` with its series evaluated on the per-draw overlaps
+    (the same draws as the library)."""
+    series = f_trunc(D, 0.0)
+    cdf = _symmetric_binomial_cdf(n)
+    rows = []
+    for a, b in grid:
+        dot = 2.0 * np.searchsorted(cdf, rng.random(samples)) - n
+        r = (a - b) ** 2 / (4.0 * (a + b)) * (dot * dot - n) / n
+        estimate, stderr = _mc_summary(series(r))
+        rows.append(SbmScanRow(
+            a=float(a), b=float(b), n=n, degree=D,
+            estimate=estimate, stderr=stderr, samples=samples,
+            ks_lhs=float((a - b) ** 2),
+            ks_rhs=float(2.0 * (a + b)),
+        ))
+    return rows

@@ -1,5 +1,6 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -184,6 +185,48 @@ def test_flags_have_one_spelling(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+def _parser_commands(parser):
+    """The (group, action) pairs a parser was built with."""
+    groups = parser._subparsers._group_actions[0].choices
+    return {(group, action) for group, sub in groups.items()
+            for action in sub._subparsers._group_actions[0].choices}
+
+
+def _parse(parser, argv, capsys):
+    """parse_args as a value: the namespace, or the exit code and its output."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("prefix", [[], ["--config", "f"], ["--config=f"]],
+                         ids=["plain", "config", "config-equals"])
+def test_named_command_parser_parses_as_the_full_tree(prefix, capsys):
+    for (group, action), (_, flags) in cli.COMMANDS.items():
+        argv = prefix + [group, action] + [t for f in flags for t in (f"--{f.name}", "1")]
+        parser = cli.build_parser(argv)
+        assert _parser_commands(parser) == {(group, action)}
+        assert parser.parse_args(argv) == cli.build_parser().parse_args(argv)
+    # main's help and parse errors read as the full tree's
+    for tail in (["-h"], ["--model", "m", "--bogus", "1"], ["--degree"], ["extra"]):
+        argv = prefix + ["ldlr", "exact"] + tail
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _parse(cli.build_parser(), argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["ldlr"], ["ldlr", "-h"], ["ldlr", "bogus"], ["bogus", "exact"],
+    ["--config"], ["--config", "f"], ["--config=f", "tau"], ["--conf", "f", "tau", "dump"],
+    ["ldlr", "--config", "f", "exact"], ["dump", "tau"],
+])
+def test_argv_naming_no_command_builds_every_command(argv):
+    assert len(_parser_commands(cli.build_parser(argv))) == len(cli.COMMANDS) == 13
+    assert len(_parser_commands(cli.build_parser())) == 13
+
+
 def test_model_file_not_utf8_exits_config_code(tmp_path, capsys):
     path = tmp_path / "bad.model"
     path.write_bytes(BERNOULLI_MODEL.encode() + b"atom = 0.5 : 1.0\xff\n")
@@ -233,6 +276,43 @@ def test_a_non_finite_exact_norm_exits_numeric_code(command, text, tmp_path, cap
     assert code == 4 and captured.out == ""
     assert captured.err.startswith("error: degree-3 norm sum is not finite")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_variance_exits_numeric_code(tmp_path, capsys):
+    # gamma{alpha=2} has V(mu) = mu^2 / 2, past the float range at mu = 1e200;
+    # gamma norms are scale-free, so 1e100 / 2e100 gives the value of 1 / 2
+    path = tmp_path / "gamma.model"
+    for null, atom in (("1e200", "2e200"), ("1e100", "2e100")):
+        path.write_text(f"family = gamma{{alpha=2}}\nkind = kin\nnull_means = {null}\n"
+                        f"atom = {atom} : 1.0\n")
+        code = main(["ldlr", "exact", "--model", str(path), "--degree", "2"])
+        captured = capsys.readouterr()
+        if null == "1e200":
+            assert code == 4 and captured.out == ""
+            assert captured.err == "error: variance V(mu) overflows for gamma{alpha=2}\n"
+        else:
+            assert code == 0 and body(captured.out)[1] == ["exact,2,6.000000000000002,,,"]
+
+
+@pytest.mark.parametrize("lam, s", [("1e150", "1e+147"), ("1e303", "1e+300")])
+def test_entrywise_exact_weights_past_the_float_range_exit_numeric_code(lam, s, capsys):
+    # tau_hat_2(1e147)^2 overflows in the square, an error and not a
+    # traceback; tau_hat_2(1e300) is inf itself
+    code = main(["spiked", "entrywise-bound", "--n", "1000000", "--lambda", lam,
+                 "--degree", "2", "--samples", "10", "--exact", "true", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == f"error: tau-hat weights at lambda / sqrt(n) = {s} are not finite\n"
+
+
+@pytest.mark.filterwarnings("ignore:|lambda|=300.0 is at or above:UserWarning")
+def test_entrywise_exact_sum_past_the_float_range_prints_inf(capsys):
+    # finite weights whose sum over sign counts overflows: the documented inf
+    code, out = run_cli(["spiked", "entrywise-bound", "--n", "1000", "--lambda", "300",
+                         "--degree", "2", "--samples", "10", "--exact", "true",
+                         "--seed", "0"], capsys)
+    assert code == 0 and body(out)[1][1] == "exact,1000,300.0,2,,inf,,,0"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")

@@ -5,8 +5,9 @@ Each library routine is pinned to its reference implementation in
 generating-function products of the exact norms to multi-index
 enumeration, the O(n) entrywise sum to the vertex-parity dynamic
 program, the array z-scores, array f and one-call Monte Carlo overlap
-to their per-scalar forms, and the atom-pair overlap table to gathering both
-rows of every drawn pair.  Examples are derandomized so the suite stays
+to their per-scalar forms, the atom-pair overlap table to gathering both
+rows of every drawn pair, and the Monte Carlo routes that evaluate their
+series once per distinct overlap to one evaluation per draw.  Examples are derandomized so the suite stays
 repeatable.
 """
 
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    atom_overlap_mc_per_draw,
     atom_pair_overlaps_by_gather,
     entrywise_parity_dp,
     f_eval_scalar,
@@ -27,6 +29,7 @@ from helpers import (
     ldlr_exact_enum,
     overlap_mc_per_draw,
     random_shared_instance,
+    sbm_ks_scan_per_draw,
     z_rows_per_scalar,
 )
 from nefqvf.families import Family, parse_family
@@ -38,6 +41,7 @@ from nefqvf.ldlr import (
     ldlr_exact,
     ldlr_exact_additive,
     overlap_bound_mc,
+    sbm_ks_scan,
 )
 from nefqvf.orthopoly import build_basis, f_eval
 from nefqvf.spiked import entrywise_ldlr_exact
@@ -172,9 +176,33 @@ def test_sampler_overlap_mc_matches_per_draw_oracle(index, seed, N, D, samples):
 def test_atom_pair_table_matches_gathered_rows(index, seed, N, A, samples):
     means, atoms = random_shared_instance(np.random.default_rng(seed), N, A)
     model = KinSpikedModel(FAMILIES[index][0], means, SpikePrior.from_atoms("kin", atoms))
-    got = _pair_overlaps(model, samples, np.random.default_rng(seed))
+    r, index = _pair_overlaps(model, samples, np.random.default_rng(seed))
+    got = r[index]
     want = atom_pair_overlaps_by_gather(model, samples, np.random.default_rng(seed))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(index=family_index, seed=seeds, N=st.integers(1, 8), A=st.integers(1, 30),
+       D=st.one_of(st.none(), st.integers(0, 8)), samples=st.integers(1, 3000))
+@example(index=3, seed=0, N=1, A=1, D=None, samples=1)
+def test_atom_overlap_mc_matches_per_draw_series(index, seed, N, A, D, samples):
+    means, atoms = random_shared_instance(np.random.default_rng(seed), N, A)
+    model = KinSpikedModel(FAMILIES[index][0], means, SpikePrior.from_atoms("kin", atoms))
+    got = overlap_bound_mc(model, D, samples, np.random.default_rng(seed))
+    want = atom_overlap_mc_per_draw(model, D, samples, np.random.default_rng(seed))
+    assert got == want  # value, stderr and the exp-series bound, bit for bit
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(1, 400), D=st.integers(0, 20),
+       a=st.floats(0.1, 20.0), b=st.floats(0.1, 20.0), samples=st.integers(1, 3000))
+@example(seed=0, n=1, D=0, a=3.0, b=1.0, samples=1)
+def test_sbm_scan_matches_per_draw_series(seed, n, D, a, b, samples):
+    grid = [(a, b), (b + 1.0, a)]
+    got = sbm_ks_scan(n, D, grid, samples, np.random.default_rng(seed))
+    want = sbm_ks_scan_per_draw(n, D, grid, samples, np.random.default_rng(seed))
+    assert got == want  # estimate and stderr of every row, bit for bit
 
 
 @st.composite

@@ -245,9 +245,9 @@ def test_overlap_mc_null_prior_is_one():
     assert res.value == 1.0 and res.stderr == 0.0
 
 
-def _atom_overlap_mc_peak(N, n_atoms, samples):
+def _atom_overlap_mc_peak(N, n_atoms, samples, family=Family.poisson()):
     means, atoms = random_shared_instance(np.random.default_rng(5), N, n_atoms)
-    model = KinSpikedModel(Family.poisson(), means, SpikePrior.from_atoms("kin", atoms))
+    model = KinSpikedModel(family, means, SpikePrior.from_atoms("kin", atoms))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -270,6 +270,15 @@ def test_atom_overlap_mc_holds_no_atoms_squared_array():
     # need at most the rows of the samples x N gather
     samples, N = 20_000, 2
     assert _atom_overlap_mc_peak(N, 3000, samples) < (10 + 2 * N) * 8 * samples
+
+
+def test_atom_overlap_mc_evaluates_its_series_per_distinct_pair():
+    # a Bernoulli prior runs two summaries; each evaluates its series on the
+    # 9 distinct overlaps and gathers one samples-long array, so the peak is
+    # the draws and their pair code (measured 4.8 MB); a series evaluated per
+    # draw, or np.unique's inverse, peaks near 10-13 MB
+    samples = 200_000
+    assert _atom_overlap_mc_peak(6, 3, samples, Family.binomial(1)) < 4 * 8 * samples
 
 
 def test_overlap_mc_reports_exp_bound_for_negative_v2():
