@@ -1,6 +1,5 @@
 """Command-line surface: formats, determinism, exit codes."""
 
-import argparse
 import importlib.util
 import json
 import os
@@ -281,7 +280,8 @@ def test_a_non_finite_exact_norm_exits_numeric_code(command, text, tmp_path, cap
 @pytest.mark.filterwarnings("error")
 def test_an_overflowing_variance_exits_numeric_code(tmp_path, capsys):
     # gamma{alpha=2} has V(mu) = mu^2 / 2, past the float range at mu = 1e200;
-    # gamma norms are scale-free, so 1e100 / 2e100 gives the value of 1 / 2
+    # gamma norms are scale-free, so null mean 1e100 and atom 2e100 give the
+    # value of null mean 1 and atom 2
     path = tmp_path / "gamma.model"
     for null, atom in (("1e200", "2e200"), ("1e100", "2e100")):
         path.write_text(f"family = gamma{{alpha=2}}\nkind = kin\nnull_means = {null}\n"
@@ -306,7 +306,7 @@ def test_entrywise_exact_weights_past_the_float_range_exit_numeric_code(lam, s, 
     assert captured.err == f"error: tau-hat weights at lambda / sqrt(n) = {s} are not finite\n"
 
 
-@pytest.mark.filterwarnings("ignore:|lambda|=300.0 is at or above:UserWarning")
+@pytest.mark.filterwarnings(r"ignore:\|lambda\|=300\.0 is at or above:UserWarning")
 def test_entrywise_exact_sum_past_the_float_range_prints_inf(capsys):
     # finite weights whose sum over sign counts overflows: the documented inf
     code, out = run_cli(["spiked", "entrywise-bound", "--n", "1000", "--lambda", "300",
