@@ -1,6 +1,6 @@
 """Experiment command line: subcommand dispatch, config files, CSV reports.
 
-Subcommands
+Subcommands, each one ``COMMANDS`` entry (a runner that builds its rows, and flags)
     families list | check
     orthopoly build | dump
     tau dump
@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import math
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -53,7 +52,7 @@ from .ldlr import (
     overlap_bound_mc,
     sbm_ks_scan,
 )
-from .orthopoly import a_const, basis_rows, build_basis
+from .orthopoly import a_const, build_basis
 from .spiked import (
     _TESTS as _TEST_FNS,
     _check_trials,
@@ -63,7 +62,7 @@ from .spiked import (
     power_curve,
     sample_wig,
 )
-from .translation import DEFAULT_TABLE_DEGREE, MAX_TABLE_DEGREE, build_translation_table, table_rows
+from .translation import DEFAULT_TABLE_DEGREE, MAX_TABLE_DEGREE, build_translation_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -116,6 +115,16 @@ OUT = Flag("out", str, "output path (stdout when omitted)")
 
 COMMON = [OUT, Flag("seed", _seed, "random seed, >= 0", default=0)]
 
+# flags that several commands declare alike
+N = Flag("n", int, "matrix size", required=True)
+SAMPLES = Flag("samples", int, "Monte Carlo sample count", required=True)
+LAMBDA = Flag("lambda", float, "signal strength", required=True)
+NOISE = Flag("noise", str, "sech | heavy | mixed", required=True)
+MODEL = Flag("model", str, "model file path", required=True)
+DEGREE = Flag("degree", int, "degree bound D", required=True)
+ALPHA = Flag("alpha", float, "heavy-tail exponent")
+TESTS = " | ".join(_TEST_FNS)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -139,7 +148,8 @@ def _named_command(argv) -> tuple[str, str] | None:
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The argument parser; with ``argv`` that names a command, only that
-    command's subparser is built, and it parses argv as the full tree does.
+    command's subparser is built, and it parses argv, help and errors
+    included, as the full tree does: its usage line lists every group.
     With no argv, or one that names no command, every command is built, so
     that help and errors list them all."""
     parser = argparse.ArgumentParser(
@@ -148,8 +158,11 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     parser.add_argument("--config", help="INI file with per-subcommand defaults")
-    groups = parser.add_subparsers(dest="group", required=True)
     named = _named_command(argv or ())
+    # the full tree's usage line; left to argparse there, whose missing-group error names the dest
+    every_group = "{" + ",".join(dict.fromkeys(g for g, _ in COMMANDS)) + "}"
+    groups = parser.add_subparsers(dest="group", required=True,
+                                   metavar=None if named is None else every_group)
     seen: dict[str, argparse._SubParsersAction] = {}
     for (group, action), (_, flags) in COMMANDS.items():
         if named is not None and (group, action) != named:
@@ -361,27 +374,37 @@ def _run_families_check(config):
         raise NumericInstabilityError("families check failed; see report")
 
 
-def _run_orthopoly(config):
-    fam = parse_family(config.values["family"])
-    basis = build_basis(fam, config.values["mu0"], config.values["degree"])
-    if config.command[1] == "dump":
-        rows = basis_rows(basis)
-        width = max(len(r) for r in rows)
-        header = ["k"] + [f"c{i}" for i in range(width - 2)] + ["norm_sq"]
-        padded = [r[:-1] + (None,) * (width - len(r)) + (r[-1],) for r in rows]
-        write_report(config, header, padded)
-    else:
-        v2 = fam.v2
+def _run_orthopoly_build(config):
+    v = config.values
+    fam = parse_family(v["family"])
+    basis = build_basis(fam, v["mu0"], v["degree"])
+    try:
         rows = [
-            (k, float(basis.norm_sq[k]), float(a_const(k, v2)) * fam.variance(basis.mu0) ** k)
+            (k, float(basis.norm_sq[k]), float(a_const(k, fam.v2)) * fam.variance(basis.mu0) ** k)
             for k in range(basis.max_degree + 1)
         ]
-        write_report(config, ["k", "norm_sq", "closed_form"], rows)
+    except OverflowError:
+        raise NumericInstabilityError(f"orthopoly basis overflows at mu0={basis.mu0}") from None
+    write_report(config, ["k", "norm_sq", "closed_form"], rows)
+
+
+def _run_orthopoly_dump(config):
+    v = config.values
+    basis = build_basis(parse_family(v["family"]), v["mu0"], v["degree"])
+    K = basis.max_degree
+    try:  # float(), so that p_0's plain int 1 prints as 1.0
+        rows = [(k, *map(float, p), *(None,) * (K - k), float(norm))
+                for k, (p, norm) in enumerate(zip(basis.monic, basis.norm_sq))]
+    except OverflowError:
+        raise NumericInstabilityError(f"orthopoly basis overflows at mu0={basis.mu0}") from None
+    write_report(config, ["k", *(f"c{i}" for i in range(K + 1)), "norm_sq"], rows)
 
 
 def _run_tau_dump(config):
     table = build_translation_table(config.values["degree"])
-    write_report(config, ["k", "l", "numerator", "denominator"], table_rows(table))
+    rows = [(k, l, c.numerator, c.denominator)
+            for k, row in enumerate(table.coeffs) for l, c in enumerate(row) if c != 0]
+    write_report(config, ["k", "l", "numerator", "denominator"], rows)
 
 
 HEADER_LDLR = ["mode", "D", "value", "stderr", "samples", "seed"]
@@ -517,88 +540,69 @@ _ORTHOPOLY_FLAGS = [
 COMMANDS: dict[tuple[str, str], tuple[object, list[Flag]]] = {
     ("families", "list"): (_run_families_list, [OUT]),
     ("families", "check"): (_run_families_check, [OUT]),
-    ("orthopoly", "build"): (_run_orthopoly, _ORTHOPOLY_FLAGS),
-    ("orthopoly", "dump"): (_run_orthopoly, _ORTHOPOLY_FLAGS),
+    ("orthopoly", "build"): (_run_orthopoly_build, _ORTHOPOLY_FLAGS),
+    ("orthopoly", "dump"): (_run_orthopoly_dump, _ORTHOPOLY_FLAGS),
     ("tau", "dump"): (_run_tau_dump, [
         Flag("degree", int, "maximum degree", default=DEFAULT_TABLE_DEGREE),
         OUT,
     ]),
-    ("ldlr", "exact"): (_run_ldlr_exact, [
-        Flag("model", str, "model file path", required=True),
-        Flag("degree", int, "degree bound D", required=True),
-        OUT,
-    ]),
+    ("ldlr", "exact"): (_run_ldlr_exact, [MODEL, DEGREE, OUT]),
     ("ldlr", "mc"): (_run_ldlr_mc, [
-        Flag("model", str, "model file path", required=True),
-        Flag("degree", _degree, "degree bound D, or 'inf'", required=True),
-        Flag("samples", int, "Monte Carlo sample count", required=True),
+        MODEL, Flag("degree", _degree, "degree bound D, or 'inf'", required=True), SAMPLES,
     ] + COMMON),
     ("ldlr", "compare"): (_run_ldlr_compare, [
         Flag("model", str, "model file with families list and z-unit prior", required=True),
-        Flag("degree", int, "degree bound D", required=True),
-        OUT,
+        DEGREE, OUT,
     ]),
     ("ldlr", "sbm"): (_run_ldlr_sbm, [
         Flag("n", int, "number of vertices", required=True),
         Flag("a", _float_list, "inside rate(s), comma separated", required=True),
         Flag("b", _float_list, "across rate(s), comma separated", required=True),
         Flag("degree", int, "degree bound D", default=20),
-        Flag("samples", int, "Monte Carlo sample count", required=True),
+        SAMPLES,
     ] + COMMON),
     ("spiked", "simulate"): (_run_spiked_simulate, [
-        Flag("n", int, "matrix size", required=True),
-        Flag("lambda", float, "signal strength", required=True),
-        Flag("noise", str, "sech | heavy | mixed", required=True),
-        Flag("alpha", float, "heavy-tail exponent"),
+        N, LAMBDA, NOISE, ALPHA,
         Flag("planted", _bool, "sample the planted side", default=False),
         Flag("trials", int, "number of instances", default=1),
-        Flag("test", str, "pca | tpca | mixed | none", default="none"),
+        Flag("test", str, f"{TESTS} | none", default="none"),
     ] + COMMON),
     ("spiked", "power-curve"): (_run_spiked_power_curve, [
-        Flag("test", str, "pca | tpca | mixed", required=True),
-        Flag("noise", str, "sech | heavy | mixed", required=True),
-        Flag("n", int, "matrix size", required=True),
+        Flag("test", str, TESTS, required=True),
+        NOISE, N,
         Flag("lambdas", _float_list, "signal strengths, comma separated", required=True),
         Flag("trials", int, "trials per rate and side", required=True),
-        Flag("alpha", float, "heavy-tail exponent"),
+        ALPHA,
     ] + COMMON),
     ("spiked", "entrywise-bound"): (_run_spiked_entrywise, [
-        Flag("n", int, "matrix size", required=True),
-        Flag("lambda", float, "signal strength", required=True),
+        N, LAMBDA,
         Flag("degree", int, "entrywise degree bound D", required=True),
-        Flag("samples", int, "Monte Carlo sample count", required=True),
+        SAMPLES,
         Flag("exact", _bool,
              f"also run the exact sum (n <= {MAX_EXACT_N}, D <= {MAX_TABLE_DEGREE})",
              default=False),
     ] + COMMON),
     ("mix", "test"): (_run_mix_test, [
-        Flag("n", int, "matrix size", required=True),
-        Flag("lambda", float, "signal strength", required=True),
+        N, LAMBDA,
         Flag("alpha", float, "heavy-tail exponent", required=True),
         Flag("trials", int, "trials per side", required=True),
     ] + COMMON),
 }
 
 
-def run(config: ExperimentConfig) -> int:
-    COMMANDS[config.command][0](config)
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     """Run the command that argv (default ``sys.argv[1:]``) names and return
-    its exit code.  Only that command's parser is built; argv that names no
-    command, or holds arguments no flag takes, meets the full tree's help
-    and errors."""
+    its exit code.  argv is parsed once, by ``build_parser(argv)``, whose
+    help and errors read as the full tree's."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args, extra = build_parser(argv).parse_known_args(argv)
-        if extra:  # the full tree reports them, with every command in its usage line
-            build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        return run(merge_config(args))
+        config = merge_config(args)
+        COMMANDS[config.command][0](config)
+        return EXIT_OK
     except NefqvfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, CapExceededError):

@@ -262,8 +262,10 @@ def ldlr_exact_additive(model: AdditiveSpikedModel, D: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _mc_summary(vals: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error, which is inf for a non-finite mean."""
+    """Sample mean and its standard error, inf for an infinite mean; a NaN mean raises."""
     value = float(vals.mean())
+    if math.isnan(value):
+        raise NumericInstabilityError(f"Monte Carlo estimate is not a number: {value}")
     return value, float(vals.std() / math.sqrt(vals.size)) if math.isfinite(value) else math.inf
 
 
@@ -310,7 +312,7 @@ def overlap_bound_mc(model: KinSpikedModel, D: int | None, samples: int,
     For v2 < 0 the result also carries the exp-series value (the matching
     upper bound on the norm); for v2 > 0 with D None, +inf draws propagate
     into an infinite estimate (the singular regime).  A non-finite estimate
-    has stderr inf.
+    has stderr inf, and a NaN one raises NumericInstabilityError.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -449,12 +451,16 @@ def sbm_ks_scan(n: int, D: int, grid, samples: int,
     rows = []
     for a, b in grid:
         count = np.searchsorted(cdf, rng.random(samples))
-        r = (a - b) ** 2 / (4.0 * (a + b)) * (dot * dot - n) / n
+        try:
+            gap = (a - b) ** 2
+        except OverflowError:
+            raise NumericInstabilityError(f"(a - b)^2 overflows at a={a}, b={b}") from None
+        r = gap / (4.0 * (a + b)) * (dot * dot - n) / n
         estimate, stderr = _mc_summary(series(r)[count])
         rows.append(SbmScanRow(
             a=float(a), b=float(b), n=n, degree=D,
             estimate=estimate, stderr=stderr, samples=samples,
-            ks_lhs=float((a - b) ** 2),
+            ks_lhs=float(gap),
             ks_rhs=float(2.0 * (a + b)),
         ))
     return rows

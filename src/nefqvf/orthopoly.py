@@ -113,8 +113,9 @@ class TruncSeries:
 
     def __call__(self, t):
         out = 0.0
-        for c in reversed(self.coeffs):
-            out = out * t + c
+        with np.errstate(over="ignore", invalid="ignore"):  # callers judge a non-finite value
+            for c in reversed(self.coeffs):
+                out = out * t + c
         return out
 
 
@@ -190,10 +191,3 @@ def build_basis(family: Family, mu0: float, K: int) -> OrthoPolyBasis:
         norm_sq=tuple(accumulate(damp[1:k_max + 1], mul, initial=Fraction(1))),
     )
 
-
-def basis_rows(basis: OrthoPolyBasis) -> list[tuple]:
-    """Rows (k, c_0, ..., c_k, norm_sq) for the CSV dump."""
-    rows = []
-    for k in range(basis.max_degree + 1):
-        rows.append((k, *[float(c) for c in basis.monic[k]], float(basis.norm_sq[k])))
-    return rows

@@ -407,9 +407,11 @@ def entrywise_coefficient(n: int, lam: float, D: int) -> float:
     if D < 1:
         raise DomainError(f"need D >= 1, got {D}")
     _check_finite_lambda(lam)
-    return (math.e * D) ** (2.0 * abs(lam) / math.sqrt(n)) * lam * lam * (
-        1.0 / LAMBDA_STAR**2 - 1.0 / (3.0 * D)
-    )
+    try:
+        power = (math.e * D) ** (2.0 * abs(lam) / math.sqrt(n))
+    except OverflowError:
+        raise NumericInstabilityError(f"entrywise coefficient overflows at lambda={lam}") from None
+    return power * lam * lam * (1.0 / LAMBDA_STAR**2 - 1.0 / (3.0 * D))
 
 
 def entrywise_ldlr_mc_bound(n: int, lam: float, D: int, samples: int,

@@ -68,12 +68,3 @@ def build_translation_table(K: int = DEFAULT_TABLE_DEGREE) -> TranslationPolyTab
         series=tuple(TruncSeries(tuple(c / f for c in row)) for row, f in zip(rows, facts)),
     )
 
-
-def table_rows(table: TranslationPolyTable) -> list[tuple[int, int, int, int]]:
-    """Rows (k, l, numerator, denominator) of the non-zero coefficients."""
-    rows = []
-    for k in range(table.max_degree + 1):
-        for l, c in enumerate(table.coeffs[k]):
-            if c != 0:
-                rows.append((k, l, c.numerator, c.denominator))
-    return rows

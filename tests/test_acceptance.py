@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
 from helpers import (

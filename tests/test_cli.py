@@ -209,8 +209,12 @@ def test_named_command_parser_parses_as_the_full_tree(prefix, capsys):
         assert _parser_commands(parser) == {(group, action)}
         assert parser.parse_args(argv) == cli.build_parser().parse_args(argv)
     # main's help and parse errors read as the full tree's
-    for tail in (["-h"], ["--model", "m", "--bogus", "1"], ["--degree"], ["extra"]):
-        argv = prefix + ["ldlr", "exact"] + tail
+    tails = [(command, tail) for command in cli.COMMANDS
+             for tail in (["-h"], ["--bogus", "1"], ["extra"])]
+    tails += [(("ldlr", "exact"), tail)
+              for tail in (["--model", "m", "--bogus", "1"], ["--degree"])]
+    for command, tail in tails:
+        argv = prefix + list(command) + tail
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == _parse(cli.build_parser(), argv, capsys)
@@ -329,6 +333,43 @@ def test_a_non_finite_statistic_exits_numeric_code(alpha, capsys):
     assert captured.err.startswith("error: matrix has a non-finite entry at n=60")
     code, out = run_cli(argv + ["tpca"], capsys)
     assert code == 0 and len(body(out)[1]) == 3
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["ldlr", "sbm", "--n", "50", "--a", "1e200", "--b", "1", "--degree", "4",
+      "--samples", "10", "--seed", "0"],
+     "(a - b)^2 overflows at a=1e+200, b=1.0"),
+    (["spiked", "entrywise-bound", "--n", "8", "--lambda", "1e100", "--degree", "2",
+      "--samples", "10", "--seed", "0"],
+     "entrywise coefficient overflows at lambda=1e+100"),
+    (["orthopoly", "dump", "--family", "sech", "--mu0", "1e200", "--degree", "2"],
+     "orthopoly basis overflows at mu0=1e+200"),
+    (["orthopoly", "build", "--family", "sech", "--mu0", "1e100", "--degree", "40"],
+     "orthopoly basis overflows at mu0=1e+100"),
+], ids=["ldlr-sbm", "entrywise-bound", "orthopoly-dump", "orthopoly-build"])
+def test_a_float_overflow_exits_numeric_code(argv, message, capsys):
+    # finite inputs whose Python float arithmetic leaves the float range
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_nan_monte_carlo_estimate_exits_numeric_code(tmp_path, capsys):
+    # the truncated series at the overlap 1e300^2 = inf reads nan: an error,
+    # with no numpy warning; the untruncated series there prints inf
+    path = tmp_path / "huge.model"
+    path.write_text("family = poisson\nkind = kin\nnull_means = 1.0\n"
+                    "atom = 1e300 : 0.5\natom = 0.5 : 0.5\n")
+    argv = ["ldlr", "mc", "--model", str(path), "--samples", "1000", "--seed", "0", "--degree"]
+    code = main(argv + ["4"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "error: Monte Carlo estimate is not a number: nan\n"
+    code, out = run_cli(argv + ["inf"], capsys)
+    assert code == 0 and body(out)[1] == ["monte-carlo,inf,inf,inf,1000,0"]
 
 
 @pytest.mark.parametrize("argv, message", [

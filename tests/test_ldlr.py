@@ -18,7 +18,7 @@ from helpers import (
     random_z_instance,
     sbm_overlap,
 )
-from nefqvf.errors import CapExceededError, DomainError
+from nefqvf.errors import CapExceededError, DomainError, NumericInstabilityError
 from nefqvf.families import Family
 from nefqvf.ldlr import (
     MAX_EXACT_N,
@@ -306,6 +306,17 @@ def test_overlap_mc_overflowing_exp_bound_has_infinite_stderr():
     res = overlap_bound_mc(model, None, 10, np.random.default_rng(0))
     assert math.isfinite(res.value) and math.isfinite(res.stderr)
     assert res.upper_value == math.inf and res.upper_stderr == math.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_overlap_mc_nan_estimate_raises():
+    # the overlap 1e300^2 is inf, where the truncated series reads nan (its
+    # Horner steps meet 0 * inf); the untruncated series there is inf
+    prior = SpikePrior.from_atoms("kin", [((1e300,), 0.5), ((0.5,), 0.5)])
+    model = KinSpikedModel(Family.poisson(), (1.0,), prior)
+    with pytest.raises(NumericInstabilityError, match="not a number: nan"):
+        overlap_bound_mc(model, 4, 1000, np.random.default_rng(0))
+    assert overlap_bound_mc(model, None, 1000, np.random.default_rng(0)).value == math.inf
 
 
 def test_mean_vectors_of_the_wrong_length_are_rejected():

@@ -10,10 +10,8 @@ from helpers import expectation_under, gram_schmidt_basis, moments_at, normalize
 from nefqvf.errors import DomainError
 from nefqvf.families import Family
 from nefqvf.orthopoly import (
-    OrthoPolyBasis,
     a_const,
     a_hat,
-    basis_rows,
     build_basis,
     check_v,
     f_eval,
@@ -191,10 +189,3 @@ def test_exact_norms_match_closed_form_identically():
         for k in range(9):
             assert oracle_norms[k] == a_const(k, v2) * vmu**k
             assert basis.norm_sq[k] == oracle_norms[k]
-
-
-def test_basis_rows_shape():
-    basis = build_basis(Family.poisson(), 1.0, 3)
-    rows = basis_rows(basis)
-    assert [r[0] for r in rows] == [0, 1, 2, 3]
-    assert len(rows[2]) == 2 + 3  # k, c0..c2, norm

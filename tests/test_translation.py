@@ -11,7 +11,7 @@ from helpers import normalized_eval, tau_value_bound, translation_table_by_power
 from nefqvf.errors import DomainError
 from nefqvf.families import Family
 from nefqvf.orthopoly import build_basis
-from nefqvf.translation import build_translation_table, table_rows
+from nefqvf.translation import build_translation_table
 
 TABLE = build_translation_table(60)
 
