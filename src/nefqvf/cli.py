@@ -123,7 +123,7 @@ NOISE = Flag("noise", str, "sech | heavy | mixed", required=True)
 MODEL = Flag("model", str, "model file path", required=True)
 DEGREE = Flag("degree", int, "degree bound D", required=True)
 ALPHA = Flag("alpha", float, "heavy-tail exponent")
-TESTS = " | ".join(_TEST_FNS)
+TEST_NAMES = " | ".join(_TEST_FNS)
 
 
 @dataclass(frozen=True)
@@ -565,10 +565,10 @@ COMMANDS: dict[tuple[str, str], tuple[object, list[Flag]]] = {
         N, LAMBDA, NOISE, ALPHA,
         Flag("planted", _bool, "sample the planted side", default=False),
         Flag("trials", int, "number of instances", default=1),
-        Flag("test", str, f"{TESTS} | none", default="none"),
+        Flag("test", str, f"{TEST_NAMES} | none", default="none"),
     ] + COMMON),
     ("spiked", "power-curve"): (_run_spiked_power_curve, [
-        Flag("test", str, TESTS, required=True),
+        Flag("test", str, TEST_NAMES, required=True),
         NOISE, N,
         Flag("lambdas", _float_list, "signal strengths, comma separated", required=True),
         Flag("trials", int, "trials per rate and side", required=True),
