@@ -8,6 +8,11 @@ Subcommands, each one ``COMMANDS`` entry (a runner that builds its rows, and fla
     spiked simulate | power-curve | entrywise-bound
     mix test
 
+The numeric routes return only the values they compute; a runner writes
+every column that echoes an input (rates, sizes, counts, seed) from its own
+values, and derives the rest (power, standard errors of rates, the
+Kesten-Stigum sides of ``ldlr sbm``) itself.
+
 Exit codes: 0 ok, 2 config error, 3 exact-norm work bound exceeded, 4
 numeric instability.  Values may come from an INI-style ``--config`` file
 (section named after the subcommand, e.g. ``[ldlr.exact]``, keys named as
@@ -32,6 +37,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import math
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -380,11 +386,11 @@ def _run_orthopoly_build(config):
     basis = build_basis(fam, v["mu0"], v["degree"])
     try:
         rows = [
-            (k, float(basis.norm_sq[k]), float(a_const(k, fam.v2)) * fam.variance(basis.mu0) ** k)
+            (k, float(basis.norm_sq[k]), float(a_const(k, fam.v2)) * fam.variance(v["mu0"]) ** k)
             for k in range(basis.max_degree + 1)
         ]
     except OverflowError:
-        raise NumericInstabilityError(f"orthopoly basis overflows at mu0={basis.mu0}") from None
+        raise NumericInstabilityError(f"orthopoly basis overflows at mu0={v['mu0']}") from None
     write_report(config, ["k", "norm_sq", "closed_form"], rows)
 
 
@@ -396,7 +402,7 @@ def _run_orthopoly_dump(config):
         rows = [(k, *map(float, p), *(None,) * (K - k), float(norm))
                 for k, (p, norm) in enumerate(zip(basis.monic, basis.norm_sq))]
     except OverflowError:
-        raise NumericInstabilityError(f"orthopoly basis overflows at mu0={basis.mu0}") from None
+        raise NumericInstabilityError(f"orthopoly basis overflows at mu0={v['mu0']}") from None
     write_report(config, ["k", *(f"c{i}" for i in range(K + 1)), "norm_sq"], rows)
 
 
@@ -433,29 +439,30 @@ def _run_ldlr_compare(config):
     desc = _load_model(config.values["model"], "z")
     prior = SpikePrior.from_atoms("kin", desc["atoms"])
     D = config.values["degree"]
-    rows = channel_compare(desc["families"], desc["null_means"], prior, D)
+    norms = channel_compare(desc["families"], desc["null_means"], prior, D)
     write_report(
         config,
         ["family", "v2", "mode", "D", "value"],
-        [(r.family.tag(), r.family.v2, "exact", D, r.value) for r in rows],
+        [(f.tag(), f.v2, "exact", D, value) for f, value in norms],
     )
 
 
 def _run_ldlr_sbm(config):
-    a_list, b_list = config.values["a"], config.values["b"]
-    if len(a_list) != len(b_list):
+    v = config.values
+    if len(v["a"]) != len(v["b"]):
         raise ConfigError("config: 'a' and 'b' need the same number of entries")
-    seed = config.values["seed"]
-    rng = np.random.default_rng(seed)
-    rows = sbm_ks_scan(config.values["n"], config.values["degree"],
-                       list(zip(a_list, b_list)), config.values["samples"], rng)
-    write_report(
-        config,
-        ["a", "b", "n", "D", "estimate", "stderr", "samples", "seed",
-         "ks_lhs", "ks_rhs", "above_threshold"],
-        [(r.a, r.b, r.n, r.degree, r.estimate, r.stderr, r.samples, seed,
-          r.ks_lhs, r.ks_rhs, r.above_threshold) for r in rows],
-    )
+    grid = list(zip(v["a"], v["b"]))
+    scan = sbm_ks_scan(v["n"], v["degree"], grid, v["samples"], np.random.default_rng(v["seed"]))
+    rows = []
+    for (a, b), (estimate, stderr) in zip(grid, scan):
+        # the scan has raised on an overflowing (a - b)^2; a sum past the float range raises here
+        ks_lhs, ks_rhs = (a - b) ** 2, 2.0 * (a + b)
+        if not math.isfinite(ks_rhs):
+            raise NumericInstabilityError(f"2(a + b) overflows at a={a}, b={b}")
+        rows.append((a, b, v["n"], v["degree"], estimate, stderr, v["samples"], v["seed"],
+                     ks_lhs, ks_rhs, ks_lhs > ks_rhs))
+    write_report(config, ["a", "b", "n", "D", "estimate", "stderr", "samples", "seed",
+                          "ks_lhs", "ks_rhs", "above_threshold"], rows)
 
 
 def _run_spiked_simulate(config):
@@ -481,17 +488,23 @@ def _run_spiked_simulate(config):
                           "branch", "test", "statistic", "threshold", "verdict", "seed"], rows)
 
 
+def _se(rate: float, trials: int) -> float:
+    """Standard error of a rate observed over ``trials`` instances."""
+    return math.sqrt(rate * (1 - rate) / trials)
+
+
 def _run_spiked_power_curve(config):
     v = config.values
     rng = np.random.default_rng(v["seed"])
-    rows = power_curve(v["test"], v["noise"], v["lambdas"], v["n"], v["trials"],
-                       rng, alpha=v["alpha"])
+    rates = power_curve(v["test"], v["noise"], v["lambdas"], v["n"], v["trials"],
+                        rng, alpha=v["alpha"])
     write_report(
         config,
         ["test", "noise", "n", "lambda", "trials", "type_i", "type_ii",
          "power", "se_type_i", "se_type_ii", "seed"],
-        [(r.test, r.noise_kind, r.n, r.lam, r.trials, r.type_i, r.type_ii,
-          r.power, r.se_type_i, r.se_type_ii, v["seed"]) for r in rows],
+        [(v["test"], v["noise"], v["n"], lam, v["trials"], t1, t2,
+          1.0 - t2, _se(t1, v["trials"]), _se(t2, v["trials"]), v["seed"])
+         for lam, (t1, t2) in zip(v["lambdas"], rates)],
     )
 
 
@@ -500,9 +513,9 @@ def _run_spiked_entrywise(config):
     # the exact sum runs first, so that its caps reject the input before the Monte Carlo work
     exact = entrywise_ldlr_exact(v["n"], v["lambda"], v["degree"]) if v["exact"] else None
     rng = np.random.default_rng(v["seed"])
-    res = entrywise_ldlr_mc_bound(v["n"], v["lambda"], v["degree"], v["samples"], rng)
-    rows = [("mc-bound", v["n"], v["lambda"], v["degree"], res.c, res.value,
-             res.stderr, res.samples, v["seed"])]
+    c, value, stderr = entrywise_ldlr_mc_bound(v["n"], v["lambda"], v["degree"], v["samples"], rng)
+    rows = [("mc-bound", v["n"], v["lambda"], v["degree"], c, value,
+             stderr, v["samples"], v["seed"])]
     if v["exact"]:
         rows.append(("exact", v["n"], v["lambda"], v["degree"], None, exact, None, None, v["seed"]))
     write_report(config, ["method", "n", "lambda", "D", "c", "value",
@@ -512,16 +525,14 @@ def _run_spiked_entrywise(config):
 def _run_mix_test(config):
     v = config.values
     rng = np.random.default_rng(v["seed"])
-    rows = power_curve("mixed", "mixed", [v["lambda"]], v["n"], v["trials"],
-                       rng, alpha=v["alpha"])
-    r = rows[0]
-    avg_error = 0.5 * (r.type_i + r.type_ii)
+    [(t1, t2)] = power_curve("mixed", "mixed", [v["lambda"]], v["n"], v["trials"],
+                             rng, alpha=v["alpha"])
     write_report(
         config,
         ["n", "lambda", "alpha", "trials", "type_i", "type_ii", "avg_error",
          "se_type_i", "se_type_ii", "seed"],
-        [(r.n, r.lam, v["alpha"], r.trials, r.type_i, r.type_ii, avg_error,
-          r.se_type_i, r.se_type_ii, v["seed"])],
+        [(v["n"], v["lambda"], v["alpha"], v["trials"], t1, t2, 0.5 * (t1 + t2),
+          _se(t1, v["trials"]), _se(t2, v["trials"]), v["seed"])],
     )
 
 

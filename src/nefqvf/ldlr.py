@@ -220,19 +220,18 @@ def ldlr_exact(model: KinSpikedModel, D: int) -> float:
     return _kin_norm(model.z_scores(vecs), probs, model.family.v2, D)
 
 
-def overlap_bound_exact(model: KinSpikedModel, D: int | None, v: float | None = None) -> float:
-    """E over prior pairs of f_trunc(D, v)(r), r the z-score overlap.
+def overlap_bound_exact(model: KinSpikedModel, D: int | None) -> float:
+    """E over prior pairs of f_trunc(D, v2)(r), r the z-score overlap.
 
-    ``v`` defaults to the model's v2; D None uses the untruncated f.  This
-    is the overlap route to the same quantity as :func:`ldlr_exact` (equal
-    at v2 = 0) and is kept algorithmically independent of it.
+    D None uses the untruncated f.  This is the overlap route to the same
+    quantity as :func:`ldlr_exact` (equal at v2 = 0) and is kept
+    algorithmically independent of it.
     """
     vecs, probs = model.prior.atom_arrays()
-    if v is None:
-        v = model.family.v2
+    v2 = model.family.v2
     Z = model.z_scores(vecs)
     r = Z @ Z.T
-    g = f_eval(r, v) if D is None else f_trunc(D, v)(r)
+    g = f_eval(r, v2) if D is None else f_trunc(D, v2)(r)
     return float(probs @ g @ probs)
 
 
@@ -263,7 +262,8 @@ def ldlr_exact_additive(model: AdditiveSpikedModel, D: int) -> float:
 
 def _mc_summary(vals: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error, inf for an infinite mean; a NaN mean raises."""
-    value = float(vals.mean())
+    with np.errstate(invalid="ignore"):  # inf - inf in the sum: raised below
+        value = float(vals.mean())
     if math.isnan(value):
         raise NumericInstabilityError(f"Monte Carlo estimate is not a number: {value}")
     return value, float(vals.std() / math.sqrt(vals.size)) if math.isfinite(value) else math.inf
@@ -296,6 +296,9 @@ class LdlrResult:
     """A Monte Carlo estimate of the overlap bound and its standard error
     (the exact routes return plain floats); ``upper_value`` carries the
     exp-series upper bound reported alongside the estimate for negative v2.
+    ``samples`` is the caller's own count, kept because the benchmark's
+    library-level overlap workload prints ``value``, ``stderr`` and
+    ``samples`` from this record.
     """
 
     value: float
@@ -333,17 +336,10 @@ def overlap_bound_mc(model: KinSpikedModel, D: int | None, samples: int,
 # channel comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChannelNorm:
-    """One channel's exact degree-D norm."""
-
-    family: Family
-    value: float
-
-
 def channel_compare(families: list[Family], null_means, z_prior: SpikePrior,
-                    D: int) -> list[ChannelNorm]:
-    """Exact degree-D norms across observation channels, sorted by v2.
+                    D: int) -> list[tuple[Family, float]]:
+    """Exact degree-D norms across observation channels, as (family, norm)
+    pairs sorted by v2.
 
     All channels share the null means and the spike prior expressed in
     z-score units (the same standardized signal passed through different
@@ -361,39 +357,22 @@ def channel_compare(families: list[Family], null_means, z_prior: SpikePrior,
     if z_prior.atoms is not None and any(len(vec) != len(mu) for vec, _ in z_prior.atoms):
         raise DomainError("prior atom dimension differs from N")
     deltas, probs = _check_work(z_prior, len(mu), D)
-    rows = []
+    norms = []
     for f in sorted(families, key=lambda fam: fam.v2):
         f._check_mean(mu + deltas * np.sqrt(f.variance(mu)), "kin atom coordinate")
-        rows.append(ChannelNorm(f, _kin_norm(deltas, probs, f.v2, D)))
-    for lo, hi in zip(rows, rows[1:]):
-        if hi.value < lo.value - 1e-9 * max(1.0, abs(lo.value)):
+        norms.append((f, _kin_norm(deltas, probs, f.v2, D)))
+    for (f_lo, lo), (f_hi, hi) in zip(norms, norms[1:]):
+        if hi < lo - 1e-9 * max(1.0, abs(lo)):
             raise NumericInstabilityError(
-                f"channel norms not monotone: v2={lo.family.v2} gives {lo.value}, "
-                f"v2={hi.family.v2} gives {hi.value}"
+                f"channel norms not monotone: v2={f_lo.v2} gives {lo}, "
+                f"v2={f_hi.v2} gives {hi}"
             )
-    return rows
+    return norms
 
 
 # ---------------------------------------------------------------------------
 # two-community block model threshold scan
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SbmScanRow:
-    a: float
-    b: float
-    n: int
-    degree: int
-    estimate: float
-    stderr: float
-    samples: int
-    ks_lhs: float  # (a-b)^2
-    ks_rhs: float  # 2(a+b)
-
-    @property
-    def above_threshold(self) -> bool:
-        return self.ks_lhs > self.ks_rhs
-
 
 MAX_EXACT_N = 10**6  # largest n of a Binomial(n, 1/2) table; keeps its O(n) arrays small
 
@@ -428,16 +407,17 @@ def _symmetric_binomial_cdf(n: int) -> np.ndarray:
 
 
 def sbm_ks_scan(n: int, D: int, grid, samples: int,
-                rng: np.random.Generator) -> list[SbmScanRow]:
-    """Monte Carlo of E[f_trunc(D, 0)(r)] over uniform labelings, per (a, b).
+                rng: np.random.Generator) -> list[tuple[float, float]]:
+    """Monte Carlo of E[f_trunc(D, 0)(r)] over uniform labelings, as one
+    (estimate, stderr) pair per (a, b) of the grid.
 
     The overlap depends on the labelings only through <s1, s2>, whose exact
     law is 2*Binomial(n, 1/2) - n; it is drawn by searching one uniform per
     sample in a CDF table, so that scans sharing a generator state across
     different n reuse the same underlying uniforms (common random numbers).
     A uniform of 0 draws the count 0.  The series is evaluated at the n + 1
-    counts and gathered per draw.  Rows carry both sides of the
-    detectability comparison (a-b)^2 vs 2(a+b).
+    counts and gathered per draw.  A gap (a-b)^2 past the float range
+    raises NumericInstabilityError.
     """
     if not 1 <= n <= MAX_EXACT_N or D < 0 or samples < 1:
         raise DomainError(f"need 1 <= n <= {MAX_EXACT_N}, D >= 0, samples >= 1")
@@ -448,7 +428,7 @@ def sbm_ks_scan(n: int, D: int, grid, samples: int,
     series = f_trunc(D, 0.0)
     cdf = _symmetric_binomial_cdf(n)
     dot = 2.0 * np.arange(n + 1) - n  # <s1, s2> at each count 0..n
-    rows = []
+    estimates = []
     for a, b in grid:
         count = np.searchsorted(cdf, rng.random(samples))
         try:
@@ -456,11 +436,5 @@ def sbm_ks_scan(n: int, D: int, grid, samples: int,
         except OverflowError:
             raise NumericInstabilityError(f"(a - b)^2 overflows at a={a}, b={b}") from None
         r = gap / (4.0 * (a + b)) * (dot * dot - n) / n
-        estimate, stderr = _mc_summary(series(r)[count])
-        rows.append(SbmScanRow(
-            a=float(a), b=float(b), n=n, degree=D,
-            estimate=estimate, stderr=stderr, samples=samples,
-            ks_lhs=float(gap),
-            ks_rhs=float(2.0 * (a + b)),
-        ))
-    return rows
+        estimates.append(_mc_summary(series(r)[count]))
+    return estimates

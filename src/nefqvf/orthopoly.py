@@ -112,9 +112,15 @@ class TruncSeries:
     coeffs: tuple
 
     def __call__(self, t):
-        out = 0.0
+        """Horner's rule from the highest nonzero coefficient, which a start
+        at 0 would turn into 0 * inf = nan at an infinite t; a Python scalar
+        t gives a Python float, an array t an array of its shape."""
+        top = max((k for k, c in enumerate(self.coeffs) if c != 0), default=0)
+        out = self.coeffs[top]
+        if isinstance(t, (np.ndarray, np.generic)):
+            out = np.zeros_like(t) + out
         with np.errstate(over="ignore", invalid="ignore"):  # callers judge a non-finite value
-            for c in reversed(self.coeffs):
+            for c in reversed(self.coeffs[:top]):
                 out = out * t + c
         return out
 
@@ -159,11 +165,10 @@ class OrthoPolyBasis:
     ``monic[k]`` holds ascending coefficients of the degree-k monic
     polynomial; ``norm_sq[k]`` its squared L2 norm, the damping product
     a_k(v2) * V(mu0)**k.  ``max_degree`` may be smaller than requested for
-    binomial families, whose basis stops at degree m.
+    binomial families, whose basis stops at degree m.  The family and mu0
+    are the caller's own arguments to :func:`build_basis`.
     """
 
-    family: Family
-    mu0: float
     max_degree: int
     monic: tuple
     norm_sq: tuple
@@ -184,8 +189,6 @@ def build_basis(family: Family, mu0: float, K: int) -> OrthoPolyBasis:
     k_max = next((k - 1 for k in range(1, K + 1) if damp[k] == 0), K)
     monic = monic_recurrence([mu + k * dv for k in range(k_max)], damp)
     return OrthoPolyBasis(
-        family=family,
-        mu0=float(mu0),
         max_degree=k_max,
         monic=tuple(tuple(p) for p in monic),
         norm_sq=tuple(accumulate(damp[1:k_max + 1], mul, initial=Fraction(1))),

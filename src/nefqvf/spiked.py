@@ -56,7 +56,7 @@ number p of positive signs matters, so ``entrywise_ldlr_exact`` evaluates
 
 in log space, in O(n).  ``entrywise_ldlr_mc_bound`` estimates the
 chi-square-type functional exp(c <x1,x2>^2 / 2n) that dominates the same
-sum, with the explicit coefficient c reported.
+sum, and returns the explicit coefficient c beside the estimate.
 """
 
 from __future__ import annotations
@@ -380,14 +380,6 @@ def entrywise_ldlr_exact(n: int, lam: float, D: int) -> float:
     return _sign_count_mean(same * math.log(w_even + w_odd) + cross_log, signs)
 
 
-@dataclass(frozen=True)
-class EntrywiseBound:
-    c: float
-    value: float
-    stderr: float
-    samples: int
-
-
 def overlap_chi2_mc(c: float, n: int, samples: int,
                     rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo of E exp(c <x1,x2>^2 / 2n) over sign-vector pairs.
@@ -415,8 +407,9 @@ def entrywise_coefficient(n: int, lam: float, D: int) -> float:
 
 
 def entrywise_ldlr_mc_bound(n: int, lam: float, D: int, samples: int,
-                            rng: np.random.Generator) -> EntrywiseBound:
-    """Monte Carlo of the chi-square functional dominating the exact sum."""
+                            rng: np.random.Generator) -> tuple[float, float, float]:
+    """Monte Carlo of the chi-square functional dominating the exact sum, as
+    (c, estimate, stderr) with c from :func:`entrywise_coefficient`."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     c = entrywise_coefficient(n, lam, D)  # checks D >= 1 before the regime test divides by D
@@ -427,8 +420,7 @@ def entrywise_ldlr_mc_bound(n: int, lam: float, D: int, samples: int,
             "the estimate may diverge",
             stacklevel=2,
         )
-    value, stderr = overlap_chi2_mc(c, n, samples, rng)
-    return EntrywiseBound(c=c, value=value, stderr=stderr, samples=samples)
+    return (c, *overlap_chi2_mc(c, n, samples, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -438,26 +430,11 @@ def entrywise_ldlr_mc_bound(n: int, lam: float, D: int, samples: int,
 _TESTS = {"pca": pca_test, "tpca": tpca_test, "mixed": mixed_test}
 
 
-@dataclass(frozen=True)
-class PowerRow:
-    test: str
-    noise_kind: str
-    n: int
-    lam: float
-    trials: int
-    type_i: float
-    type_ii: float
-    se_type_i: float
-    se_type_ii: float
-
-    @property
-    def power(self) -> float:
-        return 1.0 - self.type_ii
-
-
 def power_curve(test_id: str, noise_kind: str, lams, n: int, trials: int,
-                rng: np.random.Generator, alpha: float | None = None) -> list[PowerRow]:
-    """Empirical type-I/type-II rates of one test across signal strengths."""
+                rng: np.random.Generator, alpha: float | None = None) -> list[tuple[float, float]]:
+    """Empirical rates of one test across signal strengths, as one
+    (type_i, type_ii) pair per lambda: the shares of null instances labelled
+    planted and of planted instances labelled null."""
     if test_id not in _TESTS:
         raise DomainError(f"unknown test {test_id!r} (expected one of {sorted(_TESTS)})")
     _check_trials(trials)
@@ -465,7 +442,7 @@ def power_curve(test_id: str, noise_kind: str, lams, n: int, trials: int,
     for lam in lams:  # every point before the first draw: a rejected call leaves rng untouched
         _check_lambda(lam)
     test = _TESTS[test_id]
-    rows = []
+    rates = []
     for lam in lams:
         false_p = sum(
             test(sample_wig(n, lam, noise_kind, False, rng, alpha=alpha)).label == "p"
@@ -475,11 +452,5 @@ def power_curve(test_id: str, noise_kind: str, lams, n: int, trials: int,
             test(sample_wig(n, lam, noise_kind, True, rng, alpha=alpha)).label == "q"
             for _ in range(trials)
         )
-        t1, t2 = false_p / trials, false_q / trials
-        rows.append(PowerRow(
-            test=test_id, noise_kind=noise_kind, n=n, lam=float(lam), trials=trials,
-            type_i=t1, type_ii=t2,
-            se_type_i=math.sqrt(t1 * (1 - t1) / trials),
-            se_type_ii=math.sqrt(t2 * (1 - t2) / trials),
-        ))
-    return rows
+        rates.append((false_p / trials, false_q / trials))
+    return rates

@@ -27,9 +27,9 @@ Quantities the CLI and the benchmark never compute live only here: the
 families' densities and the heavy-noise density, orthonormal polynomial
 values from a basis's exact coefficients, single likelihood-ratio
 components (which the enumeration oracle sums), the untruncated
-product-form norm, the block-model overlap of two labelings, the exact
-chi-square functional of the sign overlap, and the pointwise bound on the
-translation polynomials.
+product-form norm, the exact exp-series overlap bound, the block-model
+overlap of two labelings, the exact chi-square functional of the sign
+overlap, and the pointwise bound on the translation polynomials.
 """
 
 import math
@@ -44,7 +44,6 @@ from nefqvf.families import Family
 from nefqvf.ldlr import (
     KinSpikedModel,
     LdlrResult,
-    SbmScanRow,
     SpikePrior,
     _mc_summary,
     _sign_count_mean,
@@ -538,6 +537,14 @@ def f_eval_scalar(t: float, v: float) -> float:
     return float((1.0 + t / m) ** m)
 
 
+def overlap_bound_exp_series(model, D: int) -> float:
+    """E over prior pairs of f_trunc(D, 0)(r), r the z-score overlap: the
+    exp-series value, an upper bound on the degree-D norm when v2 < 0."""
+    vecs, probs = model.prior.atom_arrays()
+    Z = model.z_scores(vecs)
+    return float(probs @ f_trunc(D, 0.0)(Z @ Z.T) @ probs)
+
+
 def overlap_mc_per_draw(model, D, samples: int, rng) -> float:
     """Sampler-backed E[f_trunc(D, v2)(r)]: draws x1, x2 per sample in turn."""
     v2 = model.family.v2
@@ -624,20 +631,14 @@ def atom_overlap_mc_per_draw(model, D, samples: int, rng) -> LdlrResult:
     return LdlrResult(value, stderr, samples, upper_value, upper_stderr)
 
 
-def sbm_ks_scan_per_draw(n: int, D: int, grid, samples: int, rng) -> list[SbmScanRow]:
+def sbm_ks_scan_per_draw(n: int, D: int, grid, samples: int, rng) -> list[tuple[float, float]]:
     """``sbm_ks_scan`` with its series evaluated on the per-draw overlaps
-    (the same draws as the library)."""
+    (the same draws as the library): one (estimate, stderr) pair per point."""
     series = f_trunc(D, 0.0)
     cdf = _symmetric_binomial_cdf(n)
-    rows = []
+    estimates = []
     for a, b in grid:
         dot = 2.0 * np.searchsorted(cdf, rng.random(samples)) - n
         r = (a - b) ** 2 / (4.0 * (a + b)) * (dot * dot - n) / n
-        estimate, stderr = _mc_summary(series(r))
-        rows.append(SbmScanRow(
-            a=float(a), b=float(b), n=n, degree=D,
-            estimate=estimate, stderr=stderr, samples=samples,
-            ks_lhs=float((a - b) ** 2),
-            ks_rhs=float(2.0 * (a + b)),
-        ))
-    return rows
+        estimates.append(_mc_summary(series(r)))
+    return estimates

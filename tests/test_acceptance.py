@@ -16,6 +16,7 @@ from helpers import (
     expectation_under,
     full_norm_exact,
     normalized_eval,
+    overlap_bound_exp_series,
     random_shared_instance,
     random_z_instance,
     tau_value_bound,
@@ -132,7 +133,7 @@ def test_acc03_overlap_equality_and_bounds():
         neg = KinSpikedModel(Family.binomial(1), means, prior)
         val = ldlr_exact(neg, D)
         ok_neg &= overlap_bound_exact(neg, D) - 1e-10 <= val
-        ok_neg &= val <= overlap_bound_exact(neg, D, v=0.0) + 1e-10
+        ok_neg &= val <= overlap_bound_exp_series(neg, D) + 1e-10
     ok = worst_eq < 1e-10 and ok_pos and ok_neg
     check("ACC-03 overlap equality and bounds", ok,
           f"50 equality instances max |diff| {worst_eq:.2e}; "
@@ -170,8 +171,7 @@ def test_acc05_channel_monotonicity():
         means, z_atoms = random_z_instance(rng)
         prior = SpikePrior.from_atoms("kin", z_atoms)
         D = int(rng.integers(0, 4))
-        rows = channel_compare(families, means, prior, D)
-        vals = [r.value for r in rows]
+        vals = [value for _, value in channel_compare(families, means, prior, D)]
         if not all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])):
             violations += 1
     check("ACC-05 channel monotonicity", violations == 0,
@@ -312,8 +312,9 @@ def test_acc09_block_model_threshold_scan():
     below, above = (3.0, 1.0), (7.5, 1.5)
     est = {}
     for n in (50, 100, 200):
-        rows = sbm_ks_scan(n, D, [below, above], samples, np.random.default_rng(seed))
-        est[n] = (rows[0].estimate, rows[1].estimate)
+        (est_below, _), (est_above, _) = sbm_ks_scan(n, D, [below, above], samples,
+                                                     np.random.default_rng(seed))
+        est[n] = (est_below, est_above)
     ratios = [est[100][0] / est[50][0], est[200][0] / est[100][0]]
     growth = est[200][1] / est[50][1]
     elapsed = time.time() - t0

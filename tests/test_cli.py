@@ -340,6 +340,9 @@ def test_a_non_finite_statistic_exits_numeric_code(alpha, capsys):
     (["ldlr", "sbm", "--n", "50", "--a", "1e200", "--b", "1", "--degree", "4",
       "--samples", "10", "--seed", "0"],
      "(a - b)^2 overflows at a=1e+200, b=1.0"),
+    (["ldlr", "sbm", "--n", "50", "--a", "1e308", "--b", "1e308", "--degree", "4",
+      "--samples", "10", "--seed", "0"],
+     "2(a + b) overflows at a=1e+308, b=1e+308"),
     (["spiked", "entrywise-bound", "--n", "8", "--lambda", "1e100", "--degree", "2",
       "--samples", "10", "--seed", "0"],
      "entrywise coefficient overflows at lambda=1e+100"),
@@ -347,7 +350,7 @@ def test_a_non_finite_statistic_exits_numeric_code(alpha, capsys):
      "orthopoly basis overflows at mu0=1e+200"),
     (["orthopoly", "build", "--family", "sech", "--mu0", "1e100", "--degree", "40"],
      "orthopoly basis overflows at mu0=1e+100"),
-], ids=["ldlr-sbm", "entrywise-bound", "orthopoly-dump", "orthopoly-build"])
+], ids=["ldlr-sbm", "ldlr-sbm-sum", "entrywise-bound", "orthopoly-dump", "orthopoly-build"])
 def test_a_float_overflow_exits_numeric_code(argv, message, capsys):
     # finite inputs whose Python float arithmetic leaves the float range
     code = main(argv)
@@ -358,18 +361,31 @@ def test_a_float_overflow_exits_numeric_code(argv, message, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_a_nan_monte_carlo_estimate_exits_numeric_code(tmp_path, capsys):
-    # the truncated series at the overlap 1e300^2 = inf reads nan: an error,
-    # with no numpy warning; the untruncated series there prints inf
-    path = tmp_path / "huge.model"
-    path.write_text("family = poisson\nkind = kin\nnull_means = 1.0\n"
-                    "atom = 1e300 : 0.5\natom = 0.5 : 0.5\n")
+    # overlaps of +-1e600 = +-inf, where the odd-degree series reads +-inf:
+    # their mean is nan, an error with no numpy warning; the untruncated
+    # series reads inf and 0 there and prints inf
+    path = tmp_path / "signed.model"
+    path.write_text("family = gaussian{sigma2=1}\nkind = kin\nnull_means = 0.0\n"
+                    "atom = 1e300 : 0.5\natom = -1e300 : 0.5\n")
     argv = ["ldlr", "mc", "--model", str(path), "--samples", "1000", "--seed", "0", "--degree"]
-    code = main(argv + ["4"])
+    code = main(argv + ["3"])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert captured.err == "error: Monte Carlo estimate is not a number: nan\n"
     code, out = run_cli(argv + ["inf"], capsys)
     assert code == 0 and body(out)[1] == ["monte-carlo,inf,inf,inf,1000,0"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("degree", ["4", "inf"])
+def test_a_truncated_series_at_an_infinite_overlap_prints_inf(degree, tmp_path, capsys):
+    # the overlap 1e300^2 = inf: the degree-4 series there is inf, as is f
+    path = tmp_path / "huge.model"
+    path.write_text("family = poisson\nkind = kin\nnull_means = 1.0\n"
+                    "atom = 1e300 : 0.5\natom = 0.5 : 0.5\n")
+    code, out = run_cli(["ldlr", "mc", "--model", str(path), "--samples", "1000",
+                         "--seed", "0", "--degree", degree], capsys)
+    assert code == 0 and body(out)[1] == [f"monte-carlo,{degree},inf,inf,1000,0"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -800,6 +816,26 @@ def test_ldlr_sbm_subcommand(capsys):
     assert len(rows) == 2
     assert rows[0].endswith("4.0,8.0,false")
     assert rows[1].endswith("36.0,18.0,true")
+
+
+def test_sbm_report_compares_both_sides(capsys):
+    # ks_lhs = (a - b)^2 and ks_rhs = 2(a + b), above strictly: the tie 16 = 16 is false
+    code, out = run_cli(
+        ["ldlr", "sbm", "--n", "20", "--a", "3,7.5,6,6.5", "--b", "1,1.5,2,2",
+         "--degree", "4", "--samples", "10", "--seed", "1"],
+        capsys,
+    )
+    assert code == 0
+    header, rows = body(out)
+    assert header == "a,b,n,D,estimate,stderr,samples,seed,ks_lhs,ks_rhs,above_threshold"
+    assert [r.split(",", 4)[:4] for r in rows] == [
+        ["3.0", "1.0", "20", "4"], ["7.5", "1.5", "20", "4"],
+        ["6.0", "2.0", "20", "4"], ["6.5", "2.0", "20", "4"],
+    ]
+    assert [r.split(",")[6:] for r in rows] == [
+        ["10", "1", "4.0", "8.0", "false"], ["10", "1", "36.0", "18.0", "true"],
+        ["10", "1", "16.0", "16.0", "false"], ["10", "1", "20.25", "17.0", "true"],
+    ]
 
 
 def test_spiked_simulate_and_entrywise(capsys):

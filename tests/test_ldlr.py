@@ -14,6 +14,7 @@ from helpers import (
     full_norm_exact,
     iter_multi_indices,
     kin_model_from_z,
+    overlap_bound_exp_series,
     random_shared_instance,
     random_z_instance,
     sbm_overlap,
@@ -195,7 +196,7 @@ def test_bound_directions():
         neg = KinSpikedModel(Family.binomial(1), means, prior)
         val = ldlr_exact(neg, D)
         assert overlap_bound_exact(neg, D) - 1e-10 <= val
-        assert val <= overlap_bound_exact(neg, D, v=0.0) + 1e-10
+        assert val <= overlap_bound_exp_series(neg, D) + 1e-10
 
 
 def test_full_norm_fixtures():
@@ -310,13 +311,14 @@ def test_overlap_mc_overflowing_exp_bound_has_infinite_stderr():
 
 @pytest.mark.filterwarnings("error")
 def test_overlap_mc_nan_estimate_raises():
-    # the overlap 1e300^2 is inf, where the truncated series reads nan (its
-    # Horner steps meet 0 * inf); the untruncated series there is inf
-    prior = SpikePrior.from_atoms("kin", [((1e300,), 0.5), ((0.5,), 0.5)])
-    model = KinSpikedModel(Family.poisson(), (1.0,), prior)
+    # overlaps of +-1e600 are +-inf, where the odd-degree series reads +-inf
+    # and their mean nan; at even degree and untruncated the mean is inf
+    prior = SpikePrior.from_atoms("kin", [((1e300,), 0.5), ((-1e300,), 0.5)])
+    model = KinSpikedModel(Family.gaussian(1.0), (0.0,), prior)
     with pytest.raises(NumericInstabilityError, match="not a number: nan"):
-        overlap_bound_mc(model, 4, 1000, np.random.default_rng(0))
-    assert overlap_bound_mc(model, None, 1000, np.random.default_rng(0)).value == math.inf
+        overlap_bound_mc(model, 3, 1000, np.random.default_rng(0))
+    for D in (4, None):
+        assert overlap_bound_mc(model, D, 1000, np.random.default_rng(0)).value == math.inf
 
 
 def test_mean_vectors_of_the_wrong_length_are_rejected():
@@ -399,14 +401,14 @@ def test_channel_compare_ordering():
         Family.negbinomial(2),   # v2 = 1/2
         Family.gamma(1.0),       # v2 = 1
     ]
-    rows = channel_compare(families, means, prior, D=3)
-    v2s = [row.family.v2 for row in rows]
+    norms = channel_compare(families, means, prior, D=3)
+    v2s = [f.v2 for f, _ in norms]
     assert v2s == sorted(v2s)
-    vals = [row.value for row in rows]
+    vals = [value for _, value in norms]
     assert all(type(v) is float for v in vals)
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     # equal v2 gives equal norms: the gaussian/poisson pair
-    zero_vals = [row.value for row in rows if row.family.v2 == 0.0]
+    zero_vals = [value for f, value in norms if f.v2 == 0.0]
     assert zero_vals[0] == zero_vals[1]
 
 
@@ -416,11 +418,10 @@ def test_channels_with_equal_v2_give_the_same_float(mu):
     # 1 + delta^2 + (1 + v2) delta^4 / 2, whichever family carries v2
     delta = 0.3
     families = [Family.negbinomial(2), Family.gamma(2.0), Family.gaussian(1.0), Family.poisson()]
-    rows = channel_compare(families, (mu,), point_mass("kin", (delta,)), 2)
-    for lo, hi in (rows[:2], rows[2:]):  # v2 = 0, then v2 = 1/2
-        assert lo.family.v2 == hi.family.v2 and lo.value == hi.value
-        v2 = lo.family.v2
-        assert lo.value == pytest.approx(1 + delta**2 + (1 + v2) * delta**4 / 2, rel=1e-15)
+    norms = channel_compare(families, (mu,), point_mass("kin", (delta,)), 2)
+    for (f_lo, lo), (f_hi, hi) in (norms[:2], norms[2:]):  # v2 = 0, then v2 = 1/2
+        assert f_lo.v2 == f_hi.v2 and lo == hi
+        assert lo == pytest.approx(1 + delta**2 + (1 + f_lo.v2) * delta**4 / 2, rel=1e-15)
 
 
 def test_channel_compare_matches_the_raw_mean_route():
@@ -435,9 +436,9 @@ def test_channel_compare_matches_the_raw_mean_route():
         means, z_atoms = random_z_instance(rng)
         prior = SpikePrior.from_atoms("kin", z_atoms)
         D = int(rng.integers(0, 5))
-        for row in channel_compare(families, means, prior, D):
-            want = ldlr_exact(kin_model_from_z(row.family, means, prior), D)
-            assert row.value == pytest.approx(want, rel=1e-13)
+        for family, value in channel_compare(families, means, prior, D):
+            want = ldlr_exact(kin_model_from_z(family, means, prior), D)
+            assert value == pytest.approx(want, rel=1e-13)
 
 
 def test_channel_compare_single_and_validation():
@@ -467,14 +468,14 @@ def test_sbm_overlap_values():
 
 
 def test_sbm_scan_rows_and_determinism():
+    # one (estimate, stderr) pair per point; the CLI writes the Kesten-Stigum
+    # columns (test_cli.py::test_sbm_report_compares_both_sides)
     grid = [(3.0, 1.0), (7.5, 1.5)]
-    rows1 = sbm_ks_scan(50, 20, grid, 2000, np.random.default_rng(42))
-    rows2 = sbm_ks_scan(50, 20, grid, 2000, np.random.default_rng(42))
-    assert rows1 == rows2
-    below, above = rows1
-    assert not below.above_threshold and above.above_threshold
-    assert below.ks_lhs == 4.0 and below.ks_rhs == 8.0
-    assert below.estimate > 1.0 and below.stderr > 0.0
+    scan1 = sbm_ks_scan(50, 20, grid, 2000, np.random.default_rng(42))
+    scan2 = sbm_ks_scan(50, 20, grid, 2000, np.random.default_rng(42))
+    assert scan1 == scan2 and len(scan1) == 2
+    estimate, stderr = scan1[0]
+    assert estimate > 1.0 and stderr > 0.0
 
 
 def test_sbm_scan_checks_every_rate_before_drawing():
@@ -484,8 +485,8 @@ def test_sbm_scan_checks_every_rate_before_drawing():
         sbm_ks_scan(50, 4, iter([(3.0, 1.0), (0, 1)]), 100, rng)
     assert rng.bit_generator.state == state
     # a generator grid is read once and still scans every point
-    rows = sbm_ks_scan(50, 4, ((a, 1.0) for a in (3.0, 5.0)), 100, rng)
-    assert [row.a for row in rows] == [3.0, 5.0]
+    scan = sbm_ks_scan(50, 4, ((a, 1.0) for a in (3.0, 5.0)), 100, rng)
+    assert len(scan) == 2
 
 
 def test_sbm_scan_checks_its_size_before_drawing():
@@ -499,9 +500,9 @@ def test_sbm_scan_checks_its_size_before_drawing():
 
 
 def test_sbm_scan_degree_zero_is_one():
-    rows = sbm_ks_scan(20, 0, [(3.0, 1.0)], 100, np.random.default_rng(0))
-    assert rows[0].estimate == pytest.approx(1.0)
-    assert rows[0].stderr == 0.0
+    [(estimate, stderr)] = sbm_ks_scan(20, 0, [(3.0, 1.0)], 100, np.random.default_rng(0))
+    assert estimate == pytest.approx(1.0)
+    assert stderr == 0.0
 
 
 def _sbm_scan_exact(n, D, a, b):
@@ -528,8 +529,8 @@ def test_sbm_scan_matches_exact_enumeration():
                 r = (a - b) ** 2 / (4 * (a + b)) * (dot * dot - 30) / 30
                 direct = float(np.sum(binom.pmf(j, 30, 0.5) * f_trunc(D, 0.0)(r)))
                 assert exact == pytest.approx(direct, rel=1e-12), D
-            row = sbm_ks_scan(n, D, [(a, b)], 400_000, np.random.default_rng(77))[0]
-            assert abs(row.estimate - exact) < 4 * row.stderr, (n, D)
+            [(estimate, stderr)] = sbm_ks_scan(n, D, [(a, b)], 400_000, np.random.default_rng(77))
+            assert abs(estimate - exact) < 4 * stderr, (n, D)
 
 
 class _FixedUniforms:
@@ -552,14 +553,14 @@ def test_sbm_scan_inverse_cdf_ends():
     for n in (1, 2, 20, 51):
         top = float(f_trunc(D, 0.0)(c * (n - 1)))  # |<s1, s2>| = n
         for u in (0.0, np.nextafter(1.0, 0.0)):
-            row = sbm_ks_scan(n, D, [(a, b)], 1, _FixedUniforms([u]))[0]
-            assert row.estimate == top, (n, u)
+            [(estimate, _)] = sbm_ks_scan(n, D, [(a, b)], 1, _FixedUniforms([u]))
+            assert estimate == top, (n, u)
     # u equal to F(k) draws k, the smallest count whose CDF reaches u
     n = 20
     for k in (3, 10, 16):
         u = _symmetric_binomial_cdf(n)[k]
-        row = sbm_ks_scan(n, D, [(a, b)], 1, _FixedUniforms([u]))[0]
-        assert row.estimate == float(f_trunc(D, 0.0)(c * ((2 * k - n) ** 2 - n) / n)), k
+        [(estimate, _)] = sbm_ks_scan(n, D, [(a, b)], 1, _FixedUniforms([u]))
+        assert estimate == float(f_trunc(D, 0.0)(c * ((2 * k - n) ** 2 - n) / n)), k
 
 
 def test_symmetric_binomial_cdf_matches_scipy_ppf():

@@ -78,6 +78,39 @@ def test_f_trunc_coefficients():
     assert f_trunc(5, -1.0).coeffs == pytest.approx([1, 1, 0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("D, v, at_minus_inf", [(4, 0.0, math.inf), (6, -1 / 3, -math.inf)])
+def test_truncated_series_at_infinity_follows_its_leading_term(D, v, at_minus_inf):
+    # v = -1/3 stops at degree 3: its coefficients past 3 are 0.0 or -0.0
+    series = f_trunc(D, v)
+    assert series(math.inf) == math.inf and series(-math.inf) == at_minus_inf
+    got = series(np.array([math.inf, -math.inf, 0.5]))
+    assert list(got[:2]) == [math.inf, at_minus_inf]
+
+
+def _horner_from_zero(coeffs, t):
+    """The series' earlier evaluation, which reads nan only at an infinite t."""
+    out = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in reversed(coeffs):
+            out = out * t + c
+    return out
+
+
+def test_truncated_series_keeps_finite_bits_and_result_types():
+    rng = np.random.default_rng(5)
+    t = np.concatenate([rng.normal(0.0, 30.0, 50), [0.0, -0.0, 1e200, -1e200]])
+    for D, v in ((0, 0.0), (4, 0.0), (6, -1 / 3), (5, -1.0), (7, 0.5)):
+        series = f_trunc(D, v)
+        got, want = series(t), _horner_from_zero(series.coeffs, t)
+        assert got.shape == t.shape and got.tobytes() == want.tobytes(), (D, v)
+        for x in (float(t[0]), -0.0, 1e200):
+            assert type(series(x)) is float and series(x) == _horner_from_zero(series.coeffs, x)
+    # a degree-0 series keeps the shape of its argument, as the exact additive norm stacks it
+    ones = f_trunc(0, 0.0)(np.full((2, 3), math.inf))
+    assert ones.shape == (2, 3) and (ones == 1.0).all()
+    assert type(f_trunc(0, 0.0)(-math.inf)) is float
+
+
 def test_f_trunc_matches_f_eval_near_zero():
     for v in V_GRID:
         series = f_trunc(30, v)

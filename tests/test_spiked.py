@@ -15,7 +15,6 @@ from nefqvf.errors import DomainError, NumericInstabilityError
 from nefqvf.ldlr import MAX_EXACT_N
 from nefqvf.spiked import (
     LAMBDA_STAR,
-    EntrywiseBound,
     WigInstance,
     entrywise_coefficient,
     entrywise_ldlr_exact,
@@ -596,11 +595,10 @@ def test_entrywise_bound_dominates_exact_sum():
 
 
 def test_entrywise_mc_bound_reports_coefficient():
-    rng = np.random.default_rng(9)
-    res = entrywise_ldlr_mc_bound(100, 0.5, 2, 2000, rng)
-    assert isinstance(res, EntrywiseBound)
-    assert res.c == pytest.approx(entrywise_coefficient(100, 0.5, 2))
-    assert res.stderr > 0 and res.samples == 2000
+    c, value, stderr = entrywise_ldlr_mc_bound(100, 0.5, 2, 2000, np.random.default_rng(9))
+    assert c == entrywise_coefficient(100, 0.5, 2)
+    assert (value, stderr) == overlap_chi2_mc(c, 100, 2000, np.random.default_rng(9))
+    assert stderr > 0
 
 
 def test_entrywise_mc_bound_warns_above_regime():
@@ -619,12 +617,10 @@ def test_entrywise_mc_bound_rejects_degree_below_one():
 
 def test_power_curve_rows():
     rng = np.random.default_rng(14)
-    rows = power_curve("pca", "sech", [0.0, 2.0], 60, 5, rng)
-    assert len(rows) == 2
-    zero = rows[0]
+    rates = power_curve("pca", "sech", [0.0, 2.0], 60, 5, rng)
+    assert len(rates) == 2
     # lambda = 0: null and planted coincide; infinite threshold says q always
-    assert zero.type_i == 0.0 and zero.power == 0.0
-    assert zero.power == zero.type_i
+    assert rates[0] == (0.0, 1.0)
     with pytest.raises(DomainError):
         power_curve("pca", "sech", [1.0], 60, 0, rng)
     with pytest.raises(DomainError):
@@ -638,14 +634,13 @@ def test_power_curve_checks_every_lambda_before_drawing():
         power_curve("pca", "sech", iter([1.2, -1.0]), 60, 3, rng)
     assert rng.bit_generator.state == state
     # a generator of lambdas is read once and still runs every point
-    rows = power_curve("pca", "sech", (lam for lam in [0.5, 2.0]), 30, 2, rng)
-    assert [row.lam for row in rows] == [0.5, 2.0]
+    assert len(power_curve("pca", "sech", (lam for lam in [0.5, 2.0]), 30, 2, rng)) == 2
 
 
 @pytest.mark.parametrize("noise", ["sech", "heavy"])
 def test_power_curve_runs_mixed_test_on_any_noise(noise):
     # the branch-then-test procedure needs no mixed-model instance: on
     # heavy noise it short-circuits, on sech noise it is the score test
-    (row,) = power_curve("mixed", noise, [1.5], 40, 3, np.random.default_rng(15), alpha=3.0)
-    assert (row.test, row.noise_kind, row.trials) == ("mixed", noise, 3)
-    assert 0.0 <= row.type_i <= 1.0 and 0.0 <= row.type_ii <= 1.0
+    [(type_i, type_ii)] = power_curve("mixed", noise, [1.5], 40, 3, np.random.default_rng(15),
+                                      alpha=3.0)
+    assert 0.0 <= type_i <= 1.0 and 0.0 <= type_ii <= 1.0
