@@ -296,9 +296,9 @@ class LdlrResult:
     """A Monte Carlo estimate of the overlap bound and its standard error
     (the exact routes return plain floats); ``upper_value`` carries the
     exp-series upper bound reported alongside the estimate for negative v2.
-    ``samples`` is the caller's own count, kept because the benchmark's
-    library-level overlap workload prints ``value``, ``stderr`` and
-    ``samples`` from this record.
+    ``samples`` is the caller's own count, kept because the
+    ``overlap-mc-sampler`` operation of ``perfbench/workloads.py`` prints
+    ``value``, ``stderr`` and ``samples`` from this record.
     """
 
     value: float
