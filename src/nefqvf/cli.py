@@ -17,8 +17,12 @@ Exit codes: 0 ok, 2 config error, 3 exact-norm work bound exceeded, 4
 numeric instability.  Values may come from an INI-style ``--config`` file
 (section named after the subcommand, e.g. ``[ldlr.exact]``, keys named as
 the flags); flags, never abbreviated, override file values.  Every report
-is CSV with one provenance comment line (full parameters, seed, git
-revision) so that identical inputs give byte-identical outputs.
+is CSV with one provenance comment line: the full parameters (a list
+value's cells joined by ``;``), seed and git revision.  A report is
+byte-identical for fixed (parameters, seed, BLAS library, BLAS thread
+count).  Across thread counts only a ``statistic`` cell may move, within
+1e-12 relative, so a verdict moves only when its statistic lies that close
+to its threshold.
 
 Model files are plain text, one ``key = value`` per line, ``#`` comments:
 
@@ -318,6 +322,8 @@ def _cell(v) -> str:
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):  # numpy's repr would wrap the number
         return repr(float(v))
+    if isinstance(v, tuple):  # a list flag's values, as in `--a 6,6.5` -> 6.0;6.5
+        return ";".join(map(_cell, v))
     return str(v)
 
 
@@ -481,8 +487,8 @@ def _run_spiked_simulate(config):
         if test is not None:
             verdict = test(inst)
             stat, thr, label = verdict.statistic, verdict.threshold, verdict.label
-        rows.append((trial, inst.n, inst.lam, inst.noise_kind, inst.alpha,
-                     inst.planted, inst.branch, v["test"], stat, thr, label, seed))
+        rows.append((trial, v["n"], v["lambda"], v["noise"], v["alpha"],
+                     v["planted"], inst.branch, v["test"], stat, thr, label, seed))
         del inst  # the next trial draws with no other n x n buffer alive
     write_report(config, ["trial", "n", "lambda", "noise", "alpha", "planted",
                           "branch", "test", "statistic", "threshold", "verdict", "seed"], rows)

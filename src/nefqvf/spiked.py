@@ -33,15 +33,16 @@ buffer), the noise as drawn with the spike added in place; sampling makes
 no n x n array.  An eigenvalue test builds the one n x n buffer it solves,
 the float32 ``WigInstance.matrix(transform)`` (as large as the triangle),
 whose lower triangle the eigen-solve reads in place, and frees it before
-the float64 Rayleigh quotient reads the triangle again.  The spike add
-and the matrix fill loop over plain row slices and allocate nothing that
-outlives a row (a fill by blocks of rows leaves heap holes the next
+the float64 Rayleigh quotient reads the triangle again.  ``_rows`` is the
+one walker of the triangle.  The spike add and the matrix fill take its
+plain row slices, the fill transforming row by row, and allocate nothing
+that outlives a row (a fill by blocks of rows leaves heap holes the next
 matrix cannot reuse); the quotient, which runs once the matrix is freed,
-transforms one block of rows per call.  A short-circuited ``mixed_test``
-reads only the triangle; ``power_curve`` and the CLI keep one instance
-alive at a time.  The first eigenvalue test imports scipy before its
-matrix allocates, so no long-lived object lands between freed buffers,
-and repeated runs in one process keep the peak of the first.
+has ``_rows`` transform one block of rows per call.  A short-circuited
+``mixed_test`` reads only the triangle; ``power_curve`` and the CLI keep
+one instance alive at a time.  The first eigenvalue test imports scipy
+before its matrix allocates, so no long-lived object lands between freed
+buffers, and repeated runs in one process keep the peak of the first.
 
 Entrywise-degree-bounded likelihood-ratio mass: with the translation
 polynomials tau_hat of the sech family, the component at a multi-index k
@@ -100,39 +101,36 @@ def _check_alpha(alpha: float | None) -> None:
         raise DomainError(f"heavy noise needs alpha > 1, got {alpha}")
 
 
-def _rows(entries: np.ndarray, n: int) -> Iterator[np.ndarray]:
-    """Views of the packed triangle's rows: row i holds the entries (i, j), j > i.
-    Plain slices made one at a time, so nothing outlives its row."""
-    start = 0
-    for length in range(n - 1, 0, -1):
-        yield entries[start:start + length]
-        start += length
-
-
 _BLOCK_ROWS = 64  # packed rows per transform call of the Rayleigh quotient
 
 
-def _transformed_rows(entries: np.ndarray, n: int, transform) -> Iterator[tuple[int, np.ndarray]]:
-    """(i, row i of transform(Y)) for each packed row i; transform (None for Y
-    itself) runs on one contiguous slice of _BLOCK_ROWS rows per call."""
+def _rows(entries: np.ndarray, n: int, transform=None) -> Iterator[tuple[int, np.ndarray]]:
+    """(i, row i) for each packed row i, whose entries are (i, j), j > i.
+
+    With no transform a row is a plain slice of ``entries``, made one at a
+    time, so nothing outlives its row; a transform runs once per contiguous
+    block of _BLOCK_ROWS rows, and each row is a slice of its result."""
     start = 0
     for i0 in range(0, n - 1, _BLOCK_ROWS):
         i1 = min(i0 + _BLOCK_ROWS, n - 1)
         stop = start + (i1 - i0) * (2 * n - 1 - i0 - i1) // 2
         block = entries[start:stop] if transform is None else transform(entries[start:stop])
-        yield from zip(range(i0, i1), _rows(block, n - i0))
+        lo = 0
+        for i in range(i0, i1):
+            hi = lo + n - 1 - i
+            yield i, block[lo:hi]
+            lo = hi
         start = stop
 
 
 @dataclass(frozen=True)
 class WigInstance:
-    """One observation, read-only from construction on, with hidden truth
-    kept for scoring: the spike signs of a planted instance, None under
-    the null."""
+    """One observation, read-only from construction on: its signal strength
+    and its draw, with the hidden truth kept for scoring (the spike signs of
+    a planted instance, None under the null, and the mixed null's branch).
+    The noise kind and alpha that drew it belong to the caller."""
 
     lam: float
-    noise_kind: str
-    alpha: float | None
     entries: np.ndarray  # strictly upper triangle, packed row-major over i < j
     spike: np.ndarray | None = None
     branch: int | None = None  # mixed null: 1 = sech, 2 = heavy
@@ -163,7 +161,7 @@ class WigInstance:
         float64 and cast on the store, so no packed-size or n x n temporary
         is made."""
         M = np.zeros((self.n, self.n), dtype=np.float32, order="F")
-        for j, row in enumerate(_rows(self.entries, self.n)):
+        for j, row in _rows(self.entries, self.n):
             M[j + 1:, j] = row if transform is None else transform(row)
         return M
 
@@ -208,14 +206,13 @@ def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
     if planted:
         spike = rng.choice([-1.0, 1.0], size=n)
         cs = (lam / math.sqrt(n)) * spike
-        for i, row in enumerate(_rows(entries, n)):
+        for i, row in _rows(entries, n):
             # spike[j] * spike[i] * c is exactly +-cs[j]
             if spike[i] > 0:
                 row += cs[i + 1:]
             else:
                 row -= cs[i + 1:]
-    return WigInstance(lam=lam, noise_kind=noise_kind, alpha=alpha, entries=entries,
-                       spike=spike, branch=branch)
+    return WigInstance(lam=lam, entries=entries, spike=spike, branch=branch)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +281,7 @@ def top_eigenvalue(inst: WigInstance, transform=None) -> float:
             raise NumericInstabilityError(f"eigen-solver failed: {err}") from err
     del M  # freed before the quotient transforms its blocks
     half = 0.0  # v.Tv / 2, over the strictly upper triangle
-    for i, row in _transformed_rows(inst.entries, n, transform):
+    for i, row in _rows(inst.entries, n, transform):
         half += v[i] * (row @ v[i + 1:])
     value = float(2.0 * half / (v @ v))
     if not math.isfinite(value):
@@ -434,7 +431,8 @@ def power_curve(test_id: str, noise_kind: str, lams, n: int, trials: int,
                 rng: np.random.Generator, alpha: float | None = None) -> list[tuple[float, float]]:
     """Empirical rates of one test across signal strengths, as one
     (type_i, type_ii) pair per lambda: the shares of null instances labelled
-    planted and of planted instances labelled null."""
+    planted and of planted instances labelled null.  Each lambda draws its
+    ``trials`` null instances, then its ``trials`` planted ones."""
     if test_id not in _TESTS:
         raise DomainError(f"unknown test {test_id!r} (expected one of {sorted(_TESTS)})")
     _check_trials(trials)
@@ -442,15 +440,9 @@ def power_curve(test_id: str, noise_kind: str, lams, n: int, trials: int,
     for lam in lams:  # every point before the first draw: a rejected call leaves rng untouched
         _check_lambda(lam)
     test = _TESTS[test_id]
-    rates = []
-    for lam in lams:
-        false_p = sum(
-            test(sample_wig(n, lam, noise_kind, False, rng, alpha=alpha)).label == "p"
-            for _ in range(trials)
-        )
-        false_q = sum(
-            test(sample_wig(n, lam, noise_kind, True, rng, alpha=alpha)).label == "q"
-            for _ in range(trials)
-        )
-        rates.append((false_p / trials, false_q / trials))
-    return rates
+
+    def rate(lam: float, planted: bool, wrong: str) -> float:
+        return sum(test(sample_wig(n, lam, noise_kind, planted, rng, alpha=alpha)).label == wrong
+                   for _ in range(trials)) / trials
+
+    return [(rate(lam, False, "p"), rate(lam, True, "q")) for lam in lams]

@@ -106,6 +106,30 @@ def test_determinism_covers_eigen_statistics(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_blas_thread_count_moves_only_the_statistic_cells():
+    # a report is byte-identical for a fixed BLAS thread count; across
+    # thread counts the eigen-solve may sum in another order, so only the
+    # statistic may move, within 1e-12 relative
+    src = str(Path(nefqvf.__file__).resolve().parents[1])
+    argv = ["spiked", "simulate", "--n", "200", "--lambda", "1.2", "--noise", "sech",
+            "--planted", "true", "--trials", "4", "--test", "tpca", "--seed", "5"]
+    reports = []
+    for threads in ("1", "2"):
+        res = subprocess.run(
+            [sys.executable, "-m", "nefqvf.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert res.returncode == 0, res.stderr
+        reports.append([line.split(",") for line in res.stdout.splitlines()[1:]])
+    one, two = reports
+    col = one[0].index("statistic")
+    assert len(one) == len(two) == 5
+    for a, b in zip(one, two):
+        assert a[:col] + a[col + 1:] == b[:col] + b[col + 1:]
+        if a is not one[0]:
+            assert float(a[col]) == pytest.approx(float(b[col]), rel=1e-12, abs=0)
+
+
 def test_malformed_model_names_key(tmp_path, capsys):
     path = tmp_path / "bad.model"
     path.write_text("family = binomial{m=1}\nkind = kin\natom = 0.75 : 1.0\n")
@@ -915,6 +939,55 @@ def test_provenance_revision_is_the_package_checkout(tmp_path, monkeypatch, caps
     code, out = run_cli(["families", "list"], capsys)
     assert code == 0
     assert out.splitlines()[0].endswith(f"rev={want}")
+
+
+# a small run of every command
+SMALL_RUNS = {
+    ("families", "list"): [],
+    ("families", "check"): [],
+    ("orthopoly", "build"): ["--family", "gamma{alpha=2}", "--mu0", "1.5", "--degree", "3"],
+    ("orthopoly", "dump"): ["--family", "binomial{m=4}", "--mu0", "0.3", "--degree", "2"],
+    ("tau", "dump"): ["--degree", "4"],
+    ("ldlr", "exact"): ["--model", Model(BERNOULLI_MODEL), "--degree", "2"],
+    ("ldlr", "mc"): ["--model", Model(BERNOULLI_MODEL), "--degree", "inf",
+                     "--samples", "20", "--seed", "3"],
+    ("ldlr", "compare"): ["--model", Model(COMPARE_MODEL), "--degree", "2"],
+    ("ldlr", "sbm"): ["--n", "30", "--a", "6,6.5", "--b", "2,2", "--samples", "20"],
+    ("spiked", "simulate"): ["--n", "20", "--lambda", "1.2", "--noise", "mixed", "--alpha", "3",
+                             "--trials", "2", "--test", "tpca"],
+    ("spiked", "power-curve"): ["--test", "pca", "--noise", "sech", "--n", "20",
+                                "--lambdas", "0.5,1.2,2", "--trials", "1"],
+    ("spiked", "entrywise-bound"): ["--n", "6", "--lambda", "0.1", "--degree", "2",
+                                    "--samples", "20", "--exact", "true"],
+    ("mix", "test"): ["--n", "20", "--lambda", "1.3", "--alpha", "3", "--trials", "1"],
+}
+
+
+def test_provenance_line_parses_back_into_the_parsed_values(tmp_path, capsys):
+    # `key=cell` pairs joined by commas, a list value's cells by `;`; each
+    # float cell is its repr, so every value round-trips exactly
+    assert SMALL_RUNS.keys() == cli.COMMANDS.keys()
+    for command, args in SMALL_RUNS.items():
+        for i, arg in enumerate(args):
+            if isinstance(arg, Model):
+                path = tmp_path / f"{'-'.join(command)}.model"
+                path.write_text(arg)
+                args = [*args[:i], str(path), *args[i + 1:]]
+        argv = [*command, *args]
+        code, out = run_cli(argv, capsys)
+        assert code == 0, command
+        head, params, rev = out.splitlines()[0].split(" | ")
+        assert head == f"# nefqvf {' '.join(command)}" and rev.startswith("rev=")
+        flags = {flag.name: flag for flag in cli.COMMANDS[command][1]}
+        got = {}
+        for pair in filter(None, params.split(",")):
+            key, cell = pair.split("=", 1)
+            got[key] = None if cell == "" else flags[key].convert(cell.replace(";", ","))
+        want = cli.merge_config(cli.build_parser(argv).parse_args(argv)).values
+        del want["out"]
+        assert got == want, command
+        if command == ("ldlr", "sbm"):
+            assert "a=6.0;6.5,b=2.0;2.0," in params
 
 
 def test_import_does_not_load_scipy_stats():

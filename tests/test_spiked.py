@@ -99,10 +99,24 @@ def test_sample_wig_matches_triangle_construction(n, noise, planted):
 def test_rows_are_slices_of_the_packed_triangle(n):
     # row i holds the entries (i, j), j > i, as a view of the triangle, not a copy
     entries = np.arange(n * (n - 1) // 2, dtype=np.float64)
-    rows = list(spiked._rows(entries, n))
+    pairs = list(spiked._rows(entries, n))
+    assert [i for i, _ in pairs] == list(range(n - 1))
+    rows = [row for _, row in pairs]
     assert [row.size for row in rows] == [n - 1 - i for i in range(n - 1)]
     assert all(row.base is entries for row in rows)
     assert np.concatenate(rows).tobytes() == entries.tobytes()
+    # a transform runs once per block of 64 rows (n = 300 spans five)
+    calls = []
+
+    def f(y):
+        calls.append(y.size)
+        return score_transform(y)
+
+    pairs = list(spiked._rows(entries, n, f))
+    assert [i for i, _ in pairs] == list(range(n - 1))
+    got = np.concatenate([row for _, row in pairs])
+    assert got.tobytes() == score_transform(entries).tobytes()
+    assert len(calls) == math.ceil((n - 1) / 64)
 
 
 def test_sample_wig_matrix_is_read_only():
@@ -150,8 +164,7 @@ def test_matrix_assembly_and_permutation_invariance():
     Y = wig_matrix_float64(inst)
     Y += Y.T
     perm = rng.permutation(60)
-    permuted = WigInstance(lam=inst.lam, noise_kind="sech", alpha=None,
-                           entries=Y[np.ix_(perm, perm)][upper])
+    permuted = WigInstance(lam=inst.lam, entries=Y[np.ix_(perm, perm)][upper])
     for transform in (None, score_transform):
         assert top_eigenvalue(permuted, transform) == pytest.approx(
             top_eigenvalue(inst, transform), rel=1e-12)
@@ -174,13 +187,13 @@ def test_pca_threshold_values():
     assert v.threshold == pytest.approx(0.5 * (2 + 1.5 + 1 / 1.5))
     # the tests read lambda from the instance alone
     e = inst.entries
-    assert pca_test(WigInstance(1.0, "sech", None, e)).threshold == pytest.approx(2.0)
-    assert pca_test(WigInstance(0.0, "sech", None, e)).label == "q"  # infinite threshold
+    assert pca_test(WigInstance(1.0, e)).threshold == pytest.approx(2.0)
+    assert pca_test(WigInstance(0.0, e)).label == "q"  # infinite threshold
 
 
 def test_wig_instance_rejects_negative_lambda():
     with pytest.raises(DomainError, match="need lambda >= 0, got -1.0"):
-        WigInstance(lam=-1.0, noise_kind="sech", alpha=None, entries=np.zeros(6))
+        WigInstance(lam=-1.0, entries=np.zeros(6))
 
 
 @pytest.mark.parametrize("entries", [np.zeros(5), np.zeros(7), np.zeros((2, 3)),
@@ -189,7 +202,7 @@ def test_wig_instance_needs_a_packed_triangle(entries):
     # the empty triangle is a one-vertex instance, which sample_wig rejects too
     message = "need n >= 2, got 1" if entries.size == 0 else "n\\(n-1\\)/2 packed entries"
     with pytest.raises(DomainError, match=message):
-        WigInstance(lam=1.0, noise_kind="sech", alpha=None, entries=entries)
+        WigInstance(lam=1.0, entries=entries)
 
 
 @pytest.mark.parametrize("noise", ["sech", "heavy", "mixed"])
@@ -299,18 +312,18 @@ def test_eigen_tests_separate_at_moderate_size():
 
 def test_wig_instance_is_read_only_from_construction():
     entries = np.zeros(45)
-    inst = WigInstance(lam=1.0, noise_kind="sech", alpha=None, entries=entries)
+    inst = WigInstance(lam=1.0, entries=entries)
     with pytest.raises(ValueError):
         inst.entries[0] = 1.0
     assert inst.n == 10 and np.shares_memory(inst.entries, entries)  # a view, not a copy
 
 
 def test_mixed_test_branch_cases():
-    zero = WigInstance(lam=1.0, noise_kind="mixed", alpha=3.0, entries=np.zeros(50 * 49 // 2))
+    zero = WigInstance(lam=1.0, entries=np.zeros(50 * 49 // 2))
     assert mixed_test(zero).label == "q"  # eigenvalue 0 under the threshold
     big = np.zeros(100 * 99 // 2)
     big[0] = -100.0  # entry (0, 1); |-100| exceeds 10 log(100) = 46.05
-    spiky = WigInstance(lam=1.0, noise_kind="mixed", alpha=3.0, entries=big)
+    spiky = WigInstance(lam=1.0, entries=big)
     v = mixed_test(spiky)
     assert v.label == "q" and v.threshold == pytest.approx(10 * math.log(100))
 
@@ -329,7 +342,7 @@ def test_top_eigenvalue_warns_on_lanczos_non_convergence(monkeypatch):
 def test_top_eigenvalue_degenerate_matrix_is_silent():
     # ARPACK rejects the all-zero matrix (its start residual vanishes);
     # the dense fallback is the documented answer and warns about nothing
-    zero = WigInstance(lam=1.0, noise_kind="sech", alpha=None, entries=np.zeros(20 * 19 // 2))
+    zero = WigInstance(lam=1.0, entries=np.zeros(20 * 19 // 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for transform in (None, score_transform):
@@ -353,7 +366,7 @@ def test_top_eigenvalue_reads_any_layout_and_the_fallback_triangle(monkeypatch):
     # a packed triangle that is a strided view solves like a contiguous one
     spaced = np.zeros(2 * inst.entries.size)
     spaced[::2] = inst.entries
-    strided = WigInstance(lam=inst.lam, noise_kind="sech", alpha=None, entries=spaced[::2])
+    strided = WigInstance(lam=inst.lam, entries=spaced[::2])
     for layout in (inst, strided):
         assert top_eigenvalue(layout) == pytest.approx(want, rel=1e-12)
     # the dense fallback reads the lower triangle that matrix() fills: its
@@ -422,8 +435,7 @@ def test_eigen_test_fallbacks_give_the_float64_top_eigenvalue(test, transform, m
     # all-zero triangle, which ARPACK rejects, or on a forced ArpackError,
     # and with a warning after a Lanczos non-convergence
     for n in (2, 40):
-        zero = WigInstance(lam=1.3, noise_kind="sech", alpha=None,
-                           entries=np.zeros(n * (n - 1) // 2))
+        zero = WigInstance(lam=1.3, entries=np.zeros(n * (n - 1) // 2))
         assert test(zero).statistic == 0.0
 
     def arpack_error(*args, **kwargs):
