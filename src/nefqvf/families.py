@@ -44,9 +44,6 @@ class Interval:
     lo: float
     hi: float
 
-    def __contains__(self, x: float) -> bool:
-        return self.lo < x < self.hi
-
     def __str__(self) -> str:
         return f"({self.lo}, {self.hi})"
 
@@ -132,17 +129,14 @@ class Family:
 
     # -- core operations -------------------------------------------------
 
-    def _check_mean(self, mu, what: str = "mean") -> None:
-        """Raise unless mu (a scalar or an array) is in the mean domain."""
-        dom = self.mean_domain
-        if isinstance(mu, np.ndarray):
-            inside = (dom.lo < mu) & (mu < dom.hi)
-            if inside.all():
-                return
-            mu = mu[~inside].flat[0]  # report the first offending mean
-        elif mu in dom:
-            return
-        raise DomainError(f"{what} {mu} outside {dom} for {self.tag()}")
+    def _check_mean(self, x, what: str = "mean", dom: Interval | None = None) -> None:
+        """Raise unless x, a scalar or an array, lies in ``dom`` (by default
+        the mean domain); the message names the first value outside it."""
+        dom = dom or self.mean_domain
+        x = np.asarray(x)
+        inside = (dom.lo < x) & (x < dom.hi)
+        if not inside.all():
+            raise DomainError(f"{what} {x[~inside].flat[0]} outside {dom} for {self.tag()}")
 
     def variance(self, mu):
         """V(mu), elementwise over arrays; a V(mu) that overflows raises
@@ -167,19 +161,12 @@ class Family:
 
     def natural_to_mean(self, theta: float) -> float:
         """psi'(theta)."""
-        self._check_theta(theta)
+        self._check_mean(theta, "natural parameter", self.natural_domain)
         return _KINDS[self.kind].natural_to_mean(self.param, theta)
-
-    def _check_theta(self, theta: float) -> None:
-        if theta not in self.natural_domain:
-            raise DomainError(
-                f"natural parameter {theta} outside {self.natural_domain} "
-                f"for {self.tag()}"
-            )
 
     def cumulant(self, theta: float) -> float:
         """psi(theta) = log E exp(theta x) under the base measure."""
-        self._check_theta(theta)
+        self._check_mean(theta, "natural parameter", self.natural_domain)
         return _KINDS[self.kind].cumulant(self.param, theta)
 
     # -- sampling ---------------------------------------------------------

@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import CapExceededError, DomainError, NumericInstabilityError
 from .families import Family
-from .orthopoly import f_eval, f_trunc, neg_v_order
+from .orthopoly import f_eval, f_ratios, f_trunc
 from .translation import build_translation_table
 
 ENUM_CAP = 10**7  # documented bound on atoms^2 * N * (D+1)^2 for exact norms
@@ -200,11 +200,7 @@ def _pair_gf_sum(probs: np.ndarray, factors, D: int) -> float:
 def _kin_norm(Z: np.ndarray, probs: np.ndarray, v2: float, D: int) -> float:
     """Degree-D kin norm of atoms with z-score rows Z (atoms, N) and
     probabilities ``probs``; the family enters through v2 alone."""
-    m_stop = neg_v_order(v2)  # degrees past m are degenerate for v2 = -1/m
-    K = D if m_stop is None else min(D, m_stop)
-    # (a_hat_k/k!) w^k as a running product of w (1 + v2 (k-1)) / k, which
-    # neither overflows in k! nor in w^k
-    ratios = np.array([(1.0 + v2 * (k - 1)) / k for k in range(1, K + 1)])
+    ratios = np.array(f_ratios(D, v2))  # (a_hat_k/k!) w^k: a running product of w * ratio
     ones = np.ones((len(probs), len(probs), 1))
     factors = (
         np.concatenate([ones, np.cumprod(np.outer(z, z)[:, :, None] * ratios, axis=2)], axis=2)
@@ -220,19 +216,22 @@ def ldlr_exact(model: KinSpikedModel, D: int) -> float:
     return _kin_norm(model.z_scores(vecs), probs, model.family.v2, D)
 
 
+def _f_or_trunc(D: int | None, v: float) -> Callable:
+    """f(.; v) for D None, else its order-D truncation; a negative D raises."""
+    return (lambda t: f_eval(t, v)) if D is None else f_trunc(D, v)
+
+
 def overlap_bound_exact(model: KinSpikedModel, D: int | None) -> float:
     """E over prior pairs of f_trunc(D, v2)(r), r the z-score overlap.
 
     D None uses the untruncated f.  This is the overlap route to the same
     quantity as :func:`ldlr_exact` (equal at v2 = 0) and is kept
-    algorithmically independent of it.
+    algorithmically independent of it; the two share only the coefficient
+    ratios :func:`~nefqvf.orthopoly.f_ratios`.
     """
     vecs, probs = model.prior.atom_arrays()
-    v2 = model.family.v2
     Z = model.z_scores(vecs)
-    r = Z @ Z.T
-    g = f_eval(r, v2) if D is None else f_trunc(D, v2)(r)
-    return float(probs @ g @ probs)
+    return float(probs @ _f_or_trunc(D, model.family.v2)(Z @ Z.T) @ probs)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +260,18 @@ def ldlr_exact_additive(model: AdditiveSpikedModel, D: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _mc_summary(vals: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error, inf for an infinite mean; a NaN mean raises."""
-    with np.errstate(invalid="ignore"):  # inf - inf in the sum: raised below
-        value = float(vals.mean())
+    """Sample mean and its standard error, inf for an infinite mean; a NaN mean raises.
+
+    A spread whose squares leave the float range is taken of the values
+    over their largest magnitude and scaled back."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in the sum: raised below
+        value, spread = float(vals.mean()), float(vals.std())
+        if math.isfinite(value) and not math.isfinite(spread):
+            scale = np.abs(vals).max()
+            spread = float(scale * (vals / scale).std())
     if math.isnan(value):
         raise NumericInstabilityError(f"Monte Carlo estimate is not a number: {value}")
-    return value, float(vals.std() / math.sqrt(vals.size)) if math.isfinite(value) else math.inf
+    return value, spread / math.sqrt(vals.size) if math.isfinite(value) else math.inf
 
 
 def _pair_overlaps(model: KinSpikedModel, samples: int,
@@ -319,16 +324,11 @@ def overlap_bound_mc(model: KinSpikedModel, D: int | None, samples: int,
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    if D is not None and D < 0:
-        raise DomainError(f"degree bound D must be >= 0, got {D}")
     v2 = model.family.v2
+    f, upper = _f_or_trunc(D, v2), (_f_or_trunc(D, 0.0) if v2 < 0 else None)
     r, index = _pair_overlaps(model, samples, rng)
-
-    def summary(v):
-        return _mc_summary((f_eval(r, v) if D is None else f_trunc(D, v)(r))[index])
-
-    value, stderr = summary(v2)
-    upper_value, upper_stderr = summary(0.0) if v2 < 0 else (None, None)
+    value, stderr = _mc_summary(f(r)[index])
+    upper_value, upper_stderr = _mc_summary(upper(r)[index]) if upper else (None, None)
     return LdlrResult(value, stderr, samples, upper_value, upper_stderr)
 
 

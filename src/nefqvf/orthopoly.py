@@ -24,7 +24,9 @@ The module also hosts the generating function
 
 evaluated elementwise over arrays of t, whose Taylor coefficients are
 ``a_hat_k(v)/k!``; for v < 0 (= -1/m) the series is the polynomial
-(1 + t/m)^m and is evaluated as such for all t.
+(1 + t/m)^m and is evaluated as such for all t.  The ratios of consecutive
+coefficients, ``f_ratios``, are the one source of every truncation: for
+v = -1/m they, and so the series, end at degree m.
 """
 
 from __future__ import annotations
@@ -47,27 +49,21 @@ MAX_BASIS_DEGREE = 40  # documented cap for build_basis
 # the v-class and the a-constants
 # ---------------------------------------------------------------------------
 
-def check_v(v: float) -> None:
-    """Validate membership in [0, inf) union {-1/m : m >= 1}."""
+def neg_v_order(v: float) -> int | None:
+    """None for v in [0, inf), m for v = -1/m (m >= 1); any other v raises."""
     if v >= 0:
-        return
+        return None
     m = -1.0 / float(v)
     if abs(m - round(m)) > 1e-9 * max(1.0, abs(m)) or round(m) < 1:
         raise DomainError(f"v={v} is not in [0,inf) nor of the form -1/m")
-
-
-def neg_v_order(v: float) -> int | None:
-    """For v = -1/m return m, else None."""
-    if v >= 0:
-        return None
-    return int(round(-1.0 / float(v)))
+    return int(round(m))
 
 
 def a_hat(k: int, v):
     """prod_{j=0}^{k-1} (1 + v j); exact if v is a Fraction."""
     if k < 0:
         raise DomainError(f"degree k must be >= 0, got {k}")
-    check_v(float(v))
+    neg_v_order(float(v))
     out = v - v + 1  # one, in the arithmetic of v
     for j in range(k):
         out *= 1 + v * j
@@ -89,7 +85,7 @@ def f_eval(t, v: float):
     Returns +inf at and past the positive-v singularity t >= 1/v and where
     the value overflows; a scalar t gives a numpy float.
     """
-    check_v(v)
+    m = neg_v_order(v)
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):
         if v == 0:
@@ -100,7 +96,6 @@ def f_eval(t, v: float):
             out[ok] = (1.0 - v * t[ok]) ** (-1.0 / v)
         else:
             # v = -1/m: the series is the polynomial (1 + t/m)^m, defined everywhere
-            m = neg_v_order(v)
             out = (1.0 + t / m) ** m
     return out[()]
 
@@ -125,16 +120,22 @@ class TruncSeries:
         return out
 
 
-def f_trunc(D: int, v: float) -> TruncSeries:
-    """Order-D Taylor expansion of f(.; v): coefficients a_hat_k(v)/k!."""
+def f_ratios(D: int, v: float) -> list[float]:
+    """Ratios (1 + v (k-1)) / k of the Taylor coefficients a_hat_k(v)/k! of
+    f(.; v) at k and k - 1, for k = 1 .. min(D, m), where v = -1/m ends the
+    series at degree m.  A running product of them neither overflows in k!
+    nor in a power of t."""
     if D < 0:
         raise DomainError(f"degree bound D must be >= 0, got {D}")
-    check_v(v)
-    coeffs, c = [], 1.0
-    for k in range(D + 1):
-        coeffs.append(c)
-        c *= (1.0 + v * k) / (k + 1)
-    return TruncSeries(tuple(coeffs))
+    m = neg_v_order(v)
+    K = D if m is None else min(D, m)
+    return [(1.0 + v * (k - 1)) / k for k in range(1, K + 1)]
+
+
+def f_trunc(D: int, v: float) -> TruncSeries:
+    """Order-D Taylor expansion of f(.; v): coefficients a_hat_k(v)/k!,
+    k = 0 .. min(D, m) for v = -1/m (the series ends at degree m)."""
+    return TruncSeries(tuple(accumulate(f_ratios(D, v), mul, initial=1.0)))
 
 
 # ---------------------------------------------------------------------------

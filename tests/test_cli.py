@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -409,6 +410,27 @@ def test_a_truncated_series_at_an_infinite_overlap_prints_inf(degree, tmp_path, 
     code, out = run_cli(["ldlr", "mc", "--model", str(path), "--samples", "1000",
                          "--seed", "0", "--degree", degree], capsys)
     assert code == 0 and body(out)[1] == [f"monte-carlo,{degree},inf,inf,1000,0"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_binomial_monte_carlo_stops_at_degree_m(tmp_path, capsys):
+    # m = 49, where 1 + v2 m is not exactly 0 in floats: a degree past m
+    # reads the degree-m estimate, and a spread past 1e154 still has a
+    # finite stderr (its squares leave the float range)
+    path = tmp_path / "m49.model"
+    path.write_text("family = binomial{m=49}\nkind = kin\nnull_means = 0.001\n"
+                    "atom = 40 : 0.5\natom = 0.001 : 0.5\n")
+    rows = {}
+    for degree in ("49", "55"):
+        code, out = run_cli(["ldlr", "mc", "--model", str(path), "--samples", "1000",
+                             "--seed", "0", "--degree", degree], capsys)
+        assert code == 0
+        mode, d, *cells = body(out)[1][0].split(",")
+        assert mode == "monte-carlo" and d == degree
+        rows[degree] = cells
+    assert rows["49"] == rows["55"]
+    value, stderr = (float(c) for c in rows["49"][:2])
+    assert 0 < value < math.inf and 0 < stderr < math.inf
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -57,6 +57,18 @@ def test_variance_rejects_outside_domain():
         Family.binomial(2).variance(2.0)  # endpoint excluded: V would vanish
     with pytest.raises(DomainError):
         Family.gamma(1.0).variance(0.0)
+    # the full text at NaN, +-inf and an endpoint, for a scalar and a
+    # one-element array alike
+    for fam, mu, text in [
+        (Family.poisson(), math.nan, "mean nan outside (0.0, inf) for poisson"),
+        (Family.poisson(), math.inf, "mean inf outside (0.0, inf) for poisson"),
+        (Family.sech(), -math.inf, "mean -inf outside (-inf, inf) for sech"),
+        (Family.binomial(2), 2.0, "mean 2.0 outside (0.0, 2.0) for binomial{m=2}"),
+    ]:
+        for arg in (mu, np.array([mu])):
+            with pytest.raises(DomainError) as err:
+                fam.variance(arg)
+            assert str(err.value) == text, arg
 
 
 def test_z_score_values():
@@ -96,6 +108,19 @@ def test_cumulant_values():
         Family.gamma(1.0).cumulant(1.0)
     with pytest.raises(DomainError):
         Family.sech().cumulant(2.0)
+    # the full text at NaN, +-inf and an endpoint, from both checked routes
+    half_pi = "1.5707963267948966"
+    for fam, theta, text in [
+        (Family.sech(), math.nan, f"nan outside (-{half_pi}, {half_pi}) for sech"),
+        (Family.poisson(), math.inf, "inf outside (-inf, inf) for poisson"),
+        (Family.negbinomial(3), -math.inf,
+         "-inf outside (-inf, 0.6931471805599453) for negbinomial{m=3}"),
+        (Family.gamma(1.0), 1.0, "1.0 outside (-inf, 1.0) for gamma{alpha=1}"),
+    ]:
+        for route in (fam.cumulant, fam.natural_to_mean):
+            with pytest.raises(DomainError) as err:
+                route(theta)
+            assert str(err.value) == f"natural parameter {text}", (route, theta)
 
 
 @pytest.mark.parametrize("fam", ALL, ids=lambda f: f.kind)

@@ -23,6 +23,7 @@ from nefqvf.errors import CapExceededError, DomainError, NumericInstabilityError
 from nefqvf.families import Family
 from nefqvf.ldlr import (
     MAX_EXACT_N,
+    _mc_summary,
     _sign_count_mean,
     _symmetric_binomial_cdf,
     AdditiveSpikedModel,
@@ -307,6 +308,17 @@ def test_overlap_mc_overflowing_exp_bound_has_infinite_stderr():
     res = overlap_bound_mc(model, None, 10, np.random.default_rng(0))
     assert math.isfinite(res.value) and math.isfinite(res.stderr)
     assert res.upper_value == math.inf and res.upper_stderr == math.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_mc_summary_of_a_spread_past_the_float_range_is_finite():
+    # squares of deviations near 1e200 overflow; the stderr is the spread of
+    # the values over their largest magnitude, scaled back
+    value, stderr = _mc_summary(np.array([3e200, 1e200]))
+    assert value == 2e200 and stderr == pytest.approx(1e200 / math.sqrt(2), rel=1e-15)
+    # a spread inside the float range keeps the bits of std / sqrt(n)
+    vals = np.random.default_rng(0).lognormal(0.0, 30.0, 1000)
+    assert _mc_summary(vals) == (float(vals.mean()), float(vals.std() / math.sqrt(1000)))
 
 
 @pytest.mark.filterwarnings("error")

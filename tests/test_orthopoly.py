@@ -13,9 +13,9 @@ from nefqvf.orthopoly import (
     a_const,
     a_hat,
     build_basis,
-    check_v,
     f_eval,
     f_trunc,
+    neg_v_order,
 )
 
 V_GRID = [-1.0, -0.5, -1 / 3, -0.25, -0.2, 0.0, 0.1, 0.5, 1.0, 2.0]
@@ -36,7 +36,7 @@ def test_a_hat_rejects_bad_v():
         with pytest.raises(DomainError):
             a_hat(3, v)
         with pytest.raises(DomainError):
-            check_v(v)
+            neg_v_order(v)
 
 
 def test_a_hat_monotone_in_v():
@@ -75,12 +75,26 @@ def test_f_eval_values():
 def test_f_trunc_coefficients():
     assert f_trunc(2, 1.0).coeffs == pytest.approx([1.0, 1.0, 1.0])
     assert f_trunc(3, 0.0).coeffs == pytest.approx([1, 1, 0.5, 1 / 6])
-    assert f_trunc(5, -1.0).coeffs == pytest.approx([1, 1, 0, 0, 0, 0])
+    assert f_trunc(5, -1.0).coeffs == (1.0, 1.0)  # v = -1/m ends the series at degree m
+
+
+def test_binomial_series_ends_at_degree_m():
+    # 1 + v*m is not exactly 0 in floats for some m (49, 98, 103, 107 up to
+    # 120): the running product then left tiny coefficients past degree m,
+    # and a large t turned them into the series' leading term
+    t = np.array([-1e30, -40.0, 0.5, 40.0, 1e30])
+    for m in range(1, 121):
+        v, want = -1 / m, f_trunc(m, -1 / m)
+        for D in (m + 1, m + 6):
+            got = f_trunc(D, v)
+            assert len(got.coeffs) == m + 1, (m, D)
+            assert np.array(got.coeffs).tobytes() == np.array(want.coeffs).tobytes(), (m, D)
+            assert got(t).tobytes() == want(t).tobytes(), (m, D)
 
 
 @pytest.mark.parametrize("D, v, at_minus_inf", [(4, 0.0, math.inf), (6, -1 / 3, -math.inf)])
 def test_truncated_series_at_infinity_follows_its_leading_term(D, v, at_minus_inf):
-    # v = -1/3 stops at degree 3: its coefficients past 3 are 0.0 or -0.0
+    # v = -1/3 ends the series at degree 3, a cubic
     series = f_trunc(D, v)
     assert series(math.inf) == math.inf and series(-math.inf) == at_minus_inf
     got = series(np.array([math.inf, -math.inf, 0.5]))
