@@ -13,8 +13,8 @@ every column that echoes an input (rates, sizes, counts, seed) from its own
 values, and derives the rest (power, standard errors of rates, the
 Kesten-Stigum sides of ``ldlr sbm``) itself.
 
-Exit codes: 0 ok, 2 config error, 3 exact-norm work bound exceeded, 4
-numeric instability.  Values may come from an INI-style ``--config`` file
+Exit codes: 0 ok, 2 config error, 3 work bound exceeded, 4 numeric
+instability.  Values may come from an INI-style ``--config`` file
 (section named after the subcommand, e.g. ``[ldlr.exact]``, keys named as
 the flags); flags, never abbreviated, override file values.  Every report
 is CSV with one provenance comment line: the full parameters (a list

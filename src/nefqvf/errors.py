@@ -10,7 +10,7 @@ class DomainError(NefqvfError, ValueError):
 
 
 class CapExceededError(NefqvfError):
-    """An exact computation would exceed its documented work bound."""
+    """A computation would exceed its documented work bound."""
 
 
 class NumericInstabilityError(NefqvfError, FloatingPointError):

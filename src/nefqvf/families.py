@@ -287,32 +287,23 @@ def parse_family(tag: str) -> Family:
 
     Grammar: ``name`` or ``name{key=value}`` with names gaussian, poisson,
     gamma, binomial, negbinomial, sech and keys sigma2 (gaussian), alpha
-    (gamma), m (binomial, negbinomial).  Examples: ``poisson``,
+    (gamma), m (binomial, negbinomial): a kind with a parameter takes its
+    one key, cast to the parameter's type.  Examples: ``poisson``,
     ``gamma{alpha=2}``, ``binomial{m=1}``, ``gaussian{sigma2=0.5}``.
     """
     tag = tag.strip()
-    name, params = tag, {}
-    if "{" in tag:
-        if not tag.endswith("}"):
-            raise ConfigError(f"family: malformed tag {tag!r}")
-        name, body = tag[:-1].split("{", 1)
-        for item in body.split(","):
-            if "=" not in item:
-                raise ConfigError(f"family: malformed parameter {item!r} in {tag!r}")
-            key, val = (s.strip() for s in item.split("=", 1))
-            if key in params:
-                raise ConfigError(f"family: parameter {key!r} repeated in {tag!r}")
-            params[key] = val
-    name = name.strip()
+    name, brace, body = tag.partition("{")
+    if not brace:
+        return Family(tag)
+    key, eq, value = body[:-1].partition("=")
+    if not (body.endswith("}") and eq):
+        raise ConfigError(f"family: malformed tag {tag!r}")
+    name, key, value = name.strip(), key.strip(), value.strip()
     kind = _KINDS.get(name)
-    key, cast, _ = kind.param if kind and kind.param else (None, None, None)
-    extra = set(params) - {key}
-    if extra:
-        raise ConfigError(f"family: unexpected parameter(s) {sorted(extra)} for {name}")
-    if key not in params:
-        return Family(name)
+    if kind is None or kind.param is None or kind.param[0] != key:
+        raise ConfigError(f"family: unexpected parameter(s) {[key]} for {name}")
     try:
-        value = cast(params[key])
+        param = kind.param[1](value)
     except ValueError as exc:
-        raise ConfigError(f"family: bad value for {key!r}: {params[key]!r}") from exc
-    return Family(name, value)
+        raise ConfigError(f"family: bad value for {key!r}: {value!r}") from exc
+    return Family(name, param)

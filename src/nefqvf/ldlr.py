@@ -60,7 +60,9 @@ from .families import Family
 from .orthopoly import f_eval, f_ratios, f_trunc
 from .translation import build_translation_table
 
-ENUM_CAP = 10**7  # documented bound on atoms^2 * N * (D+1)^2 for exact norms
+# documented work bound: atoms^2 * N * (D+1)^2 for an exact norm, and (D+1)
+# times the number of distinct arguments for a degree-D series evaluation
+ENUM_CAP = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +218,13 @@ def ldlr_exact(model: KinSpikedModel, D: int) -> float:
     return _kin_norm(model.z_scores(vecs), probs, model.family.v2, D)
 
 
-def _f_or_trunc(D: int | None, v: float) -> Callable:
-    """f(.; v) for D None, else its order-D truncation; a negative D raises."""
+def _f_or_trunc(D: int | None, v: float, points: int) -> Callable:
+    """f(.; v) for D None, else its order-D truncation, once its evaluation
+    at ``points`` distinct arguments holds the work bound; a negative D raises."""
+    if D is not None and (D + 1) * points > ENUM_CAP:
+        raise CapExceededError(
+            f"(D+1) * points = {(D + 1) * points} exceeds the work bound {ENUM_CAP}"
+        )
     return (lambda t: f_eval(t, v)) if D is None else f_trunc(D, v)
 
 
@@ -231,7 +238,7 @@ def overlap_bound_exact(model: KinSpikedModel, D: int | None) -> float:
     """
     vecs, probs = model.prior.atom_arrays()
     Z = model.z_scores(vecs)
-    return float(probs @ _f_or_trunc(D, model.family.v2)(Z @ Z.T) @ probs)
+    return float(probs @ _f_or_trunc(D, model.family.v2, len(probs) ** 2)(Z @ Z.T) @ probs)
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +327,16 @@ def overlap_bound_mc(model: KinSpikedModel, D: int | None, samples: int,
     For v2 < 0 the result also carries the exp-series value (the matching
     upper bound on the norm); for v2 > 0 with D None, +inf draws propagate
     into an infinite estimate (the singular regime).  A non-finite estimate
-    has stderr inf, and a NaN one raises NumericInstabilityError.
+    has stderr inf, and a NaN one raises NumericInstabilityError.  The series
+    is evaluated at the distinct overlaps, min(atoms^2, samples) of an atom
+    prior and ``samples`` of a sampler, under the work bound of
+    :func:`_f_or_trunc`, checked before any draw.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    v2 = model.family.v2
-    f, upper = _f_or_trunc(D, v2), (_f_or_trunc(D, 0.0) if v2 < 0 else None)
+    v2, atoms = model.family.v2, model.prior.atoms
+    points = samples if atoms is None else min(len(atoms) ** 2, samples)  # distinct overlaps
+    f, upper = _f_or_trunc(D, v2, points), (_f_or_trunc(D, 0.0, points) if v2 < 0 else None)
     r, index = _pair_overlaps(model, samples, rng)
     value, stderr = _mc_summary(f(r)[index])
     upper_value, upper_stderr = _mc_summary(upper(r)[index]) if upper else (None, None)
@@ -416,7 +427,8 @@ def sbm_ks_scan(n: int, D: int, grid, samples: int,
     sample in a CDF table, so that scans sharing a generator state across
     different n reuse the same underlying uniforms (common random numbers).
     A uniform of 0 draws the count 0.  The series is evaluated at the n + 1
-    counts and gathered per draw.  A gap (a-b)^2 past the float range
+    counts and gathered per draw, under the work bound (D+1) (n+1) <=
+    ENUM_CAP, checked before any draw.  A gap (a-b)^2 past the float range
     raises NumericInstabilityError.
     """
     if not 1 <= n <= MAX_EXACT_N or D < 0 or samples < 1:
@@ -425,7 +437,7 @@ def sbm_ks_scan(n: int, D: int, grid, samples: int,
     for a, b in grid:  # every point before the first draw: a rejected call leaves rng untouched
         if not (0 < a < math.inf and 0 < b < math.inf):  # NaN fails too
             raise DomainError(f"rates must be positive and finite, got a={a}, b={b}")
-    series = f_trunc(D, 0.0)
+    series = _f_or_trunc(D, 0.0, n + 1)
     cdf = _symmetric_binomial_cdf(n)
     dot = 2.0 * np.arange(n + 1) - n  # <s1, s2> at each count 0..n
     estimates = []

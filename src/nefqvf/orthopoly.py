@@ -16,7 +16,8 @@ where ``a_k(v) = k! * prod_{j<k}(1 + v*j)``.  All six families have
 rational variance coefficients (at the exact binary values of their
 parameters), so the recurrence runs in exact rational arithmetic.  For the
 binomial family (v2 = -1/m) the damping first vanishes at k = m + 1, so
-the norm vanishes past degree m and the basis stops there.
+the norm vanishes past degree m and the basis stops there; ``a_hat_k(v)``
+is an exact zero for k > m, in the arithmetic of v.
 
 The module also hosts the generating function
 
@@ -26,7 +27,7 @@ evaluated elementwise over arrays of t, whose Taylor coefficients are
 ``a_hat_k(v)/k!``; for v < 0 (= -1/m) the series is the polynomial
 (1 + t/m)^m and is evaluated as such for all t.  The ratios of consecutive
 coefficients, ``f_ratios``, are the one source of every truncation: for
-v = -1/m they, and so the series, end at degree m.
+v = -1/m they, and so the series and the basis, end at degree m.
 """
 
 from __future__ import annotations
@@ -54,16 +55,19 @@ def neg_v_order(v: float) -> int | None:
     if v >= 0:
         return None
     m = -1.0 / float(v)
-    if abs(m - round(m)) > 1e-9 * max(1.0, abs(m)) or round(m) < 1:
+    if not (m >= 0.5 and abs(m - round(m)) <= 1e-9 * m):  # NaN fails too
         raise DomainError(f"v={v} is not in [0,inf) nor of the form -1/m")
     return int(round(m))
 
 
 def a_hat(k: int, v):
-    """prod_{j=0}^{k-1} (1 + v j); exact if v is a Fraction."""
+    """prod_{j=0}^{k-1} (1 + v j); exact if v is a Fraction, and an exact
+    zero for v = -1/m and k > m, whose product passes 1 + v m = 0."""
     if k < 0:
         raise DomainError(f"degree k must be >= 0, got {k}")
-    neg_v_order(float(v))
+    m = neg_v_order(float(v))
+    if m is not None and k > m:
+        return v - v
     out = v - v + 1  # one, in the arithmetic of v
     for j in range(k):
         out *= 1 + v * j
@@ -177,7 +181,7 @@ class OrthoPolyBasis:
 
 def build_basis(family: Family, mu0: float, K: int) -> OrthoPolyBasis:
     """Exact monic basis up to degree K by the Morris recurrence; the norms
-    are damping products, and the basis stops before the first zero damping."""
+    are damping products, and the basis stops where the series of v2 does."""
     if not 0 <= K <= MAX_BASIS_DEGREE:
         raise DomainError(f"K must be in 0..{MAX_BASIS_DEGREE}, got {K}")
     family._check_mean(mu0, "mu0")
@@ -186,12 +190,12 @@ def build_basis(family: Family, mu0: float, K: int) -> OrthoPolyBasis:
     v0, v1, v2 = family.variance_coeffs_exact()
     vmu = v0 + v1 * mu + v2 * mu * mu  # V(mu0)
     dv = v1 + 2 * v2 * mu  # V'(mu0)
-    damp = [k * (1 + (k - 1) * v2) * vmu for k in range(K + 1)]
-    k_max = next((k - 1 for k in range(1, K + 1) if damp[k] == 0), K)
+    k_max = len(f_ratios(K, float(v2)))  # min(K, m) for v2 = -1/m
+    damp = [k * (1 + (k - 1) * v2) * vmu for k in range(k_max + 1)]
     monic = monic_recurrence([mu + k * dv for k in range(k_max)], damp)
     return OrthoPolyBasis(
         max_degree=k_max,
         monic=tuple(tuple(p) for p in monic),
-        norm_sq=tuple(accumulate(damp[1:k_max + 1], mul, initial=Fraction(1))),
+        norm_sq=tuple(accumulate(damp[1:], mul, initial=Fraction(1))),
     )
 

@@ -150,10 +150,6 @@ class WigInstance:
     def n(self) -> int:
         return (math.isqrt(8 * self.entries.size + 1) + 1) // 2
 
-    @property
-    def planted(self) -> bool:
-        return self.spike is not None
-
     def matrix(self, transform=None) -> np.ndarray:
         """A fresh Fortran-ordered float32 n x n buffer whose strictly lower
         triangle holds transform(Y) (Y itself for None); its diagonal and

@@ -7,9 +7,11 @@ continuous ones (split at the mean so the peak is always resolved).
 
 The generic algorithms the library replaced by closed forms live on here as
 reference implementations: Gram-Schmidt on exact moments (against the Morris
-recurrence), enumeration of multi-indices (against the generating-function
-products of the exact norms), and dynamic programming over vertex-parity
-states (against the O(n) entrywise sum).  The spiked-matrix sampler's
+recurrence), the scan for the first zero damping of that recurrence
+(against the basis' stop at degree m, which the library reads from the
+series' own end), enumeration of multi-indices (against the
+generating-function products of the exact norms), and dynamic programming
+over vertex-parity states (against the O(n) entrywise sum).  The spiked-matrix sampler's
 earlier construction, whole-array noise expressions and a triangle vector
 scattered into a fresh matrix, pins its draw order and its bits; the same
 scatter at float64 precision is the matrix whose top eigenvalue pins the
@@ -34,6 +36,8 @@ overlap, and the pointwise bound on the translation polynomials.
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -288,6 +292,18 @@ def gram_schmidt_basis(family: Family, mu0, K: int) -> tuple[list, list]:
         monic.append(p)
         norm_sq.append(inner(p, p))
     return monic, norm_sq
+
+
+def basis_stop_by_zero_damping(family: Family, mu0, K: int) -> tuple[int, tuple]:
+    """(max_degree, norm_sq) of the degree-K basis at mu0 by the damping scan:
+    the exact Morris dampings k (1 + (k-1) v2) V(mu0) up to the one before
+    the first zero, whose running products are the squared norms."""
+    mu = Fraction(mu0)
+    v0, v1, v2 = family.variance_coeffs_exact()
+    vmu = v0 + v1 * mu + v2 * mu * mu
+    damp = [k * (1 + (k - 1) * v2) * vmu for k in range(K + 1)]
+    k_max = next((k - 1 for k in range(1, K + 1) if damp[k] == 0), K)
+    return k_max, tuple(accumulate(damp[1:k_max + 1], mul, initial=Fraction(1)))
 
 
 def normalized_eval(basis, k: int, y):

@@ -271,6 +271,18 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert main(["ldlr", "exact", "--model", str(path), "--degree", "600"]) == 3
 
 
+def test_series_work_bound_exit_code(bernoulli_model, capsys):
+    # (D+1) * points = (10^8 + 1) * 51 sign counts, or 1 atom pair, exceeds 10^7:
+    # the run stops before it builds the series
+    for argv, points in [(["ldlr", "sbm", "--n", "50", "--a", "3", "--b", "1"], 51),
+                         (["ldlr", "mc", "--model", bernoulli_model], 1)]:
+        code = main(argv + ["--samples", "10", "--degree", "100000000"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (f"error: (D+1) * points = {(10**8 + 1) * points} "
+                                "exceeds the work bound 10000000\n")
+
+
 def test_numeric_instability_exit_code(tmp_path, monkeypatch, capsys):
     # norms that fall as v2 rises trip the monotonicity guard of channel_compare
     def decreasing(Z, probs, v2, D):
@@ -537,9 +549,9 @@ KIN_MEANS = "kind = kin\nnull_means = 1.0\n"
     *[(model_argv("exact", f"family = sech\nkind = additive\nnull_means = 0\n"
                            f"atom = {x} : 1.0\n"), "atom coordinates must be finite")
       for x in ("nan", "inf")],
-    # a family tag gives each parameter once
+    # a family tag is a name or name{key=value}: one key, the kind's own
     (["orthopoly", "build", "--family", "gamma{alpha=2,alpha=3}", "--mu0", "1",
-      "--degree", "2"], "parameter 'alpha' repeated in 'gamma{alpha=2,alpha=3}'"),
+      "--degree", "2"], "family: bad value for 'alpha': '2,alpha=3'"),
     # a model has at least one coordinate
     *[(model_argv(command, "family = poisson\nkind = kin\nnull_means =\natom = : 1.0\n"),
        "null_means needs at least one value") for command in ("exact", "mc")],
@@ -550,6 +562,16 @@ KIN_MEANS = "kind = kin\nnull_means = 1.0\n"
     (SIMULATE + ["--lambda", "1", "--noise", "sech", "--seed", "-1"],
      "config: bad value for 'seed': '-1'"),
     (model_argv("mc", BERNOULLI_MODEL) + ["--seed", "-1"], "config: bad value for 'seed': '-1'"),
+    # the other tags that are not a name or name{key=value} with the kind's key
+    *[(["orthopoly", "build", "--family", tag, "--mu0", "1", "--degree", "2"], message)
+      for tag, message in [
+          ("gamma{alpha=2,m=1}", "family: bad value for 'alpha': '2,m=1'"),
+          ("gamma{}", "family: malformed tag 'gamma{}'"),
+          ("gamma{alpha}", "family: malformed tag 'gamma{alpha}'"),
+          ("gamma{alpha=2", "family: malformed tag 'gamma{alpha=2'"),
+          ("gamma{m=2}", "family: unexpected parameter(s) ['m'] for gamma"),
+          ("sech{m=2}", "family: unexpected parameter(s) ['m'] for sech"),
+          ("gamma", "gamma requires parameter 'alpha'")]],
 ])
 def test_bad_input_exits_config_code(argv, message, tmp_path, capsys):
     for i, arg in enumerate(argv):

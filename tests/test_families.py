@@ -213,7 +213,8 @@ def test_pdf_normalization_and_mean(fam):
 
 
 def test_tag_round_trip():
-    for fam in ALL:
+    for fam in ALL + [Family.gaussian(0.1), Family.gamma(1e-3), Family.gamma(1e300),
+                      Family.binomial(49), Family.negbinomial(10**6)]:
         assert parse_family(fam.tag()) == fam
     assert parse_family("gamma{alpha=2}") == Family.gamma(2.0)
     assert parse_family(" poisson ") == Family.poisson()
@@ -243,6 +244,8 @@ def test_family_construction_is_checked():
 
 def test_parse_family_rejects_malformed():
     for bad in ["weibull", "gamma", "gamma{alpha=x}", "gamma{beta=2}",
-                "poisson{m=2}", "binomial{m=0}", "gamma{alpha=2"]:
+                "poisson{m=2}", "binomial{m=0}", "gamma{alpha=2", "gamma{}",
+                "gamma{alpha}", "gamma{alpha=2,alpha=3}", "gamma{alpha=2,m=1}",
+                "binomial{m=2.5}", "weibull{k=2}"]:
         with pytest.raises((ConfigError, DomainError)):
             parse_family(bad)

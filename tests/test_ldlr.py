@@ -172,6 +172,29 @@ def test_enumeration_cap():
         ldlr_exact_additive(additive, 600)
 
 
+def test_series_work_bound_is_checked_before_drawing():
+    # (D+1) times the distinct series arguments past ENUM_CAP = 10^7 raises
+    # before the first draw: n + 1 sign counts for the scan, atoms^2 pairs
+    # for the exact overlap, min(atoms^2, samples) overlaps of an atom prior
+    # and ``samples`` of a sampler in Monte Carlo
+    atoms = SpikePrior.from_atoms("kin", [((1.5, 2.5), 0.5), ((0.5, 3.5), 0.5)])
+    sampler = SpikePrior.from_sampler("kin", lambda rng: rng.normal(1.0, 0.5, size=2))
+    on_atoms = KinSpikedModel(Family.poisson(), (1.0, 2.0), atoms)
+    on_sampler = KinSpikedModel(Family.gaussian(1.0), (1.0, 2.0), sampler)
+    rng = np.random.default_rng(45)
+    state = rng.bit_generator.state
+    for call in [lambda: sbm_ks_scan(50, 10**8, [(3.0, 1.0)], 10, rng),
+                 lambda: sbm_ks_scan(10**6, 9, [(3.0, 1.0)], 10, rng),
+                 lambda: overlap_bound_exact(on_atoms, 2_500_000),
+                 lambda: overlap_bound_mc(on_atoms, 2_500_000, 10**6, rng),
+                 lambda: overlap_bound_mc(on_sampler, 10**4, 1000, rng)]:
+        with pytest.raises(CapExceededError, match="exceeds the work bound 10000000"):
+            call()
+        assert rng.bit_generator.state == state
+    # the untruncated f has no degree to bound
+    assert overlap_bound_mc(on_sampler, None, 1000, rng).samples == 1000
+
+
 def test_equality_case_v2_zero():
     rng = np.random.default_rng(11)
     for family in (Family.gaussian(1.0), Family.poisson()):

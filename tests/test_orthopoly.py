@@ -6,7 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import expectation_under, gram_schmidt_basis, moments_at, normalized_eval
+from helpers import (
+    basis_stop_by_zero_damping,
+    expectation_under,
+    gram_schmidt_basis,
+    moments_at,
+    normalized_eval,
+)
 from nefqvf.errors import DomainError
 from nefqvf.families import Family
 from nefqvf.orthopoly import (
@@ -32,11 +38,22 @@ def test_a_hat_values():
 
 
 def test_a_hat_rejects_bad_v():
-    for v in [-0.3, -2.0, -1.5]:
+    for v in [-0.3, -2.0, -1.5, math.nan, -math.inf]:
         with pytest.raises(DomainError):
             a_hat(3, v)
         with pytest.raises(DomainError):
             neg_v_order(v)
+
+
+def test_a_hat_and_a_const_are_exactly_zero_past_m():
+    # 1 + v*m is not exactly 0 in floats for some m (49 among them): the
+    # product then left a tiny a_hat past degree m, and k! made it large
+    for m in range(1, 121):
+        for v in (-1 / m, Fraction(-1, m)):
+            for k in (m + 1, m + 2, m + 7):
+                assert a_hat(k, v) == 0 and a_const(k, v) == 0, (m, v, k)
+                assert type(a_hat(k, v)) is type(v), (m, v, k)
+            assert a_hat(m, v) != 0, (m, v)
 
 
 def test_a_hat_monotone_in_v():
@@ -174,6 +191,18 @@ def test_binomial_basis_stops_and_degenerate_degree():
         normalized_eval(basis, 2, 0.0)
     longer = build_basis(Family.binomial(3), 1.1, 8)
     assert longer.max_degree == 3
+
+
+def test_binomial_basis_stops_where_the_damping_first_vanishes():
+    # the basis reads its stop min(K, m) from the series; the damping scan
+    # finds the same degree and the same norms
+    for m in range(1, 41):
+        family = Family.binomial(m)
+        for mu0 in (m / 2, m / 8):
+            for K in sorted({0, m - 1, m, min(m + 1, 40), 40}):
+                basis = build_basis(family, mu0, K)
+                want = basis_stop_by_zero_damping(family, mu0, K)
+                assert (basis.max_degree, basis.norm_sq) == want, (m, mu0, K)
 
 
 def test_build_rejects_bad_inputs():

@@ -17,17 +17,21 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _uses(tree) -> Counter:
-    """Names read as a plain name, an attribute or an import, counted.
+def _uses(tree, members: bool = False) -> Counter:
+    """Names read as a plain name, an attribute or an import, counted; with
+    ``members``, attribute reads alone, the one way a method or a property
+    is used (a parameter or a local of the same name is not a use).
 
     The AST sees names inside f-strings, which ``tokenize`` does not.
     """
     found = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            found[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             found[node.attr] += 1
+        elif members:
+            continue
+        elif isinstance(node, ast.Name):
+            found[node.id] += 1
         elif isinstance(node, ast.alias):
             found.update(node.name.split("."))
     return found
@@ -39,15 +43,19 @@ def _is_dunder(name: str) -> bool:
 
 def test_every_definition_in_src_has_a_use_in_the_program():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in PROGRAM}
-    uses = sum((_uses(tree) for tree in trees.values()), Counter())
+    uses = {members: sum((_uses(tree, members) for tree in trees.values()), Counter())
+            for members in (False, True)}
     unused = []
     for path in SRC:
-        for node in ast.walk(trees[path]):
-            if not isinstance(node, _DEFS) or _is_dunder(node.name):
-                continue
-            # a recursive call or a method naming its own class does not count
-            if uses[node.name] - _uses(node)[node.name] < 1:
-                unused.append(f"{path.stem}.{node.name}")
+        for scope in ast.walk(trees[path]):
+            member = isinstance(scope, ast.ClassDef)
+            for node in ast.iter_child_nodes(scope):
+                if not isinstance(node, _DEFS) or _is_dunder(node.name):
+                    continue
+                # a recursive call or a method naming its own class does not count
+                if uses[member][node.name] - _uses(node, member)[node.name] < 1:
+                    owner = f"{scope.name}." if member else ""
+                    unused.append(f"{path.stem}.{owner}{node.name}")
     assert not unused, f"defined in src/ but used only by tests: {sorted(unused)}"
 
 
