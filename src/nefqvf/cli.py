@@ -14,9 +14,10 @@ values, and derives the rest (power, standard errors of rates, the
 Kesten-Stigum sides of ``ldlr sbm``) itself.
 
 Exit codes: 0 ok, 2 config error, 3 work bound exceeded, 4 numeric
-instability.  Values may come from an INI-style ``--config`` file
-(section named after the subcommand, e.g. ``[ldlr.exact]``, keys named as
-the flags); flags, never abbreviated, override file values.  Every report
+instability, each the ``exit_code`` of its error class in ``errors``.
+Values may come from an INI-style ``--config`` file (section named after
+the subcommand, e.g. ``[ldlr.exact]``, keys named as the flags); flags,
+never abbreviated, override file values.  Every report
 is CSV with one provenance comment line: the full parameters (a list
 value's cells joined by ``;``), seed and git revision.  A report is
 byte-identical for fixed (parameters, seed, BLAS library, BLAS thread
@@ -49,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapExceededError, ConfigError, NefqvfError, NumericInstabilityError
+from .errors import ConfigError, NefqvfError, NumericInstabilityError, check_range
 from .families import Family, parse_family
 from .ldlr import (
     MAX_EXACT_N,
@@ -65,7 +66,6 @@ from .ldlr import (
 from .orthopoly import a_const, build_basis
 from .spiked import (
     _TESTS as _TEST_FNS,
-    _check_trials,
     entrywise_ldlr_exact,
     entrywise_ldlr_mc_bound,
     mixed_test,  # noqa: F401  (unused here; perfbench/tracing.py patches it by this name)
@@ -73,11 +73,6 @@ from .spiked import (
     sample_wig,
 )
 from .translation import DEFAULT_TABLE_DEGREE, MAX_TABLE_DEGREE, build_translation_table
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_CAP = 3
-EXIT_NUMERIC = 4
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +472,7 @@ def _run_spiked_simulate(config):
     if test is None and v["test"] != "none":
         raise ConfigError(f"config: unknown test {v['test']!r} "
                           f"(expected none or one of {sorted(_TEST_FNS)})")
-    _check_trials(v["trials"])
+    check_range("trials", v["trials"], 1)
     seed = v["seed"]
     rng = np.random.default_rng(seed)
     rows = []
@@ -615,18 +610,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
+        return ConfigError.exit_code if exc.code not in (0, None) else 0
     try:
         config = merge_config(args)
         COMMANDS[config.command][0](config)
-        return EXIT_OK
+        return 0
     except NefqvfError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, CapExceededError):
-            return EXIT_CAP
-        if isinstance(exc, NumericInstabilityError):
-            return EXIT_NUMERIC
-        return EXIT_CONFIG  # config errors and the remaining domain violations
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,21 +1,43 @@
-"""Semantic exception hierarchy shared across the package."""
+"""Semantic exception hierarchy shared across the package.
+
+Each class carries the exit code with which the command line reports it,
+and :func:`check_range` is the one check of an integer bound.
+"""
 
 
 class NefqvfError(Exception):
-    """Base error for this package."""
+    """Base error for this package; ``exit_code`` is its CLI exit code, 2."""
+
+    exit_code = 2
 
 
 class DomainError(NefqvfError, ValueError):
-    """An argument lies outside the valid mean/natural-parameter domain."""
+    """An argument lies outside its documented range: a mean or natural
+    parameter outside its domain, an integer outside its bounds, or a value
+    a route does not take.  Exit code 2."""
 
 
 class CapExceededError(NefqvfError):
-    """A computation would exceed its documented work bound."""
+    """A computation would exceed its documented work bound.  Exit code 3."""
+
+    exit_code = 3
 
 
 class NumericInstabilityError(NefqvfError, FloatingPointError):
-    """A verified numerical identity failed beyond tolerance."""
+    """A result leaves the float range or is not a number, or a verified
+    numerical identity failed beyond tolerance.  Exit code 4."""
+
+    exit_code = 4
 
 
 class ConfigError(NefqvfError, ValueError):
-    """A CLI/config input failed validation; the message names the offending key."""
+    """A CLI/config input failed validation; the message names the offending
+    key.  Exit code 2."""
+
+
+def check_range(name: str, value: int, lo: int, hi: int | None = None) -> None:
+    """Raise DomainError unless lo <= value, and value <= hi when hi is given;
+    the message names the argument, its range and the value."""
+    if not lo <= value <= (value if hi is None else hi):  # NaN fails too
+        rule = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise DomainError(f"{name} must be {rule}, got {value}")

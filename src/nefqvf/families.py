@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericInstabilityError
+from .errors import ConfigError, DomainError, NumericInstabilityError, check_range
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,7 @@ class Family:
     def sample(self, mu: float, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` i.i.d. draws from the member with mean mu."""
         self._check_mean(mu)
-        if count < 0:
-            raise DomainError(f"count must be >= 0, got {count}")
+        check_range("count", count, 0)
         return _KINDS[self.kind].sample(self.param, mu, rng, count)
 
     # -- serialization ------------------------------------------------------

@@ -55,7 +55,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import CapExceededError, DomainError, NumericInstabilityError
+from .errors import CapExceededError, DomainError, NumericInstabilityError, check_range
 from .families import Family
 from .orthopoly import f_eval, f_ratios, f_trunc
 from .translation import build_translation_table
@@ -160,16 +160,17 @@ class AdditiveSpikedModel(_SpikedModel):
 # truncated generating-function products
 # ---------------------------------------------------------------------------
 
+def _check_bound(formula: str, work: int) -> None:
+    """Raise CapExceededError if ``work``, the value of ``formula``, exceeds ENUM_CAP."""
+    if work > ENUM_CAP:
+        raise CapExceededError(f"{formula} = {work} exceeds the work bound {ENUM_CAP}")
+
+
 def _check_work(prior: SpikePrior, N: int, D: int) -> tuple[np.ndarray, np.ndarray]:
     """The prior's atom arrays, once D >= 0 and the work bound at length N hold."""
     vecs, probs = prior.atom_arrays()
-    if D < 0:
-        raise DomainError(f"D must be >= 0, got {D}")
-    work = len(probs) ** 2 * N * (D + 1) ** 2
-    if work > ENUM_CAP:
-        raise CapExceededError(
-            f"atoms^2 * N * (D+1)^2 = {work} exceeds the work bound {ENUM_CAP}"
-        )
+    check_range("D", D, 0)
+    _check_bound("atoms^2 * N * (D+1)^2", len(probs) ** 2 * N * (D + 1) ** 2)
     return vecs, probs
 
 
@@ -221,10 +222,8 @@ def ldlr_exact(model: KinSpikedModel, D: int) -> float:
 def _f_or_trunc(D: int | None, v: float, points: int) -> Callable:
     """f(.; v) for D None, else its order-D truncation, once its evaluation
     at ``points`` distinct arguments holds the work bound; a negative D raises."""
-    if D is not None and (D + 1) * points > ENUM_CAP:
-        raise CapExceededError(
-            f"(D+1) * points = {(D + 1) * points} exceeds the work bound {ENUM_CAP}"
-        )
+    if D is not None:
+        _check_bound("(D+1) * points", (D + 1) * points)
     return (lambda t: f_eval(t, v)) if D is None else f_trunc(D, v)
 
 
@@ -332,8 +331,7 @@ def overlap_bound_mc(model: KinSpikedModel, D: int | None, samples: int,
     prior and ``samples`` of a sampler, under the work bound of
     :func:`_f_or_trunc`, checked before any draw.
     """
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
+    check_range("samples", samples, 1)
     v2, atoms = model.family.v2, model.prior.atoms
     points = samples if atoms is None else min(len(atoms) ** 2, samples)  # distinct overlaps
     f, upper = _f_or_trunc(D, v2, points), (_f_or_trunc(D, 0.0, points) if v2 < 0 else None)
@@ -428,25 +426,28 @@ def sbm_ks_scan(n: int, D: int, grid, samples: int,
     different n reuse the same underlying uniforms (common random numbers).
     A uniform of 0 draws the count 0.  The series is evaluated at the n + 1
     counts and gathered per draw, under the work bound (D+1) (n+1) <=
-    ENUM_CAP, checked before any draw.  A gap (a-b)^2 past the float range
-    raises NumericInstabilityError.
+    ENUM_CAP, and a gap (a-b)^2 past the float range raises
+    NumericInstabilityError; every check runs before any draw, so a rejected
+    call leaves rng untouched.
     """
-    if not 1 <= n <= MAX_EXACT_N or D < 0 or samples < 1:
-        raise DomainError(f"need 1 <= n <= {MAX_EXACT_N}, D >= 0, samples >= 1")
+    check_range("n", n, 1, MAX_EXACT_N)
+    check_range("samples", samples, 1)
     grid = list(grid)
-    for a, b in grid:  # every point before the first draw: a rejected call leaves rng untouched
+    for a, b in grid:  # every point before the first draw
         if not (0 < a < math.inf and 0 < b < math.inf):  # NaN fails too
             raise DomainError(f"rates must be positive and finite, got a={a}, b={b}")
-    series = _f_or_trunc(D, 0.0, n + 1)
-    cdf = _symmetric_binomial_cdf(n)
-    dot = 2.0 * np.arange(n + 1) - n  # <s1, s2> at each count 0..n
-    estimates = []
+    series = _f_or_trunc(D, 0.0, n + 1)  # f_ratios rejects a negative D
+    scales = []  # (a-b)^2 / 4(a+b): the overlap is scale * (<s1, s2>^2 - n) / n
     for a, b in grid:
-        count = np.searchsorted(cdf, rng.random(samples))
         try:
-            gap = (a - b) ** 2
+            scales.append((a - b) ** 2 / (4.0 * (a + b)))
         except OverflowError:
             raise NumericInstabilityError(f"(a - b)^2 overflows at a={a}, b={b}") from None
-        r = gap / (4.0 * (a + b)) * (dot * dot - n) / n
-        estimates.append(_mc_summary(series(r)[count]))
-    return estimates
+    cdf = _symmetric_binomial_cdf(n)
+    dot = 2.0 * np.arange(n + 1) - n  # <s1, s2> at each count 0..n
+
+    def estimate(scale: float) -> tuple[float, float]:
+        count = np.searchsorted(cdf, rng.random(samples))
+        return _mc_summary(series(scale * (dot * dot - n) / n)[count])
+
+    return [estimate(scale) for scale in scales]

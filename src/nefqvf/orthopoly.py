@@ -40,7 +40,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_range
 from .families import Family
 
 MAX_BASIS_DEGREE = 40  # documented cap for build_basis
@@ -63,8 +63,7 @@ def neg_v_order(v: float) -> int | None:
 def a_hat(k: int, v):
     """prod_{j=0}^{k-1} (1 + v j); exact if v is a Fraction, and an exact
     zero for v = -1/m and k > m, whose product passes 1 + v m = 0."""
-    if k < 0:
-        raise DomainError(f"degree k must be >= 0, got {k}")
+    check_range("degree k", k, 0)
     m = neg_v_order(float(v))
     if m is not None and k > m:
         return v - v
@@ -75,8 +74,16 @@ def a_hat(k: int, v):
 
 
 def a_const(k: int, v):
-    """k! * a_hat(k, v), the squared-norm constant."""
-    return math.factorial(k) * a_hat(k, v)
+    """k! * a_hat(k, v), the squared-norm constant, in the arithmetic of v.
+
+    Past k = 170, where k! leaves the float range, a float v gives the exact
+    product rounded once: an exact zero stays 0.0, and a constant past the
+    float range is inf (a_hat is never negative for a valid v)."""
+    value = a_hat(k, v)
+    if k <= 170 or not isinstance(value, float):
+        return math.factorial(k) * value
+    exact = math.factorial(k) * Fraction(value)
+    return float(exact) if exact < 2**1024 - 2**970 else math.inf  # the least value rounding to inf
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +136,7 @@ def f_ratios(D: int, v: float) -> list[float]:
     f(.; v) at k and k - 1, for k = 1 .. min(D, m), where v = -1/m ends the
     series at degree m.  A running product of them neither overflows in k!
     nor in a power of t."""
-    if D < 0:
-        raise DomainError(f"degree bound D must be >= 0, got {D}")
+    check_range("degree bound D", D, 0)
     m = neg_v_order(v)
     K = D if m is None else min(D, m)
     return [(1.0 + v * (k - 1)) / k for k in range(1, K + 1)]
@@ -182,8 +188,7 @@ class OrthoPolyBasis:
 def build_basis(family: Family, mu0: float, K: int) -> OrthoPolyBasis:
     """Exact monic basis up to degree K by the Morris recurrence; the norms
     are damping products, and the basis stops where the series of v2 does."""
-    if not 0 <= K <= MAX_BASIS_DEGREE:
-        raise DomainError(f"K must be in 0..{MAX_BASIS_DEGREE}, got {K}")
+    check_range("K", K, 0, MAX_BASIS_DEGREE)
     family._check_mean(mu0, "mu0")
 
     mu = Fraction(mu0)

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericInstabilityError
+from .errors import DomainError, NumericInstabilityError, check_range
 from .families import Family
 from .ldlr import MAX_EXACT_N, _mc_summary, _sign_count_mean
 from .translation import build_translation_table
@@ -89,11 +89,6 @@ def _check_lambda(lam: float) -> None:
 def _check_finite_lambda(lam: float) -> None:
     if not -math.inf < lam < math.inf:  # NaN fails too
         raise DomainError(f"need finite lambda, got {lam}")
-
-
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
 
 
 def _check_alpha(alpha: float | None) -> None:
@@ -143,8 +138,7 @@ class WigInstance:
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 1 or self.n * (self.n - 1) // 2 != entries.size:
             raise DomainError(f"need n(n-1)/2 packed entries, got shape {entries.shape}")
-        if self.n < 2:
-            raise DomainError(f"need n >= 2, got {self.n}")
+        check_range("n", self.n, 2)
 
     @property
     def n(self) -> int:
@@ -174,10 +168,7 @@ def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
     signs, so ``lam=0`` planted instances equal null instances.  A given
     alpha is checked for every noise kind, though sech noise does not use it.
     """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if n > MAX_EIG_SIZE:
-        raise DomainError(f"n={n} exceeds size cap {MAX_EIG_SIZE}")
+    check_range("n", n, 2, MAX_EIG_SIZE)
     _check_lambda(lam)  # before any draw: a rejected call leaves rng untouched
     if alpha is not None or noise_kind in ("heavy", "mixed"):
         _check_alpha(alpha)  # the mixed planted side never reaches the heavy sampler
@@ -349,8 +340,7 @@ def entrywise_ldlr_exact(n: int, lam: float, D: int) -> float:
     docstring).  Caps: n <= MAX_EXACT_N; D is any degree the translation
     table builds (0..MAX_TABLE_DEGREE), which the table build checks.
     """
-    if not 2 <= n <= MAX_EXACT_N:
-        raise DomainError(f"need 2 <= n <= {MAX_EXACT_N}, got {n}")
+    check_range("n", n, 2, MAX_EXACT_N)
     _check_finite_lambda(lam)
     table = build_translation_table(D)
     s = lam / math.sqrt(n)
@@ -379,8 +369,7 @@ def overlap_chi2_mc(c: float, n: int, samples: int,
 
     The overlap law is 2*Binomial(n, 1/2) - n.  For c >= 1 the limit
     diverges; overflowing draws propagate an inf estimate."""
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
+    check_range("samples", samples, 1)
     h = 2.0 * rng.binomial(n, 0.5, size=samples) - n
     with np.errstate(over="ignore"):
         vals = np.exp(c * h * h / (2.0 * n))
@@ -389,8 +378,7 @@ def overlap_chi2_mc(c: float, n: int, samples: int,
 
 def entrywise_coefficient(n: int, lam: float, D: int) -> float:
     """The constant c multiplying <x1,x2>^2/(2n) in the bound; even in lambda."""
-    if D < 1:
-        raise DomainError(f"need D >= 1, got {D}")
+    check_range("D", D, 1)
     _check_finite_lambda(lam)
     try:
         power = (math.e * D) ** (2.0 * abs(lam) / math.sqrt(n))
@@ -403,8 +391,7 @@ def entrywise_ldlr_mc_bound(n: int, lam: float, D: int, samples: int,
                             rng: np.random.Generator) -> tuple[float, float, float]:
     """Monte Carlo of the chi-square functional dominating the exact sum, as
     (c, estimate, stderr) with c from :func:`entrywise_coefficient`."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    check_range("n", n, 2)
     c = entrywise_coefficient(n, lam, D)  # checks D >= 1 before the regime test divides by D
     if abs(lam) >= LAMBDA_STAR + 1.0 / (20.0 * D):
         warnings.warn(
@@ -431,7 +418,7 @@ def power_curve(test_id: str, noise_kind: str, lams, n: int, trials: int,
     ``trials`` null instances, then its ``trials`` planted ones."""
     if test_id not in _TESTS:
         raise DomainError(f"unknown test {test_id!r} (expected one of {sorted(_TESTS)})")
-    _check_trials(trials)
+    check_range("trials", trials, 1)
     lams = list(lams)
     for lam in lams:  # every point before the first draw: a rejected call leaves rng untouched
         _check_lambda(lam)

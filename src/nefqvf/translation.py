@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import check_range
 from .orthopoly import TruncSeries, monic_recurrence
 
 MAX_TABLE_DEGREE = 200  # documented cap for build_translation_table
@@ -48,8 +48,7 @@ class TranslationPolyTable:
 
     def eval(self, k: int, x):
         """tau_hat_k(x); accepts scalars or arrays."""
-        if not 0 <= k <= self.max_degree:
-            raise DomainError(f"k={k} outside table range 0..{self.max_degree}")
+        check_range("k", k, 0, self.max_degree)
         return self.series[k](x)
 
 
@@ -57,8 +56,7 @@ def build_translation_table(K: int = DEFAULT_TABLE_DEGREE) -> TranslationPolyTab
     """Exact table of tau_hat_0 .. tau_hat_K from the integer recurrence
     P_{k+1} = y P_k - k (k - 1) P_{k-1} for P_k = k! tau_hat_k, which
     follows from (1 + t^2) dG/dt = y G; O(K^2) integer operations."""
-    if not 0 <= K <= MAX_TABLE_DEGREE:
-        raise DomainError(f"translation table degree must be in 0..{MAX_TABLE_DEGREE}, got {K}")
+    check_range("translation table degree", K, 0, MAX_TABLE_DEGREE)
     rows = monic_recurrence([0] * K, [k * (k - 1) for k in range(K)])  # [y^l] P_k
     facts = [math.factorial(k) for k in range(K + 1)]
     return TranslationPolyTable(

@@ -524,12 +524,29 @@ def test_sbm_scan_checks_every_rate_before_drawing():
     assert len(scan) == 2
 
 
+def test_sbm_scan_checks_every_gap_before_drawing():
+    # an overflowing (a - b)^2 at a later point raises before point 0 draws,
+    # after the domain and work-bound checks of the whole call
+    rng = np.random.default_rng(45)
+    state = rng.bit_generator.state
+    grid = [(3, 1), (1e308, 1)]
+    with pytest.raises(NumericInstabilityError, match=r"^\(a - b\)\^2 overflows at a=1e\+308, b=1$"):
+        sbm_ks_scan(50, 4, grid, 10, rng)
+    with pytest.raises(DomainError, match="degree bound D must be >= 0, got -1"):
+        sbm_ks_scan(50, -1, grid, 10, rng)
+    with pytest.raises(DomainError, match="rates must be positive"):
+        sbm_ks_scan(50, 4, grid + [(0, 1)], 10, rng)
+    with pytest.raises(CapExceededError):
+        sbm_ks_scan(50, 10**8, grid, 10, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_sbm_scan_checks_its_size_before_drawing():
     # the CDF table holds n + 1 entries: n stops at MAX_EXACT_N, as for
     # the exact sign-count sums
     rng = np.random.default_rng(44)
     state = rng.bit_generator.state
-    with pytest.raises(DomainError, match=f"need 1 <= n <= {MAX_EXACT_N}, D >= 0"):
+    with pytest.raises(DomainError, match=f"n must be in 1..{MAX_EXACT_N}, got {MAX_EXACT_N + 1}"):
         sbm_ks_scan(MAX_EXACT_N + 1, 4, [(3.0, 1.0)], 100, rng)
     assert rng.bit_generator.state == state
 

@@ -56,6 +56,22 @@ def test_a_hat_and_a_const_are_exactly_zero_past_m():
             assert a_hat(m, v) != 0, (m, v)
 
 
+def test_a_const_past_the_float_range_of_k_factorial():
+    # up to k = 170, where k! is a float, the constant is k! * a_hat as ever
+    for v in (0.0, 0.5, 1.0, -1 / 3, -1 / 49, -1 / 150):
+        for k in range(171):
+            assert repr(a_const(k, v)) == repr(math.factorial(k) * a_hat(k, v)), (v, k)
+    assert a_const(170, 0.5) == math.inf
+    # past it, a float v gets the exact product rounded once: a zero stays
+    # 0.0, a constant past the float range is inf, and one below it is finite
+    assert repr(a_const(200, -1 / 150)) == "0.0"
+    assert a_const(171, 0.5) == math.inf and a_const(250, -1 / 300) == math.inf
+    exact = math.factorial(200) * a_hat(200, Fraction(-1, 200))
+    assert a_const(200, -1 / 200) == pytest.approx(float(exact), rel=1e-12)
+    # exact arithmetic is untouched
+    assert a_const(200, Fraction(-1, 200)) == exact
+
+
 def test_a_hat_monotone_in_v():
     for k in range(21):
         vals = [a_hat(k, v) for v in V_GRID]

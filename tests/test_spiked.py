@@ -200,7 +200,7 @@ def test_wig_instance_rejects_negative_lambda():
                                      np.zeros((4, 4)), np.array([])])
 def test_wig_instance_needs_a_packed_triangle(entries):
     # the empty triangle is a one-vertex instance, which sample_wig rejects too
-    message = "need n >= 2, got 1" if entries.size == 0 else "n\\(n-1\\)/2 packed entries"
+    message = "n must be >= 2, got 1" if entries.size == 0 else "n\\(n-1\\)/2 packed entries"
     with pytest.raises(DomainError, match=message):
         WigInstance(lam=1.0, entries=entries)
 
@@ -623,7 +623,7 @@ def test_entrywise_mc_bound_warns_above_regime():
 def test_entrywise_mc_bound_rejects_degree_below_one():
     # the regime test divides by D, so D >= 1 is checked before it
     for D in (0, -1):
-        with pytest.raises(DomainError, match="D >= 1"):
+        with pytest.raises(DomainError, match=f"D must be >= 1, got {D}"):
             entrywise_ldlr_mc_bound(100, 0.5, D, 100, np.random.default_rng(0))
 
 
