@@ -1,7 +1,7 @@
 """Experiment command line: subcommand dispatch, config files, CSV reports.
 
 Subcommands, each one ``COMMANDS`` entry (a runner that builds its rows, and flags)
-    families list | check
+    families list
     orthopoly build | dump
     tau dump
     ldlr exact | mc | compare | sbm
@@ -356,31 +356,6 @@ def _run_families_list(config):
     write_report(config, ["kind", "example_tag", "v0", "v1", "v2", "mean_lo", "mean_hi"], rows)
 
 
-def _run_families_check(config):
-    rows, worst = [], 0.0
-    for fam, mu_ref in [
-        (Family.gaussian(1.3), 0.7), (Family.poisson(), 2.5),
-        (Family.gamma(2.5), 1.8), (Family.binomial(10), 3.7),
-        (Family.negbinomial(3), 1.4), (Family.sech(), 0.6),
-    ]:
-        lo = max(fam.natural_domain.lo, -1.0) + 0.1
-        hi = min(fam.natural_domain.hi, 1.0) - 0.1
-        h, err_v = 1e-4, 0.0
-        for theta in np.linspace(lo, hi, 9):
-            d2 = (fam.cumulant(theta + h) - 2 * fam.cumulant(theta) + fam.cumulant(theta - h)) / h**2
-            v = fam.variance(fam.natural_to_mean(theta))
-            err_v = max(err_v, abs(d2 - v) / abs(v))
-        err_rt = abs(fam.natural_to_mean(fam.mean_to_natural(mu_ref)) - mu_ref)
-        rows.append((fam.tag(), "cumulant_curvature_vs_variance", err_v, 1e-6,
-                     "pass" if err_v < 1e-6 else "fail"))
-        rows.append((fam.tag(), "mean_natural_round_trip", err_rt, 1e-10,
-                     "pass" if err_rt < 1e-10 else "fail"))
-        worst = max(worst, err_v / 1e-6, err_rt / 1e-10)
-    write_report(config, ["family", "check", "max_error", "tolerance", "status"], rows)
-    if worst >= 1.0:
-        raise NumericInstabilityError("families check failed; see report")
-
-
 def _run_orthopoly_build(config):
     v = config.values
     fam = parse_family(v["family"])
@@ -551,7 +526,6 @@ _ORTHOPOLY_FLAGS = [
 
 COMMANDS: dict[tuple[str, str], tuple[object, list[Flag]]] = {
     ("families", "list"): (_run_families_list, [OUT]),
-    ("families", "check"): (_run_families_check, [OUT]),
     ("orthopoly", "build"): (_run_orthopoly_build, _ORTHOPOLY_FLAGS),
     ("orthopoly", "dump"): (_run_orthopoly_dump, _ORTHOPOLY_FLAGS),
     ("tau", "dump"): (_run_tau_dump, [

@@ -1,8 +1,11 @@
 """Semantic exception hierarchy shared across the package.
 
-Each class carries the exit code with which the command line reports it,
-and :func:`check_range` is the one check of an integer bound.
+Each class carries the exit code with which the command line reports it;
+:func:`check_range` is the one check of an integer bound, and
+:func:`check_float` the one check of a float argument.
 """
+
+import math
 
 
 class NefqvfError(Exception):
@@ -12,9 +15,9 @@ class NefqvfError(Exception):
 
 
 class DomainError(NefqvfError, ValueError):
-    """An argument lies outside its documented range: a mean or natural
-    parameter outside its domain, an integer outside its bounds, or a value
-    a route does not take.  Exit code 2."""
+    """An argument lies outside its documented range: a mean outside its
+    domain, an integer or a float outside its bounds, or a value a route does
+    not take.  Exit code 2."""
 
 
 class CapExceededError(NefqvfError):
@@ -41,3 +44,14 @@ def check_range(name: str, value: int, lo: int, hi: int | None = None) -> None:
     if not lo <= value <= (value if hi is None else hi):  # NaN fails too
         rule = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise DomainError(f"{name} must be {rule}, got {value}")
+
+
+def check_float(name: str, value: float | None, lo: float = -math.inf,
+                closed: bool = False, owner: str | None = None) -> None:
+    """Raise DomainError unless value is finite and > lo (>= lo when closed);
+    NaN and None fail too.  The message reads ``need finite lambda, got nan``,
+    ``need lambda >= 0, got inf`` or, with an owner, ``heavy noise needs
+    alpha > 1, got None``."""
+    if value is None or not (lo <= value if closed else lo < value) or not value < math.inf:
+        rule = f"finite {name}" if lo == -math.inf else f"{name} {'>=' if closed else '>'} {lo}"
+        raise DomainError(f"{f'{owner} needs' if owner else 'need'} {rule}, got {value}")

@@ -14,12 +14,14 @@ negbinomial (m)       NegBinomial(m, 1/2)    mu^2/m + mu         1/m
 sech                  (1/2) sech(pi x / 2)   mu^2 + 1            1
 ====================  =====================  ==================  ==========
 
-Each row is one ``_KINDS`` record: tag parameter, ``(v0, v1, v2)``, mean and
-natural domains, cumulant ``psi``, mean map ``psi'`` and its inverse, and an
-exact sampler.  The "sech" row is the generalized hyperbolic secant family at
-shape 1 only; its draws use ``x = log(S / (1 - S)) / pi`` with
-``S ~ Beta(1/2 + theta/pi, 1/2 - theta/pi)``, which at ``theta = 0`` reduces
-to the closed-form inverse CDF ``(2/pi) * log(tan(pi*u/2))``.
+Each row is one ``_KINDS`` record: tag parameter, ``(v0, v1, v2)``, mean
+domain and an exact sampler.  Every computation reads a family through its
+mean parametrization and V(mu) alone; the natural parameter theta and the
+cumulant psi live on only as test oracles.  The "sech" row is the
+generalized hyperbolic secant family at shape 1 only; its draws use
+``x = log(S / (1 - S)) / pi`` with ``S ~ Beta(1/2 + theta/pi, 1/2 - theta/pi)``
+and ``theta = atan(mu)``, which at ``mu = 0`` reduces to the closed-form
+inverse CDF ``(2/pi) * log(tan(pi*u/2))``.
 
 All operations are pure; ``sample`` mutates only the generator passed in.
 """
@@ -34,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericInstabilityError, check_range
+from .errors import ConfigError, DomainError, NumericInstabilityError, check_float, check_range
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,15 @@ class Family:
             if p is not None:
                 raise DomainError(f"{kind} takes no parameters, got {p!r}")
             return
-        key, cast, rule = _KINDS[kind].param
+        key, cast = _KINDS[kind].param
         if p is None:
             raise DomainError(f"{kind} requires parameter {key!r}")
-        integral = isinstance(p, numbers.Integral) and not isinstance(p, bool)
-        if not ((integral and p >= 1) if cast is int else 0 < p < math.inf):  # NaN fails too
-            raise DomainError(f"{kind} needs {rule}, got {p}")
+        if cast is float:
+            check_float(key, p, 0, owner=kind)
+        elif isinstance(p, numbers.Integral) and not isinstance(p, bool):
+            check_range(f"{kind} {key}", p, 1)
+        else:
+            raise DomainError(f"{kind} needs an integer {key}, got {p!r}")
         object.__setattr__(self, "param", int(p) if cast is int else p)  # e.g. np.int64 -> int
 
     # -- constructors -------------------------------------------------
@@ -109,10 +114,6 @@ class Family:
     def mean_domain(self) -> Interval:
         return _KINDS[self.kind].mean_domain(self.param)
 
-    @property
-    def natural_domain(self) -> Interval:
-        return _KINDS[self.kind].natural_domain
-
     def variance_coeffs(self) -> tuple[float, float, float]:
         """(v0, v1, v2) of V(mu) = v0 + v1 mu + v2 mu^2, as floats."""
         v0, v1, v2 = self.variance_coeffs_exact()
@@ -129,10 +130,10 @@ class Family:
 
     # -- core operations -------------------------------------------------
 
-    def _check_mean(self, x, what: str = "mean", dom: Interval | None = None) -> None:
-        """Raise unless x, a scalar or an array, lies in ``dom`` (by default
-        the mean domain); the message names the first value outside it."""
-        dom = dom or self.mean_domain
+    def _check_mean(self, x, what: str = "mean") -> None:
+        """Raise unless x, a scalar or an array, lies in the mean domain; the
+        message names the first value outside it."""
+        dom = self.mean_domain
         x = np.asarray(x)
         inside = (dom.lo < x) & (x < dom.hi)
         if not inside.all():
@@ -153,21 +154,6 @@ class Family:
         """Standardized deviation (x - mu) / sqrt(V(mu)), elementwise with
         numpy broadcasting; each value equals the scalar formula's bit for bit."""
         return (np.asarray(x, dtype=float) - mu) / np.sqrt(self.variance(mu))
-
-    def mean_to_natural(self, mu: float) -> float:
-        """Inverse of psi': the natural parameter theta with mean mu."""
-        self._check_mean(mu)
-        return _KINDS[self.kind].mean_to_natural(self.param, mu)
-
-    def natural_to_mean(self, theta: float) -> float:
-        """psi'(theta)."""
-        self._check_mean(theta, "natural parameter", self.natural_domain)
-        return _KINDS[self.kind].natural_to_mean(self.param, theta)
-
-    def cumulant(self, theta: float) -> float:
-        """psi(theta) = log E exp(theta x) under the base measure."""
-        self._check_mean(theta, "natural parameter", self.natural_domain)
-        return _KINDS[self.kind].cumulant(self.param, theta)
 
     # -- sampling ---------------------------------------------------------
 
@@ -215,63 +201,40 @@ class _Kind:
 
     coeffs: Callable  # exact (v0, v1, v2)
     mean_domain: Callable  # -> Interval
-    natural_domain: Interval
-    mean_to_natural: Callable
-    natural_to_mean: Callable
-    cumulant: Callable
     sample: Callable  # (param, mu, rng, count) -> float draws
-    param: tuple[str, type, str] | None = None  # tag key, type and rule; None: takes none
+    param: tuple[str, type] | None = None  # tag key and type; None: takes none
 
 
 _REAL, _POSITIVE = Interval(-math.inf, math.inf), Interval(0.0, math.inf)
 _ZERO, _ONE = Fraction(0), Fraction(1)
 _KINDS = {
     "gaussian": _Kind(
-        param=("sigma2", float, "sigma2 > 0 and finite"),
+        param=("sigma2", float),
         coeffs=lambda s: (Fraction(s), _ZERO, _ZERO),
-        mean_domain=lambda s: _REAL, natural_domain=_REAL,
-        mean_to_natural=lambda s, mu: mu / s,
-        natural_to_mean=lambda s, theta: theta * s,
-        cumulant=lambda s, theta: 0.5 * theta * theta * s,
+        mean_domain=lambda s: _REAL,
         sample=lambda s, mu, rng, n: rng.normal(mu, math.sqrt(s), size=n)),
     "poisson": _Kind(
         coeffs=lambda _: (_ZERO, _ONE, _ZERO),
-        mean_domain=lambda _: _POSITIVE, natural_domain=_REAL,
-        mean_to_natural=lambda _, mu: math.log(mu),
-        natural_to_mean=lambda _, theta: math.exp(theta),
-        cumulant=lambda _, theta: math.expm1(theta),
+        mean_domain=lambda _: _POSITIVE,
         sample=lambda _, mu, rng, n: rng.poisson(mu, size=n).astype(float)),
     "gamma": _Kind(
-        param=("alpha", float, "shape alpha > 0 and finite"),
+        param=("alpha", float),
         coeffs=lambda a: (_ZERO, _ZERO, 1 / Fraction(a)),
-        mean_domain=lambda a: _POSITIVE, natural_domain=Interval(-math.inf, 1.0),
-        mean_to_natural=lambda a, mu: 1.0 - a / mu,
-        natural_to_mean=lambda a, theta: a / (1.0 - theta),
-        cumulant=lambda a, theta: -a * math.log1p(-theta),
+        mean_domain=lambda a: _POSITIVE,
         sample=lambda a, mu, rng, n: rng.gamma(a, mu / a, size=n)),
     "binomial": _Kind(
-        param=("m", int, "integer m >= 1"),
+        param=("m", int),
         coeffs=lambda m: (_ZERO, _ONE, Fraction(-1, m)),
-        mean_domain=lambda m: Interval(0.0, float(m)), natural_domain=_REAL,
-        mean_to_natural=lambda m, mu: math.log(mu / (m - mu)),
-        natural_to_mean=lambda m, theta: m / (1.0 + math.exp(-theta)),
-        # m * log((1 + e^theta)/2), stable for large |theta|
-        cumulant=lambda m, theta: m * (np.logaddexp(0.0, theta) - math.log(2.0)),
+        mean_domain=lambda m: Interval(0.0, float(m)),
         sample=lambda m, mu, rng, n: rng.binomial(m, mu / m, size=n).astype(float)),
     "negbinomial": _Kind(
-        param=("m", int, "integer m >= 1"),
+        param=("m", int),
         coeffs=lambda m: (_ZERO, _ONE, Fraction(1, m)),
-        mean_domain=lambda m: _POSITIVE, natural_domain=Interval(-math.inf, math.log(2.0)),
-        mean_to_natural=lambda m, mu: math.log(2.0 * mu / (m + mu)),
-        natural_to_mean=lambda m, theta: m * math.exp(theta) / (2.0 - math.exp(theta)),
-        cumulant=lambda m, theta: -m * math.log(2.0 - math.exp(theta)),
+        mean_domain=lambda m: _POSITIVE,
         sample=lambda m, mu, rng, n: rng.negative_binomial(m, m / (m + mu), size=n).astype(float)),
     "sech": _Kind(
         coeffs=lambda _: (_ONE, _ZERO, _ONE),
-        mean_domain=lambda _: _REAL, natural_domain=Interval(-math.pi / 2, math.pi / 2),
-        mean_to_natural=lambda _, mu: math.atan(mu),
-        natural_to_mean=lambda _, theta: math.tan(theta),
-        cumulant=lambda _, theta: -math.log(math.cos(theta)),
+        mean_domain=lambda _: _REAL,
         sample=_sample_sech),
 }
 ALL_KINDS = tuple(_KINDS)

@@ -55,7 +55,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import CapExceededError, DomainError, NumericInstabilityError, check_range
+from .errors import CapExceededError, DomainError, NumericInstabilityError, check_float, check_range
 from .families import Family
 from .orthopoly import f_eval, f_ratios, f_trunc
 from .translation import build_translation_table
@@ -434,8 +434,8 @@ def sbm_ks_scan(n: int, D: int, grid, samples: int,
     check_range("samples", samples, 1)
     grid = list(grid)
     for a, b in grid:  # every point before the first draw
-        if not (0 < a < math.inf and 0 < b < math.inf):  # NaN fails too
-            raise DomainError(f"rates must be positive and finite, got a={a}, b={b}")
+        check_float("rate a", a, 0)
+        check_float("rate b", b, 0)
     series = _f_or_trunc(D, 0.0, n + 1)  # f_ratios rejects a negative D
     scales = []  # (a-b)^2 / 4(a+b): the overlap is scale * (<s1, s2>^2 - n) / n
     for a, b in grid:

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericInstabilityError, check_range
+from .errors import DomainError, NumericInstabilityError, check_float, check_range
 from .families import Family
 from .ldlr import MAX_EXACT_N, _mc_summary, _sign_count_mean
 from .translation import build_translation_table
@@ -79,21 +79,6 @@ MAX_EIG_SIZE = 4000  # largest n an instance may have
 _SCORE_SCALE = LAMBDA_STAR**2 * (math.pi / 2.0)
 
 _SECH = Family.sech()
-
-
-def _check_lambda(lam: float) -> None:
-    if not 0 <= lam < math.inf:  # NaN and inf fail too
-        raise DomainError(f"need lambda >= 0, got {lam}")
-
-
-def _check_finite_lambda(lam: float) -> None:
-    if not -math.inf < lam < math.inf:  # NaN fails too
-        raise DomainError(f"need finite lambda, got {lam}")
-
-
-def _check_alpha(alpha: float | None) -> None:
-    if alpha is None or not 1 < alpha < math.inf:  # NaN and inf fail too
-        raise DomainError(f"heavy noise needs alpha > 1, got {alpha}")
 
 
 _BLOCK_ROWS = 64  # packed rows per transform call of the Rayleigh quotient
@@ -131,7 +116,7 @@ class WigInstance:
     branch: int | None = None  # mixed null: 1 = sech, 2 = heavy
 
     def __post_init__(self):
-        _check_lambda(self.lam)
+        check_float("lambda", self.lam, 0, closed=True)
         # a view, not a copy: an n = 2000 instance keeps a single 16 MB buffer
         entries = self.entries.view()
         entries.flags.writeable = False
@@ -169,9 +154,11 @@ def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
     alpha is checked for every noise kind, though sech noise does not use it.
     """
     check_range("n", n, 2, MAX_EIG_SIZE)
-    _check_lambda(lam)  # before any draw: a rejected call leaves rng untouched
+    # before any draw: a rejected call leaves rng untouched
+    check_float("lambda", lam, 0, closed=True)
     if alpha is not None or noise_kind in ("heavy", "mixed"):
-        _check_alpha(alpha)  # the mixed planted side never reaches the heavy sampler
+        # the mixed planted side never reaches the heavy sampler
+        check_float("alpha", alpha, 1, owner="heavy noise")
 
     branch = None
     if noise_kind == "mixed":
@@ -341,7 +328,7 @@ def entrywise_ldlr_exact(n: int, lam: float, D: int) -> float:
     table builds (0..MAX_TABLE_DEGREE), which the table build checks.
     """
     check_range("n", n, 2, MAX_EXACT_N)
-    _check_finite_lambda(lam)
+    check_float("lambda", lam)
     table = build_translation_table(D)
     s = lam / math.sqrt(n)
     try:
@@ -379,7 +366,7 @@ def overlap_chi2_mc(c: float, n: int, samples: int,
 def entrywise_coefficient(n: int, lam: float, D: int) -> float:
     """The constant c multiplying <x1,x2>^2/(2n) in the bound; even in lambda."""
     check_range("D", D, 1)
-    _check_finite_lambda(lam)
+    check_float("lambda", lam)
     try:
         power = (math.e * D) ** (2.0 * abs(lam) / math.sqrt(n))
     except OverflowError:
@@ -421,7 +408,7 @@ def power_curve(test_id: str, noise_kind: str, lams, n: int, trials: int,
     check_range("trials", trials, 1)
     lams = list(lams)
     for lam in lams:  # every point before the first draw: a rejected call leaves rng untouched
-        _check_lambda(lam)
+        check_float("lambda", lam, 0, closed=True)
     test = _TESTS[test_id]
 
     def rate(lam: float, planted: bool, wrong: str) -> float:

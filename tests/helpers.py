@@ -26,7 +26,10 @@ by convolving powers of the arctan series pins the integer recurrence, and
 gathering both z-score rows of every drawn atom pair pins the pair table.
 
 Quantities the CLI and the benchmark never compute live only here: the
-families' densities and the heavy-noise density, orthonormal polynomial
+families' densities and the heavy-noise density, each family's natural
+parametrization (the natural domain, the maps between mean and natural
+parameter, and the cumulant psi, whose psi'' = V(psi') pins each kind's
+variance coefficients), orthonormal polynomial
 values from a basis's exact coefficients, single likelihood-ratio
 components (which the enumeration oracle sums), the untruncated
 product-form norm, the exact exp-series overlap bound, the block-model
@@ -35,6 +38,8 @@ overlap, and the pointwise bound on the translation polynomials.
 """
 
 import math
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -152,6 +157,48 @@ def heavy_pdf(alpha: float, x: float) -> float:
     # the Gamma ratio in log space: math.gamma overflows past alpha ~ 343
     c = math.exp(math.lgamma(alpha / 2) - math.lgamma((alpha - 1) / 2)) / math.sqrt(math.pi)
     return c * (1.0 + x * x) ** (-alpha / 2)
+
+
+# ---------------------------------------------------------------------------
+# natural parametrization
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NaturalMaps:
+    """A family's natural parametrization: the open natural domain (lo, hi),
+    ``theta(mu)`` the inverse of psi', ``mean(theta)`` = psi'(theta), and
+    ``psi(theta)`` = log E exp(theta x) under the base measure."""
+
+    lo: float
+    hi: float
+    theta: Callable
+    mean: Callable
+    psi: Callable
+
+
+def natural_maps(family: Family) -> NaturalMaps:
+    """The closed forms of ``family``'s natural parametrization."""
+    k, p = family.kind, family.param
+    if k == "gaussian":
+        return NaturalMaps(-math.inf, math.inf, lambda mu: mu / p, lambda t: t * p,
+                           lambda t: 0.5 * t * t * p)
+    if k == "poisson":
+        return NaturalMaps(-math.inf, math.inf, math.log, math.exp, math.expm1)
+    if k == "gamma":
+        return NaturalMaps(-math.inf, 1.0, lambda mu: 1.0 - p / mu, lambda t: p / (1.0 - t),
+                           lambda t: -p * math.log1p(-t))
+    if k == "binomial":
+        # psi = m * log((1 + e^theta)/2), stable for large |theta|
+        return NaturalMaps(-math.inf, math.inf, lambda mu: math.log(mu / (p - mu)),
+                           lambda t: p / (1.0 + math.exp(-t)),
+                           lambda t: p * (np.logaddexp(0.0, t) - math.log(2.0)))
+    if k == "negbinomial":
+        return NaturalMaps(-math.inf, math.log(2.0), lambda mu: math.log(2.0 * mu / (p + mu)),
+                           lambda t: p * math.exp(t) / (2.0 - math.exp(t)),
+                           lambda t: -p * math.log(2.0 - math.exp(t)))
+    # sech: psi = -log cos(theta) on (-pi/2, pi/2)
+    return NaturalMaps(-math.pi / 2, math.pi / 2, math.atan, math.tan,
+                       lambda t: -math.log(math.cos(t)))
 
 
 def direct_l2_norm_discrete(family: Family, mu0: float, atoms) -> float:

@@ -1,6 +1,8 @@
-"""Each error rule in one place: the one integer bound check, the exit code
-each error class carries, and the exit codes the documents list."""
+"""Each error rule in one place: the one integer bound check, the one float
+argument check, the exit code each error class carries, and the exit codes
+the documents list."""
 
+import math
 import re
 from pathlib import Path
 
@@ -105,6 +107,8 @@ BOUNDS = [
      True, 0, "trials must be >= 1, got 0"),
     ("cli._run_spiked_simulate trials", _simulate, False,
      0, "trials must be >= 1, got 0"),
+    ("families.Family m", lambda x, rng: Family.binomial(x), False,
+     0, "binomial m must be >= 1, got 0"),
 ]
 
 
@@ -119,6 +123,67 @@ def test_every_integer_bound_raises_from_check_range(route, draws, value, messag
     assert info.traceback[-1].name == "check_range"
     if draws:  # rejected before the first draw
         assert rng.bit_generator.state == state
+
+
+# one row per check_float site, in the layout of BOUNDS
+FLOATS = [
+    ("spiked.WigInstance lambda", lambda x, rng: WigInstance(x, np.zeros(1)), False,
+     math.nan, "need lambda >= 0, got nan"),
+    ("spiked.sample_wig lambda", lambda x, rng: sample_wig(20, x, "sech", True, rng), True,
+     -0.5, "need lambda >= 0, got -0.5"),
+    ("spiked.sample_wig alpha",
+     lambda x, rng: sample_wig(20, 1.0, "heavy", False, rng, alpha=x), True,
+     1.0, "heavy noise needs alpha > 1, got 1.0"),
+    # a later lambda is checked before the first one draws
+    ("spiked.power_curve lambda",
+     lambda x, rng: power_curve("pca", "sech", [1.0, x], 20, 2, rng), True,
+     math.inf, "need lambda >= 0, got inf"),
+    ("spiked.entrywise_ldlr_exact lambda", lambda x, rng: entrywise_ldlr_exact(6, x, 2), False,
+     math.nan, "need finite lambda, got nan"),
+    # the Monte Carlo bound reaches entrywise_coefficient's check before its first draw
+    ("spiked.entrywise_coefficient lambda",
+     lambda x, rng: entrywise_ldlr_mc_bound(50, x, 2, 10, rng), True,
+     -math.inf, "need finite lambda, got -inf"),
+    ("ldlr.sbm_ks_scan a",
+     lambda x, rng: sbm_ks_scan(50, 4, [(3.0, 1.0), (x, 1.0)], 10, rng), True,
+     0.0, "need rate a > 0, got 0.0"),
+    ("ldlr.sbm_ks_scan b", lambda x, rng: sbm_ks_scan(50, 4, [(3.0, x)], 10, rng), True,
+     math.nan, "need rate b > 0, got nan"),
+    ("families.Family sigma2", lambda x, rng: Family.gaussian(x), False,
+     0.0, "gaussian needs sigma2 > 0, got 0.0"),
+    ("families.Family alpha", lambda x, rng: Family.gamma(x), False,
+     math.inf, "gamma needs alpha > 0, got inf"),
+]
+
+
+@pytest.mark.parametrize("route, draws, value, message", [row[1:] for row in FLOATS],
+                         ids=[f"{row[0]}={row[3]}" for row in FLOATS])
+def test_every_float_argument_raises_from_check_float(route, draws, value, message):
+    rng = np.random.default_rng(36)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError) as info:
+        route(value, rng)
+    assert str(info.value) == message
+    assert info.traceback[-1].name == "check_float"
+    if draws:  # rejected before the first draw
+        assert rng.bit_generator.state == state
+
+
+def test_check_float_admits_its_bounds():
+    errors.check_float("lambda", 0.0, 0, closed=True)
+    errors.check_float("lambda", -1e308)
+    errors.check_float("rate a", 5e-324, 0)
+    errors.check_float("alpha", 1e308, 1, owner="heavy noise")
+    for value, lo, closed, message in [
+        (0.0, 0, False, "need x > 0, got 0.0"),
+        (-5e-324, 0, True, "need x >= 0, got -5e-324"),
+        (math.nan, -math.inf, False, "need finite x, got nan"),
+        (math.nan, 0, True, "need x >= 0, got nan"),
+        (None, 1, False, "need x > 1, got None"),
+    ]:
+        with pytest.raises(DomainError) as info:
+            errors.check_float("x", value, lo, closed)
+        assert str(info.value) == message
 
 
 def test_check_range_admits_its_bounds():
