@@ -256,18 +256,14 @@ def test_argv_naming_no_command_builds_every_command(argv):
     assert len(_parser_commands(cli.build_parser())) == 12
 
 
-def _readme_usage_lines() -> list[list[str]]:
-    """The argv of each ``nefqvf ...`` line of README's ``sh`` blocks, a
-    line ending in a backslash joined with the next."""
+def test_readme_usage_names_exactly_the_commands():
+    # a removed command cannot outlive its usage line, nor a new one lack it;
+    # the usage lines are the `nefqvf ...` lines of README's sh blocks, a
+    # line ending in a backslash joined with the next
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
-    return [shlex.split(line)[1:] for line in lines if line.startswith("nefqvf ")]
-
-
-def test_readme_usage_names_exactly_the_commands():
-    # a removed command cannot outlive its usage line, nor a new one lack it
-    usage = _readme_usage_lines()
+    usage = [shlex.split(line)[1:] for line in lines if line.startswith("nefqvf ")]
     assert {cli._named_command(argv) for argv in usage} == cli.COMMANDS.keys()
     for argv in usage:
         args = cli.build_parser(argv).parse_args(argv)
