@@ -8,6 +8,9 @@ Subcommands, each one ``COMMANDS`` entry (a runner that builds its rows, and fla
     spiked simulate | power-curve | entrywise-bound
     mix test
 
+One parser holds every command; ``build_parser()`` builds it once per
+process, and every call of ``main`` parses with it.
+
 The numeric routes return only the values they compute; a runner writes
 every column that echoes an input (rates, sizes, counts, seed) from its own
 values, and derives the rest (power, standard errors of rates, the
@@ -139,39 +142,19 @@ class ExperimentConfig:
     values: dict
 
 
-def _named_command(argv) -> tuple[str, str] | None:
-    """The COMMANDS key that argv names after an optional leading
-    ``--config FILE`` or ``--config=FILE``, else None."""
-    argv = list(argv)
-    if argv[:1] == ["--config"]:
-        argv = argv[2:]
-    elif argv and argv[0].startswith("--config="):
-        argv = argv[1:]
-    command = tuple(argv[:2])
-    return command if command in COMMANDS else None
-
-
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The argument parser; with ``argv`` that names a command, only that
-    command's subparser is built, and it parses argv, help and errors
-    included, as the full tree does: its usage line lists every group.
-    With no argv, or one that names no command, every command is built, so
-    that help and errors list them all."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command, built once per process; help
+    and errors list every command, and each call parses with this tree."""
     parser = argparse.ArgumentParser(
         prog="nefqvf",
         description="likelihood-ratio norms and spiked-matrix experiments",
         allow_abbrev=False,
     )
     parser.add_argument("--config", help="INI file with per-subcommand defaults")
-    named = _named_command(argv or ())
-    # the full tree's usage line; left to argparse there, whose missing-group error names the dest
-    every_group = "{" + ",".join(dict.fromkeys(g for g, _ in COMMANDS)) + "}"
-    groups = parser.add_subparsers(dest="group", required=True,
-                                   metavar=None if named is None else every_group)
+    groups = parser.add_subparsers(dest="group", required=True)
     seen: dict[str, argparse._SubParsersAction] = {}
     for (group, action), (_, flags) in COMMANDS.items():
-        if named is not None and (group, action) != named:
-            continue
         if group not in seen:
             gp = groups.add_parser(group, allow_abbrev=False)
             seen[group] = gp.add_subparsers(dest="action", required=True)
@@ -578,11 +561,9 @@ COMMANDS: dict[tuple[str, str], tuple[object, list[Flag]]] = {
 
 def main(argv=None) -> int:
     """Run the command that argv (default ``sys.argv[1:]``) names and return
-    its exit code.  argv is parsed once, by ``build_parser(argv)``, whose
-    help and errors read as the full tree's."""
-    argv = sys.argv[1:] if argv is None else argv
+    its exit code.  argv is parsed once, by the cached ``build_parser()``."""
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return ConfigError.exit_code if exc.code not in (0, None) else 0
     try:

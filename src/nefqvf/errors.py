@@ -6,6 +6,7 @@ Each class carries the exit code with which the command line reports it;
 """
 
 import math
+import numbers
 
 
 class NefqvfError(Exception):
@@ -48,10 +49,12 @@ def check_range(name: str, value: int, lo: int, hi: int | None = None) -> None:
 
 def check_float(name: str, value: float | None, lo: float = -math.inf,
                 closed: bool = False, owner: str | None = None) -> None:
-    """Raise DomainError unless value is finite and > lo (>= lo when closed);
-    NaN and None fail too.  The message reads ``need finite lambda, got nan``,
-    ``need lambda >= 0, got inf`` or, with an owner, ``heavy noise needs
-    alpha > 1, got None``."""
-    if value is None or not (lo <= value if closed else lo < value) or not value < math.inf:
-        rule = f"finite {name}" if lo == -math.inf else f"{name} {'>=' if closed else '>'} {lo}"
+    """Raise DomainError unless value is a finite real number, not a bool,
+    and > lo (>= lo when closed); NaN, None and a string fail too.  The
+    message reads ``need finite lambda, got nan``, ``need finite lambda >= 0,
+    got inf`` or, with an owner, ``heavy noise needs finite alpha > 1, got
+    None``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (lo <= value if closed else lo < value) and value < math.inf):
+        rule = f"finite {name}" + ("" if lo == -math.inf else f" {'>=' if closed else '>'} {lo}")
         raise DomainError(f"{f'{owner} needs' if owner else 'need'} {rule}, got {value}")

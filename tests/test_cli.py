@@ -226,24 +226,26 @@ def _parse(parser, argv, capsys):
         return exc.code, captured.out, captured.err
 
 
+def _main_twice_reads_as_a_fresh_tree(argv, capsys):
+    """main parses argv, help and errors included, as a fresh uncached tree
+    does, the second time in the process as the first."""
+    want = _parse(cli.build_parser.__wrapped__(), argv, capsys)
+    for _ in range(2):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == want
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize("prefix", [[], ["--config", "f"], ["--config=f"]],
                          ids=["plain", "config", "config-equals"])
-def test_named_command_parser_parses_as_the_full_tree(prefix, capsys):
-    for (group, action), (_, flags) in cli.COMMANDS.items():
-        argv = prefix + [group, action] + [t for f in flags for t in (f"--{f.name}", "1")]
-        parser = cli.build_parser(argv)
-        assert _parser_commands(parser) == {(group, action)}
-        assert parser.parse_args(argv) == cli.build_parser().parse_args(argv)
-    # main's help and parse errors read as the full tree's
+def test_one_parser_serves_every_call(prefix, capsys):
     tails = [(command, tail) for command in cli.COMMANDS
              for tail in (["-h"], ["--bogus", "1"], ["extra"])]
     tails += [(("ldlr", "exact"), tail)
               for tail in (["--model", "m", "--bogus", "1"], ["--degree"])]
     for command, tail in tails:
-        argv = prefix + list(command) + tail
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == _parse(cli.build_parser(), argv, capsys)
+        _main_twice_reads_as_a_fresh_tree(prefix + list(command) + tail, capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -251,9 +253,10 @@ def test_named_command_parser_parses_as_the_full_tree(prefix, capsys):
     ["--config"], ["--config", "f"], ["--config=f", "tau"], ["--conf", "f", "tau", "dump"],
     ["ldlr", "--config", "f", "exact"], ["dump", "tau"], ["families", "check"],
 ])
-def test_argv_naming_no_command_builds_every_command(argv):
-    assert len(_parser_commands(cli.build_parser(argv))) == len(cli.COMMANDS) == 12
-    assert len(_parser_commands(cli.build_parser())) == 12
+def test_argv_naming_no_command_builds_every_command(argv, capsys):
+    # help and errors of an argv that names no command list every command
+    assert len(_parser_commands(cli.build_parser())) == len(cli.COMMANDS) == 12
+    _main_twice_reads_as_a_fresh_tree(argv, capsys)
 
 
 def test_readme_usage_names_exactly_the_commands():
@@ -264,10 +267,8 @@ def test_readme_usage_names_exactly_the_commands():
     blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     usage = [shlex.split(line)[1:] for line in lines if line.startswith("nefqvf ")]
-    assert {cli._named_command(argv) for argv in usage} == cli.COMMANDS.keys()
-    for argv in usage:
-        args = cli.build_parser(argv).parse_args(argv)
-        assert (args.group, args.action) == cli._named_command(argv)
+    parsed = [cli.build_parser().parse_args(argv) for argv in usage]
+    assert {(args.group, args.action) for args in parsed} == cli.COMMANDS.keys()
 
 
 def test_model_file_not_utf8_exits_config_code(tmp_path, capsys):
@@ -512,30 +513,32 @@ KIN_MEANS = "kind = kin\nnull_means = 1.0\n"
       "--lambdas", "", "--trials", "2"], "'lambdas'"),
     (["ldlr", "sbm", "--n", "20", "--a", "", "--b", "", "--samples", "10"], "'a'"),
     # NaN and inf are rejected before any draw
-    (SIMULATE + ["--lambda", "nan", "--noise", "sech"], "need lambda >= 0, got nan"),
-    (SIMULATE + ["--lambda", "inf", "--noise", "sech"], "need lambda >= 0, got inf"),
-    (SIMULATE + ["--lambda", "1", "--noise", "heavy", "--alpha", "nan"],
-     "heavy noise needs alpha > 1, got nan"),
-    (SIMULATE + ["--lambda", "1", "--noise", "heavy", "--alpha", "inf"],
-     "heavy noise needs alpha > 1, got inf"),
-    (["ldlr", "sbm", "--n", "20", "--a", "nan", "--b", "1", "--samples", "10"],
-     "need rate a > 0, got nan"),
-    (["ldlr", "sbm", "--n", "20", "--a", "inf", "--b", "1", "--samples", "10"],
-     "need rate a > 0, got inf"),
+    pytest.param(SIMULATE + ["--lambda", "nan", "--noise", "sech"],
+                 "need finite lambda >= 0, got nan", id="simulate-lambda-nan"),
+    pytest.param(SIMULATE + ["--lambda", "inf", "--noise", "sech"],
+                 "need finite lambda >= 0, got inf", id="simulate-lambda-inf"),
+    pytest.param(SIMULATE + ["--lambda", "1", "--noise", "heavy", "--alpha", "nan"],
+                 "heavy noise needs finite alpha > 1, got nan", id="heavy-alpha-nan"),
+    pytest.param(SIMULATE + ["--lambda", "1", "--noise", "heavy", "--alpha", "inf"],
+                 "heavy noise needs finite alpha > 1, got inf", id="heavy-alpha-inf"),
+    pytest.param(["ldlr", "sbm", "--n", "20", "--a", "nan", "--b", "1", "--samples", "10"],
+                 "need finite rate a > 0, got nan", id="sbm-a-nan"),
+    pytest.param(["ldlr", "sbm", "--n", "20", "--a", "inf", "--b", "1", "--samples", "10"],
+                 "need finite rate a > 0, got inf", id="sbm-a-inf"),
     (["spiked", "entrywise-bound", "--n", "50", "--lambda", "nan", "--degree", "2",
       "--samples", "30", "--exact", "true"], "need finite lambda, got nan"),
-    (["orthopoly", "build", "--family", "gamma{alpha=inf}", "--mu0", "1", "--degree", "2"],
-     "gamma needs alpha > 0, got inf"),
+    pytest.param(["orthopoly", "build", "--family", "gamma{alpha=inf}", "--mu0", "1",
+                  "--degree", "2"], "gamma needs finite alpha > 0, got inf", id="gamma-alpha-inf"),
     # a given alpha is checked for every noise kind, sech included
-    (SIMULATE + ["--lambda", "1", "--noise", "sech", "--alpha", "nan"],
-     "heavy noise needs alpha > 1, got nan"),
-    (SIMULATE + ["--lambda", "1", "--noise", "sech", "--alpha", "inf"],
-     "heavy noise needs alpha > 1, got inf"),
-    (SIMULATE + ["--lambda", "1", "--noise", "sech", "--alpha", "0.5"],
-     "heavy noise needs alpha > 1, got 0.5"),
-    (["spiked", "power-curve", "--test", "tpca", "--noise", "sech", "--n", "20",
-      "--lambdas", "1", "--trials", "2", "--alpha", "nan"],
-     "heavy noise needs alpha > 1, got nan"),
+    pytest.param(SIMULATE + ["--lambda", "1", "--noise", "sech", "--alpha", "nan"],
+                 "heavy noise needs finite alpha > 1, got nan", id="sech-alpha-nan"),
+    pytest.param(SIMULATE + ["--lambda", "1", "--noise", "sech", "--alpha", "inf"],
+                 "heavy noise needs finite alpha > 1, got inf", id="sech-alpha-inf"),
+    pytest.param(SIMULATE + ["--lambda", "1", "--noise", "sech", "--alpha", "0.5"],
+                 "heavy noise needs finite alpha > 1, got 0.5", id="sech-alpha-0.5"),
+    pytest.param(["spiked", "power-curve", "--test", "tpca", "--noise", "sech", "--n", "20",
+                  "--lambdas", "1", "--trials", "2", "--alpha", "nan"],
+                 "heavy noise needs finite alpha > 1, got nan", id="power-curve-alpha-nan"),
     # a kin or additive model has one family, and each key but atom comes once
     *[(model_argv(command, "families = poisson; gamma{alpha=2}\n" + KIN_MEANS
                   + "atom = 1.5 : 1.0\n"), "a kin model has one family, got 2")
@@ -778,7 +781,7 @@ def test_power_curve_rejects_a_negative_lambda_before_drawing(monkeypatch, capsy
     monkeypatch.setattr(spiked, "sample_wig", no_draw)
     code = main(["spiked", "power-curve", "--test", "tpca", "--noise", "sech", "--n", "2000",
                  "--lambdas", "1.2,-1", "--trials", "5"])
-    assert code == 2 and "need lambda >= 0, got -1" in capsys.readouterr().err
+    assert code == 2 and "need finite lambda >= 0, got -1" in capsys.readouterr().err
 
 
 def test_cli_and_library_share_one_test_table():
@@ -1039,7 +1042,7 @@ def test_provenance_line_parses_back_into_the_parsed_values(tmp_path, capsys):
         for pair in filter(None, params.split(",")):
             key, cell = pair.split("=", 1)
             got[key] = None if cell == "" else flags[key].convert(cell.replace(";", ","))
-        want = cli.merge_config(cli.build_parser(argv).parse_args(argv)).values
+        want = cli.merge_config(cli.build_parser().parse_args(argv)).values
         del want["out"]
         assert got == want, command
         if command == ("ldlr", "sbm"):

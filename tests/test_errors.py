@@ -128,16 +128,16 @@ def test_every_integer_bound_raises_from_check_range(route, draws, value, messag
 # one row per check_float site, in the layout of BOUNDS
 FLOATS = [
     ("spiked.WigInstance lambda", lambda x, rng: WigInstance(x, np.zeros(1)), False,
-     math.nan, "need lambda >= 0, got nan"),
+     math.nan, "need finite lambda >= 0, got nan"),
     ("spiked.sample_wig lambda", lambda x, rng: sample_wig(20, x, "sech", True, rng), True,
-     -0.5, "need lambda >= 0, got -0.5"),
+     -0.5, "need finite lambda >= 0, got -0.5"),
     ("spiked.sample_wig alpha",
      lambda x, rng: sample_wig(20, 1.0, "heavy", False, rng, alpha=x), True,
-     1.0, "heavy noise needs alpha > 1, got 1.0"),
+     1.0, "heavy noise needs finite alpha > 1, got 1.0"),
     # a later lambda is checked before the first one draws
     ("spiked.power_curve lambda",
      lambda x, rng: power_curve("pca", "sech", [1.0, x], 20, 2, rng), True,
-     math.inf, "need lambda >= 0, got inf"),
+     math.inf, "need finite lambda >= 0, got inf"),
     ("spiked.entrywise_ldlr_exact lambda", lambda x, rng: entrywise_ldlr_exact(6, x, 2), False,
      math.nan, "need finite lambda, got nan"),
     # the Monte Carlo bound reaches entrywise_coefficient's check before its first draw
@@ -146,13 +146,20 @@ FLOATS = [
      -math.inf, "need finite lambda, got -inf"),
     ("ldlr.sbm_ks_scan a",
      lambda x, rng: sbm_ks_scan(50, 4, [(3.0, 1.0), (x, 1.0)], 10, rng), True,
-     0.0, "need rate a > 0, got 0.0"),
+     0.0, "need finite rate a > 0, got 0.0"),
     ("ldlr.sbm_ks_scan b", lambda x, rng: sbm_ks_scan(50, 4, [(3.0, x)], 10, rng), True,
-     math.nan, "need rate b > 0, got nan"),
+     math.nan, "need finite rate b > 0, got nan"),
     ("families.Family sigma2", lambda x, rng: Family.gaussian(x), False,
-     0.0, "gaussian needs sigma2 > 0, got 0.0"),
+     0.0, "gaussian needs finite sigma2 > 0, got 0.0"),
     ("families.Family alpha", lambda x, rng: Family.gamma(x), False,
-     math.inf, "gamma needs alpha > 0, got inf"),
+     math.inf, "gamma needs finite alpha > 0, got inf"),
+    # a float parameter is a real number: not a string, a complex or a bool
+    ("families.Family alpha", lambda x, rng: Family("gamma", x), False,
+     "2", "gamma needs finite alpha > 0, got 2"),
+    ("families.Family sigma2", lambda x, rng: Family("gaussian", x), False,
+     1 + 2j, "gaussian needs finite sigma2 > 0, got (1+2j)"),
+    ("families.Family alpha", lambda x, rng: Family("gamma", x), False,
+     True, "gamma needs finite alpha > 0, got True"),
 ]
 
 
@@ -174,12 +181,14 @@ def test_check_float_admits_its_bounds():
     errors.check_float("lambda", -1e308)
     errors.check_float("rate a", 5e-324, 0)
     errors.check_float("alpha", 1e308, 1, owner="heavy noise")
+    errors.check_float("alpha", np.float64(2.5), 1)
+    errors.check_float("alpha", np.int64(2), 1)
     for value, lo, closed, message in [
-        (0.0, 0, False, "need x > 0, got 0.0"),
-        (-5e-324, 0, True, "need x >= 0, got -5e-324"),
+        (0.0, 0, False, "need finite x > 0, got 0.0"),
+        (-5e-324, 0, True, "need finite x >= 0, got -5e-324"),
         (math.nan, -math.inf, False, "need finite x, got nan"),
-        (math.nan, 0, True, "need x >= 0, got nan"),
-        (None, 1, False, "need x > 1, got None"),
+        (math.nan, 0, True, "need finite x >= 0, got nan"),
+        (None, 1, False, "need finite x > 1, got None"),
     ]:
         with pytest.raises(DomainError) as info:
             errors.check_float("x", value, lo, closed)

@@ -213,14 +213,14 @@ def test_family_construction_is_checked():
     # or bool m, an extra parameter and a missing one: no invalid family is
     # ever built
     for args, msg in [(("Gamma", 2.0), "unknown family 'Gamma'"),
-                      (("gamma", -1.0), "gamma needs alpha > 0, got -1.0"),
+                      (("gamma", -1.0), "gamma needs finite alpha > 0, got -1.0"),
                       (("binomial", 2.5), "binomial needs an integer m, got 2.5"),
                       (("binomial", 0), "binomial m must be >= 1, got 0"),
                       (("poisson", 3), "poisson takes no parameters"),
                       (("gaussian",), "gaussian requires parameter 'sigma2'"),
-                      (("gaussian", math.nan), "gaussian needs sigma2 > 0, got nan"),
-                      (("gaussian", math.inf), "gaussian needs sigma2 > 0, got inf"),
-                      (("gamma", math.inf), "gamma needs alpha > 0, got inf"),
+                      (("gaussian", math.nan), "gaussian needs finite sigma2 > 0, got nan"),
+                      (("gaussian", math.inf), "gaussian needs finite sigma2 > 0, got inf"),
+                      (("gamma", math.inf), "gamma needs finite alpha > 0, got inf"),
                       (("binomial", True), "binomial needs an integer m, got True")]:
         with pytest.raises(DomainError, match=msg):
             Family(*args)

@@ -516,7 +516,7 @@ def test_sbm_scan_rows_and_determinism():
 def test_sbm_scan_checks_every_rate_before_drawing():
     rng = np.random.default_rng(43)
     state = rng.bit_generator.state
-    with pytest.raises(DomainError, match="^need rate a > 0, got 0$"):
+    with pytest.raises(DomainError, match="^need finite rate a > 0, got 0$"):
         sbm_ks_scan(50, 4, iter([(3.0, 1.0), (0, 1)]), 100, rng)
     assert rng.bit_generator.state == state
     # a generator grid is read once and still scans every point
@@ -534,7 +534,7 @@ def test_sbm_scan_checks_every_gap_before_drawing():
         sbm_ks_scan(50, 4, grid, 10, rng)
     with pytest.raises(DomainError, match="degree bound D must be >= 0, got -1"):
         sbm_ks_scan(50, -1, grid, 10, rng)
-    with pytest.raises(DomainError, match="^need rate a > 0, got 0$"):
+    with pytest.raises(DomainError, match="^need finite rate a > 0, got 0$"):
         sbm_ks_scan(50, 4, grid + [(0, 1)], 10, rng)
     with pytest.raises(CapExceededError):
         sbm_ks_scan(50, 10**8, grid, 10, rng)

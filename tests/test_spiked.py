@@ -192,7 +192,7 @@ def test_pca_threshold_values():
 
 
 def test_wig_instance_rejects_negative_lambda():
-    with pytest.raises(DomainError, match="need lambda >= 0, got -1.0"):
+    with pytest.raises(DomainError, match="need finite lambda >= 0, got -1.0"):
         WigInstance(lam=-1.0, entries=np.zeros(6))
 
 
@@ -208,7 +208,7 @@ def test_wig_instance_needs_a_packed_triangle(entries):
 @pytest.mark.parametrize("noise", ["sech", "heavy", "mixed"])
 def test_sample_wig_rejects_negative_lambda_before_any_draw(noise):
     rng = np.random.default_rng(9)
-    with pytest.raises(DomainError, match="need lambda >= 0, got -1.0"):
+    with pytest.raises(DomainError, match="need finite lambda >= 0, got -1.0"):
         sample_wig(50, -1.0, noise, True, rng, alpha=3.0)
     assert rng.random() == np.random.default_rng(9).random()
 
@@ -218,7 +218,7 @@ def test_heavy_alpha_rule_has_one_message():
     for call in (lambda: sample_wig(10, 1.0, "heavy", False, rng, alpha=None),
                  lambda: sample_wig(10, 1.0, "heavy", False, rng, alpha=0.5),
                  lambda: sample_wig(10, 1.0, "mixed", True, rng)):
-        with pytest.raises(DomainError, match=r"^heavy noise needs alpha > 1, got "):
+        with pytest.raises(DomainError, match=r"^heavy noise needs finite alpha > 1, got "):
             call()
 
 
@@ -642,7 +642,7 @@ def test_power_curve_rows():
 def test_power_curve_checks_every_lambda_before_drawing():
     rng = np.random.default_rng(16)
     state = rng.bit_generator.state
-    with pytest.raises(DomainError, match="need lambda >= 0, got -1"):
+    with pytest.raises(DomainError, match="need finite lambda >= 0, got -1"):
         power_curve("pca", "sech", iter([1.2, -1.0]), 60, 3, rng)
     assert rng.bit_generator.state == state
     # a generator of lambdas is read once and still runs every point

@@ -1,5 +1,6 @@
 """The shipped surface: every name ``src/`` defines is used by the program,
-and every module in ``src/`` and ``tests/`` reads each name it imports.
+every helper ``tests/`` defines is read by the tests, and every module in
+``src/`` and ``tests/`` reads each name it imports.
 
 Code that only the tests call belongs in ``tests/helpers.py`` beside the
 other oracles, so ``src/`` holds what the CLI and the benchmark run.
@@ -57,6 +58,18 @@ def test_every_definition_in_src_has_a_use_in_the_program():
                     owner = f"{scope.name}." if member else ""
                     unused.append(f"{path.stem}.{owner}{node.name}")
     assert not unused, f"defined in src/ but used only by tests: {sorted(unused)}"
+
+
+def test_every_helper_in_tests_is_read():
+    # a fixture is read where a test or another fixture names it as an argument
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in TESTS}
+    uses = sum((_uses(tree) for tree in trees.values()), Counter())
+    uses.update(node.arg for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.arg))
+    unread = [f"{path.stem}.{node.name}" for path, tree in trees.items() for node in tree.body
+              if isinstance(node, _DEFS) and not node.name.startswith("test_")
+              and uses[node.name] - _uses(node)[node.name] < 1]
+    assert not unread, f"defined in tests/ but read by no test: {sorted(unread)}"
 
 
 # perfbench/tracing.py patches cli.mixed_test by this name, so cli imports it
