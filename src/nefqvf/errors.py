@@ -50,8 +50,8 @@ def check_range(name: str, value: int, lo: int, hi: int | None = None) -> None:
 def check_float(name: str, value: float | None, lo: float = -math.inf,
                 closed: bool = False, owner: str | None = None) -> None:
     """Raise DomainError unless value is a finite real number, not a bool,
-    and > lo (>= lo when closed); NaN, None and a string fail too.  The
-    message reads ``need finite lambda, got nan``, ``need finite lambda >= 0,
+    and > lo (>= lo when closed); NaN, None, a string and a complex fail
+    too.  The message reads ``need finite lambda, got nan``, ``need finite lambda >= 0,
     got inf`` or, with an owner, ``heavy noise needs finite alpha > 1, got
     None``."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
