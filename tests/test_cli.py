@@ -234,7 +234,6 @@ def _main_twice_reads_as_a_fresh_tree(argv, capsys):
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == want
-    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("prefix", [[], ["--config", "f"], ["--config=f"]],
@@ -246,6 +245,7 @@ def test_one_parser_serves_every_call(prefix, capsys):
               for tail in (["--model", "m", "--bogus", "1"], ["--degree"])]
     for command, tail in tails:
         _main_twice_reads_as_a_fresh_tree(prefix + list(command) + tail, capsys)
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("argv", [
