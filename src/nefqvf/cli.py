@@ -68,6 +68,7 @@ from .ldlr import (
 )
 from .orthopoly import a_const, build_basis
 from .spiked import (
+    NOISE_KINDS,
     _TESTS as _TEST_FNS,
     entrywise_ldlr_exact,
     entrywise_ldlr_mc_bound,
@@ -127,7 +128,7 @@ COMMON = [OUT, Flag("seed", _seed, "random seed, >= 0", default=0)]
 N = Flag("n", int, "matrix size", required=True)
 SAMPLES = Flag("samples", int, "Monte Carlo sample count", required=True)
 LAMBDA = Flag("lambda", float, "signal strength", required=True)
-NOISE = Flag("noise", str, "sech | heavy | mixed", required=True)
+NOISE = Flag("noise", str, " | ".join(NOISE_KINDS), required=True)
 MODEL = Flag("model", str, "model file path", required=True)
 DEGREE = Flag("degree", int, "degree bound D", required=True)
 ALPHA = Flag("alpha", float, "heavy-tail exponent")

@@ -53,8 +53,9 @@ def check_float(name: str, value: float | None, lo: float = -math.inf,
     and > lo (>= lo when closed); NaN, None, a string and a complex fail
     too.  The message reads ``need finite lambda, got nan``, ``need finite lambda >= 0,
     got inf`` or, with an owner, ``heavy noise needs finite alpha > 1, got
-    None``."""
+    None``; a string value is quoted (``got '2'``)."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if not (real and (lo <= value if closed else lo < value) and value < math.inf):
         rule = f"finite {name}" + ("" if lo == -math.inf else f" {'>=' if closed else '>'} {lo}")
-        raise DomainError(f"{f'{owner} needs' if owner else 'need'} {rule}, got {value}")
+        got = repr(value) if isinstance(value, str) else value
+        raise DomainError(f"{f'{owner} needs' if owner else 'need'} {rule}, got {got}")

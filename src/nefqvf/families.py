@@ -14,14 +14,13 @@ negbinomial (m)       NegBinomial(m, 1/2)    mu^2/m + mu         1/m
 sech                  (1/2) sech(pi x / 2)   mu^2 + 1            1
 ====================  =====================  ==================  ==========
 
-Each row is one ``_KINDS`` record: tag parameter, ``(v0, v1, v2)``, mean
-domain and an exact sampler.  Every computation reads a family through its
-mean parametrization and V(mu) alone; the natural parameter theta and the
-cumulant psi live on only as test oracles.  The "sech" row is the
-generalized hyperbolic secant family at shape 1 only; its draws use
-``x = log(S / (1 - S)) / pi`` with ``S ~ Beta(1/2 + theta/pi, 1/2 - theta/pi)``
-and ``theta = atan(mu)``, which at ``mu = 0`` reduces to the closed-form
-inverse CDF ``(2/pi) * log(tan(pi*u/2))``.
+Each row is one ``_KINDS`` record: tag parameter, ``(v0, v1, v2)`` and
+mean domain.  Every computation reads a family through its mean
+parametrization and V(mu) alone; the natural parameter theta, the cumulant
+psi and the exact samplers of the members live on only as test oracles.
+The "sech" row is the generalized hyperbolic secant family at shape 1 only.
+The one member the program draws is its mean-zero one, the spiked matrix
+model's noise, by the closed-form inverse CDF ``(2/pi) * log(tan(pi*u/2))``.
 
 All operations are pure; ``sample`` mutates only the generator passed in.
 """
@@ -158,10 +157,20 @@ class Family:
     # -- sampling ---------------------------------------------------------
 
     def sample(self, mu: float, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` i.i.d. draws from the member with mean mu."""
-        self._check_mean(mu)
+        """``count`` i.i.d. draws from the mean-zero sech member, the one
+        member the program draws; any other kind or mean raises DomainError
+        before any draw."""
+        if self.kind != "sech" or mu != 0.0:
+            raise DomainError(f"only sech at mean 0 is sampled, got {self.tag()} at {mu}")
         check_range("count", count, 0)
-        return _KINDS[self.kind].sample(self.param, mu, rng, count)
+        u = rng.random(count)
+        while not u.all():  # u = 0 maps to -inf: redraw just those entries
+            u[u == 0.0] = rng.random(count - np.count_nonzero(u))
+        # (2/pi) log tan(pi u / 2), computed in place in the draw buffer
+        u *= math.pi / 2.0
+        np.log(np.tan(u, out=u), out=u)
+        u *= 2.0 / math.pi
+        return u
 
     # -- serialization ------------------------------------------------------
 
@@ -171,37 +180,12 @@ class Family:
         return self.kind if spec is None else f"{self.kind}{{{spec[0]}={_fmt(self.param)}}}"
 
 
-def _sample_sech(_, mu: float, rng: np.random.Generator, count: int) -> np.ndarray:
-    if mu == 0.0:
-        u = rng.random(count)
-        while not u.all():  # u = 0 maps to -inf: redraw just those entries
-            zero = u == 0.0
-            u[zero] = rng.random(int(zero.sum()))
-        # (2/pi) log tan(pi u / 2), computed in place in the draw buffer
-        u *= math.pi
-        u /= 2.0
-        np.tan(u, out=u)
-        np.log(u, out=u)
-        u *= 2.0 / math.pi
-        return u
-    # logit(S)/pi with S ~ Beta(1/2 + theta/pi, 1/2 - theta/pi); drawing
-    # the logit as a log-ratio of Gammas keeps the extreme tails finite
-    theta = math.atan(mu)
-    ga = rng.gamma(0.5 + theta / math.pi, size=count)
-    gb = rng.gamma(0.5 - theta / math.pi, size=count)
-    np.log(ga, out=ga)
-    ga -= np.log(gb, out=gb)
-    ga /= math.pi
-    return ga
-
-
 @dataclass(frozen=True, kw_only=True)
 class _Kind:
     """The facts of one family kind; each function takes ``Family.param`` first."""
 
     coeffs: Callable  # exact (v0, v1, v2)
     mean_domain: Callable  # -> Interval
-    sample: Callable  # (param, mu, rng, count) -> float draws
     param: tuple[str, type] | None = None  # tag key and type; None: takes none
 
 
@@ -211,31 +195,25 @@ _KINDS = {
     "gaussian": _Kind(
         param=("sigma2", float),
         coeffs=lambda s: (Fraction(s), _ZERO, _ZERO),
-        mean_domain=lambda s: _REAL,
-        sample=lambda s, mu, rng, n: rng.normal(mu, math.sqrt(s), size=n)),
+        mean_domain=lambda s: _REAL),
     "poisson": _Kind(
         coeffs=lambda _: (_ZERO, _ONE, _ZERO),
-        mean_domain=lambda _: _POSITIVE,
-        sample=lambda _, mu, rng, n: rng.poisson(mu, size=n).astype(float)),
+        mean_domain=lambda _: _POSITIVE),
     "gamma": _Kind(
         param=("alpha", float),
         coeffs=lambda a: (_ZERO, _ZERO, 1 / Fraction(a)),
-        mean_domain=lambda a: _POSITIVE,
-        sample=lambda a, mu, rng, n: rng.gamma(a, mu / a, size=n)),
+        mean_domain=lambda a: _POSITIVE),
     "binomial": _Kind(
         param=("m", int),
         coeffs=lambda m: (_ZERO, _ONE, Fraction(-1, m)),
-        mean_domain=lambda m: Interval(0.0, float(m)),
-        sample=lambda m, mu, rng, n: rng.binomial(m, mu / m, size=n).astype(float)),
+        mean_domain=lambda m: Interval(0.0, float(m))),
     "negbinomial": _Kind(
         param=("m", int),
         coeffs=lambda m: (_ZERO, _ONE, Fraction(1, m)),
-        mean_domain=lambda m: _POSITIVE,
-        sample=lambda m, mu, rng, n: rng.negative_binomial(m, m / (m + mu), size=n).astype(float)),
+        mean_domain=lambda m: _POSITIVE),
     "sech": _Kind(
         coeffs=lambda _: (_ONE, _ZERO, _ONE),
-        mean_domain=lambda _: _REAL,
-        sample=_sample_sech),
+        mean_domain=lambda _: _REAL),
 }
 ALL_KINDS = tuple(_KINDS)
 

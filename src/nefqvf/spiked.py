@@ -76,6 +76,7 @@ from .translation import build_translation_table
 
 LAMBDA_STAR = 2.0 * math.sqrt(2.0) / math.pi
 MAX_EIG_SIZE = 4000  # largest n an instance may have
+NOISE_KINDS = ("sech", "heavy", "mixed")
 _SCORE_SCALE = LAMBDA_STAR**2 * (math.pi / 2.0)
 
 _SECH = Family.sech()
@@ -134,10 +135,16 @@ class WigInstance:
         triangle holds transform(Y) (Y itself for None); its diagonal and
         upper triangle are zero.  Column j is packed row j, transformed in
         float64 and cast on the store, so no packed-size or n x n temporary
-        is made."""
+        is made.  An entry of Y past the float32 range overflows its store
+        and raises NumericInstabilityError; a transform's own overflow (the
+        score transform's tanh saturates) warns nothing."""
         M = np.zeros((self.n, self.n), dtype=np.float32, order="F")
-        for j, row in _rows(self.entries, self.n):
-            M[j + 1:, j] = row if transform is None else transform(row)
+        try:
+            with np.errstate(over="raise" if transform is None else "ignore"):
+                for j, row in _rows(self.entries, self.n):
+                    M[j + 1:, j] = row if transform is None else transform(row)
+        except FloatingPointError:
+            raise NumericInstabilityError(f"matrix has a non-finite entry at n={self.n}") from None
         return M
 
     def max_abs_entry(self) -> float:
@@ -159,23 +166,19 @@ def sample_wig(n: int, lam: float, noise_kind: str, planted: bool,
     if alpha is not None or noise_kind in ("heavy", "mixed"):
         # the mixed planted side never reaches the heavy sampler
         check_float("alpha", alpha, 1, owner="heavy noise")
+    if noise_kind not in NOISE_KINDS:
+        raise DomainError(f"unknown noise kind {noise_kind!r} "
+                          f"(expected one of {sorted(NOISE_KINDS)})")
 
-    branch = None
-    if noise_kind == "mixed":
-        branch = 1 if planted else int(rng.integers(1, 3))
-        entry_kind = "sech" if branch == 1 else "heavy"
-    else:
-        entry_kind = noise_kind
+    branch = (1 if planted else int(rng.integers(1, 3))) if noise_kind == "mixed" else None
     size = n * (n - 1) // 2
-    if entry_kind == "sech":
+    if noise_kind == "sech" or branch == 1:
         entries = _SECH.sample(0.0, rng, size)
-    elif entry_kind == "heavy":
+    else:  # heavy noise, or the mixed null's heavy branch
         # (1 + x^2)^(-alpha/2) is Student t with alpha-1 dof, scaled
         df = alpha - 1.0
         entries = rng.standard_t(df, size=size)
         entries /= math.sqrt(df)
-    else:
-        raise DomainError(f"unknown noise kind {noise_kind!r}")
     spike = None
     if planted:
         spike = rng.choice([-1.0, 1.0], size=n)
@@ -255,8 +258,9 @@ def top_eigenvalue(inst: WigInstance, transform=None) -> float:
             raise NumericInstabilityError(f"eigen-solver failed: {err}") from err
     del M  # freed before the quotient transforms its blocks
     half = 0.0  # v.Tv / 2, over the strictly upper triangle
-    for i, row in _rows(inst.entries, n, transform):
-        half += v[i] * (row @ v[i + 1:])
+    with np.errstate(over="ignore"):  # a transform's overflow; a non-finite value raises below
+        for i, row in _rows(inst.entries, n, transform):
+            half += v[i] * (row @ v[i + 1:])
     value = float(2.0 * half / (v @ v))
     if not math.isfinite(value):
         raise NumericInstabilityError(f"top eigenvalue is {value} at n={n}")

@@ -29,8 +29,10 @@ Quantities the CLI and the benchmark never compute live only here: the
 families' densities and the heavy-noise density, each family's natural
 parametrization (the natural domain, the maps between mean and natural
 parameter, and the cumulant psi, whose psi'' = V(psi') pins each kind's
-variance coefficients), orthonormal polynomial
-values from a basis's exact coefficients, single likelihood-ratio
+variance coefficients), an exact sampler of every member, whose draws
+have the mean and V(mu) each family states (the program draws only the
+mean-zero sech noise), orthonormal polynomial values from a basis's
+exact coefficients, single likelihood-ratio
 components (which the enumeration oracle sums), the untruncated
 product-form norm, the exact exp-series overlap bound, the block-model
 overlap of two labelings, the exact chi-square functional of the sign
@@ -199,6 +201,29 @@ def natural_maps(family: Family) -> NaturalMaps:
     # sech: psi = -log cos(theta) on (-pi/2, pi/2)
     return NaturalMaps(-math.pi / 2, math.pi / 2, math.atan, math.tan,
                        lambda t: -math.log(math.cos(t)))
+
+
+def sample_member(family: Family, mu: float, rng, count: int) -> np.ndarray:
+    """``count`` exact draws from ``family``'s member with mean mu, as floats.
+
+    sech at any mean: logit(S)/pi with S ~ Beta(1/2 + theta/pi, 1/2 - theta/pi)
+    and theta = atan(mu), the logit drawn as a log-ratio of Gammas so the
+    extreme tails stay finite."""
+    k, p = family.kind, family.param
+    if k == "gaussian":
+        return rng.normal(mu, math.sqrt(p), size=count)
+    if k == "poisson":
+        return rng.poisson(mu, size=count).astype(float)
+    if k == "gamma":
+        return rng.gamma(p, mu / p, size=count)
+    if k == "binomial":
+        return rng.binomial(p, mu / p, size=count).astype(float)
+    if k == "negbinomial":
+        return rng.negative_binomial(p, p / (p + mu), size=count).astype(float)
+    theta = math.atan(mu)
+    ga = rng.gamma(0.5 + theta / math.pi, size=count)
+    gb = rng.gamma(0.5 - theta / math.pi, size=count)
+    return (np.log(ga) - np.log(gb)) / math.pi
 
 
 def direct_l2_norm_discrete(family: Family, mu0: float, atoms) -> float:

@@ -372,7 +372,7 @@ def test_entrywise_exact_sum_past_the_float_range_prints_inf(capsys):
     assert code == 0 and body(out)[1][1] == "exact,1000,300.0,2,,inf,,,0"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("alpha", ["1.1", "1.01"])
 def test_a_non_finite_statistic_exits_numeric_code(alpha, capsys):
     # t draws with alpha - 1 = 0.1 degrees of freedom pass the float32
@@ -386,6 +386,33 @@ def test_a_non_finite_statistic_exits_numeric_code(alpha, capsys):
     assert captured.err.startswith("error: matrix has a non-finite entry at n=60")
     code, out = run_cli(argv + ["tpca"], capsys)
     assert code == 0 and len(body(out)[1]) == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_entry_past_the_float_range_warns_nothing(monkeypatch, capsys):
+    # lambda/sqrt(2) ~ 1.2e308 overflows pca's float32 store, which raises
+    # before any solve; in tpca it overflows only the score transform's
+    # pi/2 product, whose tanh saturates at 1, so T = +-c off the diagonal
+    # and the statistic is c/sqrt(2), c the score scale
+    argv = ["spiked", "simulate", "--n", "2", "--lambda", "1.7e308", "--noise", "sech",
+            "--planted", "true", "--seed", "0", "--test"]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigen-solve of a matrix past the float32 range")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spiked, "eigsh", no_solve)
+        code = main(argv + ["pca"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "error: matrix has a non-finite entry at n=2\n"
+    code = main(argv + ["tpca"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    (row,) = body(captured.out)[1]
+    cells = row.split(",")
+    assert float(cells[8]) == pytest.approx(spiked._SCORE_SCALE / math.sqrt(2), rel=1e-12)
+    assert cells[:8] + cells[9:] == "0,2,1.7e+308,sech,,true,,tpca,8.5e+307,q,0".split(",")
 
 
 @pytest.mark.filterwarnings("error")
@@ -591,6 +618,14 @@ KIN_MEANS = "kind = kin\nnull_means = 1.0\n"
           ("gamma{m=2}", "family: unexpected parameter(s) ['m'] for gamma"),
           ("sech{m=2}", "family: unexpected parameter(s) ['m'] for sech"),
           ("gamma", "gamma requires parameter 'alpha'")]],
+    # the noise kinds are named as the tests are
+    pytest.param(SIMULATE + ["--lambda", "1", "--noise", "foo"],
+                 "unknown noise kind 'foo' (expected one of ['heavy', 'mixed', 'sech'])",
+                 id="simulate-noise-foo"),
+    pytest.param(["spiked", "power-curve", "--test", "pca", "--noise", "foo", "--n", "20",
+                  "--lambdas", "1", "--trials", "2"],
+                 "unknown noise kind 'foo' (expected one of ['heavy', 'mixed', 'sech'])",
+                 id="power-curve-noise-foo"),
 ])
 def test_bad_input_exits_config_code(argv, message, tmp_path, capsys):
     for i, arg in enumerate(argv):

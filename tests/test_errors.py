@@ -155,7 +155,7 @@ FLOATS = [
      math.inf, "gamma needs finite alpha > 0, got inf"),
     # a float parameter is a real number: not a string, a complex or a bool
     ("families.Family alpha", lambda x, rng: Family("gamma", x), False,
-     "2", "gamma needs finite alpha > 0, got 2"),
+     "2", "gamma needs finite alpha > 0, got '2'"),
     ("families.Family sigma2", lambda x, rng: Family("gaussian", x), False,
      1 + 2j, "gaussian needs finite sigma2 > 0, got (1+2j)"),
     ("families.Family alpha", lambda x, rng: Family("gamma", x), False,
@@ -189,6 +189,11 @@ def test_check_float_admits_its_bounds():
         (math.nan, -math.inf, False, "need finite x, got nan"),
         (math.nan, 0, True, "need finite x >= 0, got nan"),
         (None, 1, False, "need finite x > 1, got None"),
+        (math.inf, 0, False, "need finite x > 0, got inf"),
+        (0, 0, False, "need finite x > 0, got 0"),
+        # a string is quoted, so it does not read as the number it spells
+        ("2", 0, False, "need finite x > 0, got '2'"),
+        ("", 0, False, "need finite x > 0, got ''"),
     ]:
         with pytest.raises(DomainError) as info:
             errors.check_float("x", value, lo, closed)

@@ -1,4 +1,5 @@
-"""Families: closed forms, identities, and sampler moments."""
+"""Families: closed forms, identities, the oracle samplers' moments and the
+program's one sampler."""
 
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import DISCRETE_KINDS, natural_maps, pdf
+from helpers import DISCRETE_KINDS, natural_maps, pdf, sample_member
 from nefqvf.errors import ConfigError, DomainError
 from nefqvf.families import Family, parse_family
 
@@ -133,6 +134,7 @@ def test_mean_natural_round_trip(fam):
 
 @pytest.mark.parametrize("fam", ALL, ids=lambda f: f.kind)
 def test_sampler_moments(fam):
+    # the exact laws of the oracle draws have the mean and V(mu) stated
     rng = np.random.default_rng(12345)
     n = 1_000_000
     dom = fam.mean_domain
@@ -140,7 +142,7 @@ def test_sampler_moments(fam):
     if not math.isfinite(dom.hi) and not math.isfinite(dom.lo):
         mus.append(-0.9)
     for mu in mus:
-        draws = fam.sample(mu, rng, n)
+        draws = sample_member(fam, mu, rng, n)
         v = fam.variance(mu)
         se_mean = math.sqrt(v / n)
         assert abs(draws.mean() - mu) < 4 * se_mean, (fam.kind, mu)
@@ -178,9 +180,23 @@ def test_sech_sampler_redraws_exact_zero_uniforms():
 
 def test_sample_count_zero_and_negative():
     rng = np.random.default_rng(0)
-    assert Family.poisson().sample(2.0, rng, 0).size == 0
+    assert Family.sech().sample(0.0, rng, 0).size == 0
     with pytest.raises(DomainError):
-        Family.poisson().sample(2.0, rng, -1)
+        Family.sech().sample(0.0, rng, -1)
+
+
+@pytest.mark.parametrize("fam, mu", [
+    *[(fam, REF_MEANS[fam.kind]) for fam in ALL[:-1]], (Family.gaussian(1.3), 0.0),
+    (Family.sech(), 0.5)],
+    ids=lambda x: getattr(x, "kind", str(x)))
+def test_sample_draws_only_the_mean_zero_sech_member(fam, mu):
+    # the program draws only the spiked model's noise; the other members'
+    # laws live in helpers.sample_member
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match=rf"only sech at mean 0 is sampled, got .* at {mu}$"):
+        fam.sample(mu, rng, 10)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("fam", ALL, ids=lambda f: f.kind)
