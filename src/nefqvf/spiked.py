@@ -63,6 +63,7 @@ sum, and returns the explicit coefficient c beside the estimate.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -207,7 +208,22 @@ def _scipy_solver():
     """scipy's BLAS and sparse eigen-solver modules, imported on the first call.
 
     scipy is most of the package's import time and the norm computations
-    never solve an eigenproblem, so nothing imports it earlier."""
+    never solve an eigenproblem, so nothing imports it earlier.
+
+    Unless the caller has set ``OPENBLAS_THREAD_TIMEOUT`` or its alias
+    ``GOTO_THREAD_TIMEOUT``, the first call sets ``OPENBLAS_THREAD_TIMEOUT=20``
+    before the import: after each BLAS call OpenBLAS's idle worker thread
+    then spins for 2^20 cycles (about 0.5 ms) before it sleeps, not its
+    default 2^28 (about 128 ms).  A Lanczos step at n = 2000 takes about
+    0.3 ms, so the worker still spins through a solve, but sleeps through
+    the sampling, matrix fill and Rayleigh quotient between two solves
+    instead of burning a core.  To override it, set either variable before
+    the first eigen-solve.  OpenBLAS reads it once, when scipy loads its
+    BLAS, so it has no effect in a process that loaded scipy's BLAS
+    earlier.  It moves no computed number: the thread count and how each
+    BLAS call splits its work stay the same."""
+    if "OPENBLAS_THREAD_TIMEOUT" not in os.environ and "GOTO_THREAD_TIMEOUT" not in os.environ:
+        os.environ["OPENBLAS_THREAD_TIMEOUT"] = "20"
     import scipy.linalg.blas
     import scipy.sparse.linalg
 
@@ -236,15 +252,17 @@ def top_eigenvalue(inst: WigInstance, transform=None) -> float:
     n = inst.n
     blas, sparse_linalg = _scipy_solver()  # before the matrix allocates; see the module docstring
     M = inst.matrix(transform)
-    # fixed start vector: the default draws from numpy's global RNG, which
-    # would break byte-identical reports
+    # fixed start vector and restart generator: scipy draws the default start
+    # vector, and the restart after a Lanczos breakdown, from a generator
+    # seeded by OS entropy, which would break byte-identical reports.  Every
+    # n = 2 solve breaks down, since v0 is then an exact eigenvector.
     v0 = np.full(n, 1.0 / math.sqrt(n))
     # each matvec reads M's lower triangle, as the fallback does; f2py takes
     # a Fortran-ordered float32 M without copying it
     op = sparse_linalg.LinearOperator(
         (n, n), matvec=lambda x: blas.ssymv(1.0, M, x, lower=1), dtype=np.float64)
     try:
-        v = eigsh(op, k=1, which="LA", tol=1e-8, v0=v0)[1][:, 0]
+        v = eigsh(op, k=1, which="LA", tol=1e-8, v0=v0, rng=np.random.default_rng(0))[1][:, 0]
     except sparse_linalg.ArpackError as exc:  # ArpackNoConvergence is one too
         if not np.isfinite(M).all():  # no eigenvalue to find; skip the dense solve
             raise NumericInstabilityError(f"matrix has a non-finite entry at n={n}") from exc

@@ -95,36 +95,47 @@ def test_determinism_byte_identical(bernoulli_model, tmp_path, capsys):
 
 
 def test_determinism_covers_eigen_statistics(tmp_path):
-    # the eigen-solver must not consume global randomness
-    np.random.seed(1234)
-    outs = []
-    for name in ("a.csv", "b.csv"):
-        out = tmp_path / name
-        code = main(["spiked", "simulate", "--n", "80", "--lambda", "1.2",
-                     "--noise", "sech", "--planted", "true", "--trials", "2",
-                     "--test", "tpca", "--seed", "21", "--out", str(out)])
-        assert code == 0
-        np.random.seed(987)  # perturb global state between runs
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    # the eigen-solver must not consume global randomness, nor draw from OS
+    # entropy: Lanczos breaks down and restarts from a drawn vector on every
+    # n = 2 solve, whose statistic's last bit moved with that draw
+    moderate = ["spiked", "simulate", "--n", "80", "--lambda", "1.2", "--noise", "sech",
+                "--planted", "true", "--trials", "2", "--test", "tpca", "--seed", "21"]
+    breakdown = ["spiked", "simulate", "--n", "2", "--lambda", "1.7e308", "--noise", "sech",
+                 "--planted", "true", "--test", "tpca", "--seed", "0"]
+    for argv, runs in ((moderate, 2), (breakdown, 50)):
+        np.random.seed(1234)
+        outs = set()
+        for run in range(runs):
+            out = tmp_path / f"{run}.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            np.random.seed(987 + run)  # perturb global state between runs
+            outs.add(out.read_bytes())
+        assert len(outs) == 1, argv
+
+
+BLAS_TIMEOUT_VARS = ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")
 
 
 def test_blas_thread_count_moves_only_the_statistic_cells():
     # a report is byte-identical for a fixed BLAS thread count; across
     # thread counts the eigen-solve may sum in another order, so only the
-    # statistic may move, within 1e-12 relative
+    # statistic may move, within 1e-12 relative.  How long the idle BLAS
+    # worker spins before it sleeps moves no byte
     src = str(Path(nefqvf.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_TIMEOUT_VARS}
     argv = ["spiked", "simulate", "--n", "200", "--lambda", "1.2", "--noise", "sech",
             "--planted", "true", "--trials", "4", "--test", "tpca", "--seed", "5"]
-    reports = []
-    for threads in ("1", "2"):
+    outs = []
+    for threads, timeout in (("1", {}), ("2", {}), ("2", {"OPENBLAS_THREAD_TIMEOUT": "4"})):
         res = subprocess.run(
             [sys.executable, "-m", "nefqvf.cli", *argv], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            env={**env, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, **timeout},
         )
         assert res.returncode == 0, res.stderr
-        reports.append([line.split(",") for line in res.stdout.splitlines()[1:]])
-    (header, *one), (header_two, *two) = reports
+        outs.append(res.stdout)
+    assert outs[2] == outs[1]
+    (header, *one), (header_two, *two) = (
+        [line.split(",") for line in out.splitlines()[1:]] for out in outs[:2])
     col = header.index("statistic")
     assert header == header_two and len(one) == len(two) == 4
     for a, b in zip(one, two):
@@ -1140,6 +1151,36 @@ def test_scipy_loads_on_the_first_eigen_solve(solve, want):
                          env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == ["[]", *want]
+
+
+@pytest.mark.parametrize("caller, want", [
+    ({}, {"OPENBLAS_THREAD_TIMEOUT": "20", "GOTO_THREAD_TIMEOUT": None}),
+    ({"OPENBLAS_THREAD_TIMEOUT": "7"}, {"OPENBLAS_THREAD_TIMEOUT": "7", "GOTO_THREAD_TIMEOUT": None}),
+    ({"GOTO_THREAD_TIMEOUT": "7"}, {"OPENBLAS_THREAD_TIMEOUT": None, "GOTO_THREAD_TIMEOUT": "7"}),
+], ids=["unset", "openblas-set", "goto-set"])
+def test_the_first_eigen_solve_sets_the_blas_thread_timeout(caller, want):
+    # OpenBLAS reads its idle worker's spin time once, as scipy loads its
+    # BLAS, so the first solve sets it before any scipy module is looked up;
+    # a caller's own setting, under either name, stays as it was.  A fresh
+    # interpreter, because this one loaded scipy's BLAS at collection
+    src = str(Path(nefqvf.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_TIMEOUT_VARS}
+    code = ("import json, os, sys, numpy as np\n"
+            "from nefqvf import spiked\n"
+            f"names, seen = {BLAS_TIMEOUT_VARS!r}, []\n"
+            "class Probe:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy' and not seen:\n"
+            "            seen.append([name, 'scipy.linalg' in sys.modules,\n"
+            "                         {v: os.environ.get(v) for v in names}])\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            "inst = spiked.sample_wig(10, 1.2, 'sech', True, np.random.default_rng(0))\n"
+            "spiked.top_eigenvalue(inst)\n"
+            "print(json.dumps(seen + [{v: os.environ.get(v) for v in names}]))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**env, "PYTHONPATH": src, **caller})
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [["scipy", False, want], want]
 
 
 def test_simulate_holds_one_instance_at_a_time(capsys):

@@ -429,6 +429,23 @@ def test_eigen_tests_solve_every_size_by_lanczos(test, transform, monkeypatch):
     assert sizes == list(range(2, 10))
 
 
+def test_every_lanczos_solve_gets_one_seeded_restart_generator(monkeypatch):
+    # scipy draws a Lanczos restart vector, which every n = 2 solve needs
+    # after its breakdown, from the solve's rng argument, and from OS
+    # entropy when that is None: each solve gets a generator in one state
+    solve, states = spiked.eigsh, []
+
+    def spy(op, **kwargs):
+        states.append(np.random.default_rng(kwargs.get("rng")).bit_generator.state)
+        return solve(op, **kwargs)
+
+    monkeypatch.setattr(spiked, "eigsh", spy)
+    for n in (2, 3, 40):
+        for transform in (None, score_transform):
+            top_eigenvalue(sample_wig(n, 1.3, "sech", True, np.random.default_rng(n)), transform)
+    assert len(states) == 6 and all(state == states[0] for state in states)
+
+
 @pytest.mark.parametrize("test, transform", [(pca_test, None), (tpca_test, score_transform)],
                          ids=["pca", "tpca"])
 def test_eigen_test_fallbacks_give_the_float64_top_eigenvalue(test, transform, monkeypatch):
