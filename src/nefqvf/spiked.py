@@ -28,6 +28,21 @@ noise kind.  ARPACK solves every n, a dense solve runs only when it raises
 on a finite matrix, and a non-finite matrix or statistic raises
 NumericInstabilityError (CLI exit 4).
 
+Determinism and the BLAS worker: Lanczos starts from a fixed vector and
+draws any restart (after a breakdown, as on every n = 2 matrix) from a
+generator seeded with 0, never from OS entropy or numpy's global state.
+Unless the caller has set ``OPENBLAS_THREAD_TIMEOUT`` or its alias
+``GOTO_THREAD_TIMEOUT``, the first eigen-solve sets
+``OPENBLAS_THREAD_TIMEOUT=20`` before scipy loads its BLAS, so the idle
+OpenBLAS worker thread spins about 0.5 ms after a BLAS call, not about
+128 ms, and sleeps through the sampling, fill and quotient between two
+solves instead of burning a core.  A caller overrides it by setting either
+variable before the first solve.  It has no effect in a process that loaded
+scipy's BLAS earlier (a pytest run, or a ``perfbench`` run with
+``--trace 1``, whose tracer imports ``scipy.sparse.linalg`` first), and it
+moves no computed number: the thread count and each BLAS call's split of
+its work stay the same.
+
 Memory: an instance is its packed triangle (half an n x n float64
 buffer), the noise as drawn with the spike added in place; sampling makes
 no n x n array.  An eigenvalue test builds the one n x n buffer it solves,
@@ -211,17 +226,18 @@ def _scipy_solver():
     never solve an eigenproblem, so nothing imports it earlier.
 
     Unless the caller has set ``OPENBLAS_THREAD_TIMEOUT`` or its alias
-    ``GOTO_THREAD_TIMEOUT``, the first call sets ``OPENBLAS_THREAD_TIMEOUT=20``
-    before the import: after each BLAS call OpenBLAS's idle worker thread
-    then spins for 2^20 cycles (about 0.5 ms) before it sleeps, not its
-    default 2^28 (about 128 ms).  A Lanczos step at n = 2000 takes about
-    0.3 ms, so the worker still spins through a solve, but sleeps through
-    the sampling, matrix fill and Rayleigh quotient between two solves
-    instead of burning a core.  To override it, set either variable before
-    the first eigen-solve.  OpenBLAS reads it once, when scipy loads its
-    BLAS, so it has no effect in a process that loaded scipy's BLAS
-    earlier.  It moves no computed number: the thread count and how each
-    BLAS call splits its work stay the same."""
+    ``GOTO_THREAD_TIMEOUT`` (set either to override), the first call sets
+    ``OPENBLAS_THREAD_TIMEOUT=20`` before the import: OpenBLAS's idle worker
+    thread then spins 2^20 cycles (about 0.5 ms) after a BLAS call before it
+    sleeps, not the default 2^28 (about 128 ms).  That outlasts a Lanczos
+    step (about 0.3 ms at n = 2000) but not the sampling, fill and quotient
+    between two solves, which the worker used to spend burning a core.
+    OpenBLAS reads the variable once, as scipy loads its BLAS, so it has no
+    effect in a process that loaded that BLAS earlier (pytest, or
+    ``perfbench/run.py --trace 1``, whose tracer imports
+    ``scipy.sparse.linalg`` first).  It moves no computed number: the thread
+    count and each BLAS call's split of its work stay the same, and
+    ``top_eigenvalue`` fixes the Lanczos restart generator."""
     if "OPENBLAS_THREAD_TIMEOUT" not in os.environ and "GOTO_THREAD_TIMEOUT" not in os.environ:
         os.environ["OPENBLAS_THREAD_TIMEOUT"] = "20"
     import scipy.linalg.blas
@@ -240,7 +256,8 @@ def top_eigenvalue(inst: WigInstance, transform=None) -> float:
     """Largest (signed) eigenvalue of T = transform(Y) (Y itself for None).
 
     Lanczos iteration on the float32 ``inst.matrix(transform)``, each step
-    a symmetric matvec over its lower triangle, finds the top eigenvector v;
+    a symmetric matvec over its lower triangle, from a fixed start vector
+    and with a fixed restart generator, finds the top eigenvector v;
     a dense solve of the upcast matrix (which reads that triangle too) runs
     only when ARPACK raises on a finite matrix: silently when it rejects the
     matrix (all-zero, say), with a RuntimeWarning when Lanczos does not
